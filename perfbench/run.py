@@ -184,7 +184,7 @@ def _per_layer(workload, inputs, untraced, tracer, traced) -> dict:
     return metrics, table
 
 
-def _workload_layers(workload, traced, tracer, table) -> dict:
+def _workload_layers(traced, tracer, table) -> dict:
     """Layers only some workloads exercise: printed, not in the result."""
     counts = tracer.counts
     extra = {}
@@ -292,7 +292,7 @@ def _run(args, cache_dir: Path) -> int:
             failures.append(
                 f"phase sum: traced phases cover "
                 f"{metrics['trace.phase_sum_ratio']:.3f} of sparsify_s")
-        extra = _workload_layers(workload, traced, tracer, table)
+        extra = _workload_layers(traced, tracer, table)
         units = PER_LAYER_UNITS
         WORK_DIR.mkdir(exist_ok=True)
         tracer.dump(str(WORK_DIR / f"trace-{workload.name}-{args.seed}"),
