@@ -42,7 +42,7 @@ BASELINE_REPEATS = 3
 PHASE_SUM_TOLERANCE = 0.05
 
 END_TO_END_UNITS = {
-    "wall_s": "s", "sparsify_s": "s", "update_p50_s": "s",
+    "wall_ref": "ref", "sparsify_ref": "ref", "update_p50_ref": "ref",
     "kappa": "ratio", "pcg_iters": "count", "peak_rss_mb": "MB",
     "setup_s": "s",
 }
@@ -104,9 +104,23 @@ def _set_up(workload, seed: int, times: list):
 
 
 def _iterate(workload, inputs, tracer=None):
-    from workloads import Phases
+    """One iteration, with the host-speed reference timed around it."""
+    from workloads import Phases, reference_seconds
 
-    return workload.iterate(inputs, Phases(tracer))
+    before = reference_seconds()
+    outcome = workload.iterate(inputs, Phases(tracer))
+    outcome.extra["reference_s"] = (before + reference_seconds()) / 2
+    return outcome
+
+
+def _seconds(outcomes) -> dict:
+    """The timed calls in seconds, as a user sees them (medians)."""
+    median = statistics.median
+    return {
+        "wall_s": median(o.wall_s for o in outcomes),
+        "sparsify_s": median(o.phases.seconds["sparsify"] for o in outcomes),
+        "update_p50_s": median(t for o in outcomes for t in o.updates),
+    }
 
 
 def _check_determinism(workload, seed: int, outcomes) -> list:
@@ -134,11 +148,15 @@ def _check_determinism(workload, seed: int, outcomes) -> list:
 
 
 def _end_to_end(outcomes, setup_s: float) -> dict:
+    """The declared metrics; times in units of the reference kernel."""
     median = statistics.median
     return {
-        "wall_s": median(o.wall_s for o in outcomes),
-        "sparsify_s": median(o.phases.seconds["sparsify"] for o in outcomes),
-        "update_p50_s": median(t for o in outcomes for t in o.updates),
+        "wall_ref": median(o.wall_s / o.extra["reference_s"]
+                           for o in outcomes),
+        "sparsify_ref": median(o.phases.seconds["sparsify"]
+                               / o.extra["reference_s"] for o in outcomes),
+        "update_p50_ref": median(t / o.extra["reference_s"]
+                                 for o in outcomes for t in o.updates),
         "kappa": median(o.kappa for o in outcomes),
         "pcg_iters": median(o.pcg_iters for o in outcomes),
         "peak_rss_mb": resource.getrusage(
@@ -320,6 +338,9 @@ def _run(args, cache_dir: Path) -> int:
         if "deviation_mv" in outcomes[0].extra:
             print(f"# probe deviation "
                   f"{outcomes[0].extra['deviation_mv']:.3f} mV")
+        _print_table("seconds", _seconds(outcomes), {})
+        print("# iteration reference_s " + " ".join(
+            f"{o.extra['reference_s']:.5f}" for o in outcomes))
         for kind in ("wall", "sparsify", "evaluate", "solve"):
             print(f"# iteration {kind}_s " + " ".join(
                 f"{o.wall_s if kind == 'wall' else o.phases.seconds[kind]:.3f}"

@@ -38,6 +38,29 @@ PCG_RTOL = 1e-3
 DEVIATION_BOUND_V = 16e-3
 
 
+def _reference_kernel() -> int:
+    """Fixed pure-Python and numpy work that never touches ``repro``."""
+    counts: dict = {}
+    total = 0
+    for i in range(80_000):
+        counts[i % 977] = counts.get(i % 977, 0) + i
+        total += i * i
+    x = np.linspace(-1.0, 1.0, 40_000)[::-1].copy()
+    for _ in range(10):
+        x = np.sort(x) * 0.5 + 0.1
+    return total + len(counts)
+
+
+def reference_seconds(repeats: int = 8) -> float:
+    """Median time of the reference kernel: the host's current speed."""
+    times = []
+    for _ in range(repeats):
+        start = perf_counter()
+        _reference_kernel()
+        times.append(perf_counter() - start)
+    return statistics.median(times)
+
+
 class Phases:
     """Accumulates seconds per kind of timed call within one iteration."""
 
