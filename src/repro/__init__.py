@@ -72,7 +72,6 @@ from repro.core import (
     partition_shards,
     sharded_sparsify,
     EdgeRanker,
-    BallBundle,
     BallCache,
     TreePhaseRanker,
     ExactRanker,
@@ -86,7 +85,6 @@ from repro.core import (
     er_sample_sparsify,
     ErSamplingConfig,
     exact_trace_reduction,
-    approximate_trace_reduction,
     tree_truncated_trace_reduction,
     trace_ratio,
     evaluate_sparsifier,
@@ -163,7 +161,6 @@ __all__ = [
     "partition_shards",
     "sharded_sparsify",
     "EdgeRanker",
-    "BallBundle",
     "BallCache",
     "TreePhaseRanker",
     "ExactRanker",
@@ -177,7 +174,6 @@ __all__ = [
     "er_sample_sparsify",
     "ErSamplingConfig",
     "exact_trace_reduction",
-    "approximate_trace_reduction",
     "tree_truncated_trace_reduction",
     "trace_ratio",
     "evaluate_sparsifier",

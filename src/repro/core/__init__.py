@@ -3,8 +3,8 @@
 Public surface:
 
 * criticality metrics: :func:`exact_trace_reduction`,
-  :func:`tree_truncated_trace_reduction`,
-  :func:`approximate_trace_reduction`;
+  :func:`tree_truncated_trace_reduction` and the batched rankers of
+  :mod:`repro.core.ranking` (Eq. 20 lives in :class:`ApproxRanker`);
 * the full Algorithm 2 driver :func:`trace_reduction_sparsify`;
 * baselines :func:`grass_sparsify` (GRASS [8]) and
   :func:`fegrass_sparsify` (feGRASS [13]);
@@ -22,12 +22,10 @@ from repro.core.trace_reduction import (
     exact_trace_reduction,
     exact_trace_reduction_batch,
     truncated_trace_reduction_reference,
-    approximate_trace_reduction,
 )
 from repro.core.tree_phase import tree_truncated_trace_reduction
 from repro.core.ranking import (
     ApproxRanker,
-    BallBundle,
     BallCache,
     EdgeRanker,
     ExactRanker,
@@ -74,10 +72,8 @@ __all__ = [
     "exact_trace_reduction",
     "exact_trace_reduction_batch",
     "truncated_trace_reduction_reference",
-    "approximate_trace_reduction",
     "tree_truncated_trace_reduction",
     "EdgeRanker",
-    "BallBundle",
     "BallCache",
     "TreePhaseRanker",
     "ExactRanker",

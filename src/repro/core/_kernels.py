@@ -11,44 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.arrays import concat_ranges
+
 __all__ = ["concat_ranges", "ball_pair_edge_sum", "ball_pair_edge_sum_flat"]
-
-
-def concat_ranges(starts, lengths):
-    """Concatenate integer ranges ``[starts[k], starts[k]+lengths[k])``.
-
-    Equivalent to ``np.concatenate([np.arange(s, s+l) ...])`` but built
-    from two cumsums, with no per-range Python overhead.
-
-    Parameters
-    ----------
-    starts : array_like of int
-        Range start offsets.
-    lengths : array_like of int
-        Range lengths (zero-length ranges are skipped).
-
-    Returns
-    -------
-    numpy.ndarray
-        The concatenated ranges as one ``int64`` array.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    positive = lengths > 0
-    if not np.all(positive):
-        # Non-positive lengths contribute nothing (empty CSR ranges).
-        starts = starts[positive]
-        lengths = lengths[positive]
-    if len(lengths) == 0:
-        # Covers empty input and all-zero lengths; bail out before any
-        # cum[-1] indexing can see an empty cumsum.
-        return np.empty(0, dtype=np.int64)
-    cum = np.cumsum(lengths)
-    out = np.ones(cum[-1], dtype=np.int64)
-    out[0] = starts[0]
-    if len(starts) > 1:
-        out[cum[:-1]] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
-    return np.cumsum(out)
 
 
 def ball_pair_edge_sum(

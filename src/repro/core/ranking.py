@@ -6,45 +6,46 @@ trace reduction.  This module turns that per-edge scoring into a staged
 engine with a uniform **batch API**:
 
 * :class:`EdgeRanker` — the protocol every ranker implements:
-  ``prepare(edge_ids)`` warms per-round caches, ``score_batch(edge_ids)``
+  ``prepare(edge_ids)`` warms per-round state, ``score_batch(edge_ids)``
   returns one criticality score per candidate;
 * :class:`TreePhaseRanker` — round 1, the solve-free tree-phase
   truncated trace reduction (Eqs. 13-15);
 * :class:`ExactRanker` — Eq. (11) through exact solves (validation);
-* :class:`ApproxRanker` — Eq. (20), the production path: SPAI-column
-  gathers, BFS-ball lookups and the ``ball_pair_edge_sum`` kernel are
-  fed from per-round caches so each candidate costs a handful of small
-  numpy calls and no Python BFS.
+* :class:`ApproxRanker` — Eq. (20), the production path.
 
-The :class:`BallCache` persists across densification rounds: recovering
-edges only changes BFS balls near the touched endpoints, so only those
-entries are invalidated (see ``docs/architecture.md`` for the exact
-contract).  Scores are bit-identical to the reference implementations in
-:mod:`repro.core.trace_reduction` and independent of how candidates are
-chunked, which is what makes the worker-pool execution in
-:mod:`repro.core.parallel` deterministic.
+Both truncated rankers score a whole block of candidates with array
+operations over flat *(candidate, node)* entries
+(:mod:`repro.core.ball_join`): balls grow one BFS level at a time for
+every candidate at once, the edges of ``G`` between each candidate's two
+balls come from one join, and one ``bincount`` reduces the numerators.
+Each candidate's reduction reads only its own entries in a fixed order,
+so scores are independent of how candidates are chunked, which is what
+makes the worker-pool execution in :mod:`repro.core.parallel`
+deterministic.
+
+:class:`BallCache` keeps single BFS balls across edge mutations with
+touched-node invalidation; the incremental sparsifier
+(:mod:`repro.incremental`) uses it as its locality engine.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.utils.arrays import concat_ranges
+from repro.core.ball_join import LookupTable, ball_pair_edges, score_in_blocks
 from repro.core.trace_reduction import exact_trace_reduction_batch
 from repro.core.tree_phase import tree_truncated_trace_reduction
 from repro.tree.lca import batch_tree_resistances
-from repro.graph.bfs import BallFinder
+from repro.graph.bfs import BallFinder, ball_sets
 from repro.graph.graph import Graph
 from repro.graph.laplacian import regularized_laplacian
-from repro.kernels import resolve_kernel_set
 from repro.linalg.cholesky import cholesky
-from repro.linalg.spai import extract_columns
 
 __all__ = [
     "EdgeRanker",
-    "BallBundle",
     "BallCache",
     "TreePhaseRanker",
     "ExactRanker",
@@ -71,83 +72,37 @@ class EdgeRanker(Protocol):
         """Return one criticality score per candidate edge id."""
 
 
-BallBundle = namedtuple("BallBundle", ["nodes", "sources", "nbrs", "eids"])
-"""Cached per-node ball data.
-
-Attributes
-----------
-nodes : numpy.ndarray
-    Sorted nodes of the beta-ball around the key node (in the current
-    subgraph).
-sources, nbrs, eids : numpy.ndarray
-    Flattened incident-edge triples of *nodes* in the **original**
-    graph, as consumed by
-    :func:`repro.core._kernels.ball_pair_edge_sum_flat`.
-"""
-
-
 class BallCache:
-    """Per-round cache of BFS balls with touched-node invalidation.
+    """BFS balls around single nodes, kept across adjacency changes.
 
-    Algorithm 2 adds a few edges per round; a ball around ``a`` computed
-    in round ``r`` is still correct in round ``r + 1`` unless some
-    endpoint of a newly recovered edge lies within ``beta`` hops of
-    ``a`` in the new subgraph.  The cache therefore persists across
-    rounds and only drops entries inside the balls of touched endpoints
-    (the exact rule — and why it is safe — is spelled out in
-    ``docs/architecture.md``).
+    A ball around ``a`` computed on one adjacency is still correct on
+    the next unless some endpoint of an inserted or deleted edge lies
+    within ``beta`` hops of ``a`` in the old or the new adjacency.  The
+    cache therefore persists across changes and only drops entries
+    inside the balls of touched endpoints (the exact rule — and why it
+    is safe — is spelled out in ``docs/architecture.md``).
 
     Parameters
     ----------
     beta : int
         BFS truncation depth; all cached balls use this radius.
-    max_entries : int, optional
-        Upper bound on stored balls/bundles (each bundle costs roughly
-        ``ball_size * avg_degree`` incidence triples).  At capacity,
-        further queries are computed transiently and returned without
-        being stored — slower, but memory stays bounded.  ``None``
-        (default) means unbounded, which is at most one entry per
-        graph node.
-    kernels : KernelSet or str, optional
-        Hot-path kernel tier executing the BFS expansion and bundle
-        gathers; defaults to the auto-resolved tier (see
-        :mod:`repro.kernels`).  Bit-identical across tiers.
 
     Notes
     -----
-    The contract has two obligations on the caller:
-
-    1. call :meth:`attach_subgraph` whenever the subgraph adjacency
-       changes, passing ``invalidate=<touched nodes>`` (every node whose
-       incident edge set changed since the previous attach);
-    2. call :meth:`attach_graph` once with the original graph before
-       requesting bundles.
-
-    Entries are read-only once created; worker processes forked after
-    :meth:`ensure` share them copy-on-write without synchronization.
+    Call :meth:`attach_subgraph` whenever the adjacency changes,
+    passing ``invalidate=<touched nodes>`` (every node whose incident
+    edge set changed since the previous attach).
     """
 
-    def __init__(self, beta: int, max_entries: int | None = None,
-                 kernels=None) -> None:
+    def __init__(self, beta: int) -> None:
         if beta < 1:
             raise ValueError(f"beta must be >= 1, got {beta}")
-        if max_entries is not None and max_entries < 0:
-            raise ValueError(f"max_entries must be >= 0, got {max_entries}")
         self.beta = int(beta)
-        self.max_entries = max_entries
-        self.kernels = resolve_kernel_set(kernels)
         self._balls: dict = {}
-        self._bundles: dict = {}
         self._finder: BallFinder | None = None
         self._sub_indptr = None
         self._sub_nbr = None
-        self._g_indptr = None
-        self._g_nbr = None
-        self._g_eid = None
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     @property
     def attached(self) -> bool:
         """True once a subgraph adjacency has been attached."""
@@ -155,13 +110,6 @@ class BallCache:
 
     def __len__(self) -> int:
         return len(self._balls)
-
-    def attach_graph(self, graph: Graph) -> None:
-        """Record the original graph's CSR adjacency (bundle source)."""
-        g_indptr, g_nbr, g_eid = graph.adjacency()
-        self._g_indptr = g_indptr
-        self._g_nbr = g_nbr
-        self._g_eid = g_eid
 
     def attach_subgraph(self, indptr, neighbors, invalidate=None) -> None:
         """Point ball queries at a (possibly new) subgraph adjacency.
@@ -176,7 +124,7 @@ class BallCache:
             only on the first attach or when the adjacency is
             unchanged; re-attaching a *changed* adjacency with cached
             entries and no touched set raises ``ValueError`` — silently
-            serving stale balls would yield wrong scores.
+            serving stale balls would yield wrong results.
 
         Raises
         ------
@@ -192,7 +140,7 @@ class BallCache:
                 and np.array_equal(self._sub_nbr, neighbors)
             )
         )
-        if changed and invalidate is None and (self._balls or self._bundles):
+        if changed and invalidate is None and self._balls:
             raise ValueError(
                 "attach_subgraph: the adjacency changed but invalidate= "
                 "was not given; cached balls would silently go stale. "
@@ -200,7 +148,7 @@ class BallCache:
                 "deleted edge), or an empty array if the change truly "
                 "touches no cached entry."
             )
-        self._finder = BallFinder(indptr, neighbors, kernels=self.kernels)
+        self._finder = BallFinder(indptr, neighbors)
         self._sub_indptr = indptr
         self._sub_nbr = neighbors
         if invalidate is None:
@@ -212,10 +160,9 @@ class BallCache:
             # within beta hops of ``a`` in the OLD or the NEW adjacency
             # (the adjacency is symmetric, so that is the union of the
             # touched node's balls in both).  Insertions only shrink
-            # distances (old ball subset of new), so for the insert-only
-            # round loop the union degenerates to the new ball alone;
-            # deletions *grow* distances, and only the old ball reaches
-            # the entries whose routes ran through the removed edges.
+            # distances (old ball subset of new); deletions *grow*
+            # distances, and only the old ball reaches the entries whose
+            # routes ran through the removed edges.
             stale.update(self._finder.ball_nodes(int(node), self.beta).tolist())
             if changed and old_finder is not None:
                 stale.update(
@@ -223,104 +170,6 @@ class BallCache:
                 )
         for node in stale:
             self._balls.pop(node, None)
-            self._bundles.pop(node, None)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def _has_room(self, table: dict) -> bool:
-        return self.max_entries is None or len(table) < self.max_entries
-
-    def ensure(self, nodes) -> None:
-        """Compute and cache balls + bundles for any missing *nodes*.
-
-        Bundle construction is batched: one ``concat_ranges`` pass over
-        the concatenation of every missing ball gathers all incidence
-        triples at once, and per-node bundles are cheap slices of the
-        shared arrays.  Entries beyond ``max_entries`` are dropped.
-        """
-        missing = list(dict.fromkeys(
-            int(node)
-            for node in np.asarray(nodes, dtype=np.int64)
-            if int(node) not in self._bundles
-        ))
-        if self.max_entries is not None:
-            # Only warm what can actually be stored; over-capacity nodes
-            # are built transiently by bundle() when scoring reaches
-            # them, instead of being materialized and discarded here on
-            # every prepare() call.
-            room = self.max_entries - len(self._bundles)
-            missing = missing[: max(0, room)]
-        if missing:
-            self._materialize(missing)
-
-    def _materialize(self, missing: list) -> dict:
-        """Build bundles for *missing* nodes, caching within capacity."""
-        if self._finder is None:
-            raise RuntimeError("attach_subgraph() before ensure()")
-        if self._g_indptr is None:
-            raise RuntimeError("attach_graph() before ensure()")
-        fresh_balls = self._finder.balls(
-            [node for node in missing if node not in self._balls],
-            self.beta,
-        )
-        ball_list = []
-        for node in missing:
-            ball = self._balls.get(node)
-            if ball is None:
-                ball = fresh_balls[node]
-                if self._has_room(self._balls):
-                    self._balls[node] = ball
-            ball_list.append(ball)
-        all_nodes = np.concatenate(ball_list)
-        starts = self._g_indptr[all_nodes]
-        lengths = self._g_indptr[all_nodes + 1] - starts
-        flat = self.kernels.concat_ranges(starts, lengths)
-        sources = np.repeat(all_nodes, lengths)
-        nbrs = self._g_nbr[flat]
-        eids = self._g_eid[flat]
-        # Per-ball spans into the shared flat arrays.
-        node_offsets = np.zeros(len(ball_list) + 1, dtype=np.int64)
-        np.cumsum([len(b) for b in ball_list], out=node_offsets[1:])
-        incidence_bounds = np.zeros(len(all_nodes) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=incidence_bounds[1:])
-        built = {}
-        for k, node in enumerate(missing):
-            lo = incidence_bounds[node_offsets[k]]
-            hi = incidence_bounds[node_offsets[k + 1]]
-            # Copies, not views: a view would pin the whole batch's flat
-            # arrays in memory for as long as any one bundle survives
-            # invalidation.
-            bundle = BallBundle(
-                nodes=ball_list[k],
-                sources=sources[lo:hi].copy(),
-                nbrs=nbrs[lo:hi].copy(),
-                eids=eids[lo:hi].copy(),
-            )
-            built[node] = bundle
-            if self._has_room(self._bundles):
-                self._bundles[node] = bundle
-        return built
-
-    def ensure_balls(self, nodes) -> None:
-        """Cache bare ball node sets (no incidence bundles) for *nodes*.
-
-        Cheaper than :meth:`ensure` for nodes that only ever serve as
-        the stamped second ball (the ``q`` side of Eq. 20), which never
-        needs the incidence triples.
-        """
-        if self._finder is None:
-            raise RuntimeError("attach_subgraph() before ensure_balls()")
-        missing = [
-            int(node)
-            for node in np.asarray(nodes, dtype=np.int64)
-            if int(node) not in self._balls
-        ]
-        if not missing:
-            return
-        for node, ball in self._finder.balls(missing, self.beta).items():
-            if self._has_room(self._balls):
-                self._balls[node] = ball
 
     def ball(self, node: int) -> np.ndarray:
         """Sorted beta-ball around *node* in the current subgraph."""
@@ -329,20 +178,8 @@ class BallCache:
             if self._finder is None:
                 raise RuntimeError("attach_subgraph() before ball()")
             nodes = self._finder.ball_nodes(node, self.beta)
-            if self._has_room(self._balls):
-                self._balls[node] = nodes
+            self._balls[node] = nodes
         return nodes
-
-    def bundle(self, node: int) -> BallBundle:
-        """Ball plus flattened original-graph incidences around *node*.
-
-        At capacity the bundle is built and returned without being
-        stored.
-        """
-        cached = self._bundles.get(node)
-        if cached is not None:
-            return cached
-        return self._materialize([int(node)])[int(node)]
 
 
 class TreePhaseRanker:
@@ -356,17 +193,12 @@ class TreePhaseRanker:
         Rooted spanning forest ``T`` (the initial subgraph).
     beta : int, optional
         BFS truncation depth (paper default 5).
-    kernels : KernelSet or str, optional
-        Hot-path kernel tier for the scoring loops; defaults to the
-        auto-resolved tier.  Bit-identical across tiers.
     """
 
-    def __init__(self, graph: Graph, forest, beta: int = 5,
-                 kernels=None) -> None:
+    def __init__(self, graph: Graph, forest, beta: int = 5) -> None:
         self.graph = graph
         self.forest = forest
         self.beta = int(beta)
-        self.kernels = resolve_kernel_set(kernels)
         self._resistances: np.ndarray | None = None
 
     def prepare(self, edge_ids) -> None:
@@ -412,7 +244,7 @@ class TreePhaseRanker:
         self.prepare(edge_ids)
         crit, _, _ = tree_truncated_trace_reduction(
             self.graph, self.forest, edge_ids=edge_ids, beta=self.beta,
-            resistances=self._resistances[edge_ids], kernels=self.kernels,
+            resistances=self._resistances[edge_ids],
         )
         return crit
 
@@ -457,16 +289,20 @@ class ExactRanker:
 class ApproxRanker:
     """Production ranker: SPAI-based approximate trace reduction (Eq. 20).
 
-    Computes exactly what
-    :func:`repro.core.trace_reduction.approximate_trace_reduction`
-    computes — bit for bit — but feeds every per-candidate step from
-    caches that are shared across the whole round:
+    For a candidate ``(p, q)`` with ``u = z~_p - z~_q`` (columns of
+    ``Z`` in the factor's ordering), ``R_S(p, q) ~ u . u`` and every
+    ball node ``a`` gets ``s_a = z~_a . u``; the numerator sums
+    ``w_ij (s_i - s_j)^2`` over the edges of ``G`` joining the beta-balls
+    of ``p`` and ``q`` in the current subgraph ``S``.  A block of
+    candidates is scored at once:
 
-    * BFS balls and their original-graph incidence bundles come from a
-      :class:`BallCache` (persisted across rounds, invalidated only
-      around touched nodes);
-    * SPAI columns of candidate endpoints are gathered once per round
-      through :func:`repro.linalg.spai.extract_columns`.
+    1. the balls of the block's endpoints grow together, one BFS level
+       at a time (:func:`repro.graph.bfs.ball_sets`);
+    2. one join finds each candidate's ball-to-ball edges
+       (:func:`repro.core.ball_join.ball_pair_edges`);
+    3. ``s`` is evaluated only at those edges' endpoints, reading ``u``
+       through a dense per-candidate table;
+    4. one ``bincount`` reduces the numerators.
 
     Parameters
     ----------
@@ -482,84 +318,35 @@ class ApproxRanker:
         on ``factor.L``.
     beta : int, optional
         BFS truncation depth (paper default 5).
-    cache : BallCache, optional
-        Cross-round ball cache.  When supplied it must already be
-        attached to *subgraph*'s adjacency (the sparsifier driver owns
-        invalidation); when omitted a private cache is created.
-    kernels : KernelSet or str, optional
-        Hot-path kernel tier executing the per-candidate scoring loop
-        (SPAI gathers, ball selection, the restricted quadratic form);
-        defaults to the auto-resolved tier.  Bit-identical across
-        tiers, so the choice never changes scores — only speed.
 
     Notes
     -----
-    ``score_batch`` reuses dense work vectors, so one ranker instance
-    must not be shared between threads.  Worker *processes* are fine:
-    each fork gets copy-on-write copies, and the scores are chunk-stable
-    (independent of how candidates are split), so any sharding of the
-    candidate list reproduces the serial result exactly.
+    Scores are chunk-stable (independent of how candidates are split),
+    so any sharding of the candidate list across worker processes
+    reproduces the serial result exactly.
     """
 
     def __init__(
-        self, graph: Graph, subgraph: Graph, factor, Z,
-        beta: int = 5, cache: BallCache | None = None, kernels=None,
+        self, graph: Graph, subgraph: Graph, factor, Z, beta: int = 5,
     ) -> None:
+        if beta < 1:
+            raise ValueError(f"ball radius beta must be >= 1, got {beta}")
         self.graph = graph
         self.beta = int(beta)
-        self.kernels = resolve_kernel_set(kernels)
         self._iperm = np.asarray(factor.iperm, dtype=np.int64)
-        self._Z = Z
-        self._z_indptr = Z.indptr
-        self._z_indices = Z.indices.astype(np.int64)
+        self._z_indptr = np.asarray(Z.indptr, dtype=np.int64)
+        self._z_indices = np.asarray(Z.indices, dtype=np.int64)
         self._z_data = Z.data
-        if cache is None:
-            cache = BallCache(beta, kernels=self.kernels)
-        if cache.beta != self.beta:
-            raise ValueError(
-                f"cache radius {cache.beta} != ranker beta {self.beta}"
-            )
-        cache.attach_graph(graph)
-        if not cache.attached:
-            sub_indptr, sub_nbr, _ = subgraph.adjacency()
-            cache.attach_subgraph(sub_indptr, sub_nbr)
-        self.cache = cache
-        self._cols: dict = {}
-        n = graph.n
-        self._u_dense = np.zeros(n)
-        self._s_dense = np.zeros(n)
-        self._in_q_stamp = np.zeros(n, dtype=np.int64)
-        self._clock = 0
+        sub_indptr, sub_nbr, _ = subgraph.adjacency()
+        self._sub_adjacency = (sub_indptr, sub_nbr)
 
     def prepare(self, edge_ids) -> None:
-        """Warm the ball cache and the SPAI column table for a batch.
+        """Warm the graph adjacency every block reads (idempotent).
 
-        Idempotent and cheap when already warm.  The sparsifier driver
-        calls this in the parent process before forking workers so the
-        cached arrays are shared read-only.
+        The sparsifier driver calls this in the parent process before
+        forking workers so the arrays are shared read-only.
         """
-        edge_ids = np.asarray(edge_ids, dtype=np.int64)
-        if len(edge_ids) == 0:
-            return
-        # Heads need full incidence bundles (the summation side of
-        # Eq. 20); tails only ever get stamped, so bare balls suffice.
-        self.cache.ensure(np.unique(self.graph.u[edge_ids]))
-        self.cache.ensure_balls(np.unique(self.graph.v[edge_ids]))
-        endpoints = np.unique(
-            np.concatenate([self.graph.u[edge_ids], self.graph.v[edge_ids]])
-        )
-        missing = [
-            int(node) for node in endpoints if int(node) not in self._cols
-        ]
-        if not missing:
-            return
-        indptr, rows, vals = extract_columns(
-            self._Z, self._iperm[np.asarray(missing, dtype=np.int64)],
-            kernels=self.kernels,
-        )
-        for k, node in enumerate(missing):
-            lo, hi = indptr[k], indptr[k + 1]
-            self._cols[node] = (rows[lo:hi], vals[lo:hi])
+        self.graph.adjacency()
 
     def score_batch(self, edge_ids) -> np.ndarray:
         """Approximate trace reduction (Eq. 20) per candidate edge.
@@ -572,75 +359,110 @@ class ApproxRanker:
         Returns
         -------
         numpy.ndarray
-            Approximate trace reduction, aligned with *edge_ids*;
-            bit-identical to
-            :func:`~repro.core.trace_reduction.approximate_trace_reduction`
-            on the same candidates.
+            Approximate trace reduction, aligned with *edge_ids*.
         """
         edge_ids = np.asarray(edge_ids, dtype=np.int64)
         if len(edge_ids) == 0:
             return np.empty(0)
-        self.prepare(edge_ids)
-
         graph = self.graph
-        weights = graph.w
         heads = graph.u[edge_ids]
         tails = graph.v[edge_ids]
-        w_cand = weights[edge_ids]
-        iperm = self._iperm
-        z_indptr = self._z_indptr
-        z_indices = self._z_indices
-        z_data = self._z_data
-        cols = self._cols
-        cache = self.cache
-        u_dense = self._u_dense
-        s_dense = self._s_dense
-        in_q_stamp = self._in_q_stamp
-        concat_ranges = self.kernels.concat_ranges
-        ball_pair_edge_sum_flat = self.kernels.ball_pair_edge_sum_flat
-        out = np.empty(len(edge_ids))
+        w_cand = graph.w[edge_ids]
+        tables = (LookupTable(graph.n, len(edge_ids), np.int32, -1),
+                  LookupTable(graph.n, len(edge_ids), np.float64, 0.0))
+        return score_in_blocks(
+            len(edge_ids),
+            lambda start, stop: self._score_block(
+                heads[start:stop], tails[start:stop], w_cand[start:stop],
+                tables,
+            ),
+            graph,
+        )
 
-        for k in range(len(edge_ids)):
-            p, q = int(heads[k]), int(tails[k])
-            w_pq = float(w_cand[k])
-            self._clock += 1
-            clock = self._clock
+    def _score_block(self, p, q, w_pq, tables):
+        graph = self.graph
+        n = graph.n
+        adjacency = graph.adjacency()
+        positions, u_table = tables
+        count = len(p)
+        ends, which = np.unique(np.concatenate([p, q]), return_inverse=True)
+        ptr, members = ball_sets(*self._sub_adjacency, ends, self.beta)
+        p_owner, p_nodes = _ball_entries(ptr, members, which[:count])
+        q_owner, q_nodes = _ball_entries(ptr, members, which[count:])
+        src, nbr, _, eids = ball_pair_edges(
+            adjacency, positions, p_owner, p_nodes, q_owner, q_nodes
+        )
+        owner = p_owner[src]
+        u_owner, u_rows, u_values, resistance = self._differences(p, q)
+        # s_a = z~_a . u at each joined edge's endpoints, once per
+        # (candidate, node).
+        keys, slot = np.unique(
+            np.concatenate([owner * n + p_nodes[src], owner * n + q_nodes[nbr]]),
+            return_inverse=True,
+        )
+        s_values, gathered = self._inner_products(
+            keys // n, keys % n, u_table, u_owner, u_rows, u_values
+        )
+        diffs = s_values[slot[: len(src)]] - s_values[slot[len(src):]]
+        numerator = np.bincount(
+            owner, weights=graph.w[eids] * diffs * diffs, minlength=count
+        )
+        scores = w_pq * numerator / (1.0 + w_pq * resistance)
+        incidences = int(np.sum(adjacency[0][p_nodes + 1] - adjacency[0][p_nodes]))
+        return scores, len(members) + incidences + gathered
 
-            # u = z~_p - z~_q scattered into a dense work vector.
-            rows_p, vals_p = cols[p]
-            rows_q, vals_q = cols[q]
-            u_dense[rows_p] += vals_p
-            u_dense[rows_q] -= vals_q
-            touched = np.unique(np.concatenate([rows_p, rows_q]))
-            resistance = float(np.sum(u_dense[touched] ** 2))
+    def _differences(self, p, q):
+        """``u = z~_p - z~_q`` per candidate and ``R_S(p, q) ~ u . u``.
 
-            # Cached BFS balls in the current subgraph.
-            bundle_p = cache.bundle(p)
-            nodes_q = cache.ball(q)
-            in_q_stamp[nodes_q] = clock
-
-            # s_a = z~_a . u for every node in either ball, one gather.
-            ball_nodes = np.unique(
-                np.concatenate([bundle_p.nodes, nodes_q])
-            )
-            perm_cols = iperm[ball_nodes]
-            starts = z_indptr[perm_cols]
-            lengths = z_indptr[perm_cols + 1] - starts
+        Returns ``u`` as entries ``(owner, row, value)`` sorted by
+        ``(owner, row)`` plus the resistance per candidate.
+        """
+        n = self.graph.n
+        count = len(p)
+        parts = []
+        for nodes in (p, q):
+            cols = self._iperm[nodes]
+            starts = self._z_indptr[cols]
+            lengths = self._z_indptr[cols + 1] - starts
             flat = concat_ranges(starts, lengths)
-            col_of = np.repeat(np.arange(len(ball_nodes)), lengths)
-            s_values = np.bincount(
-                col_of,
-                weights=z_data[flat] * u_dense[z_indices[flat]],
-                minlength=len(ball_nodes),
-            )
-            s_dense[ball_nodes] = s_values
+            parts.append((np.repeat(np.arange(count), lengths), flat))
+        (p_owner, p_flat), (q_owner, q_flat) = parts
+        keys = np.concatenate([
+            p_owner * n + self._z_indices[p_flat],
+            q_owner * n + self._z_indices[q_flat],
+        ])
+        keys, slot = np.unique(keys, return_inverse=True)
+        # Accumulating +z~_p before -z~_q per row reproduces the dense
+        # scatter ``u[rows_p] += z~_p; u[rows_q] -= z~_q`` exactly.
+        u_values = np.bincount(slot, weights=np.concatenate(
+            [self._z_data[p_flat], -self._z_data[q_flat]]
+        ))
+        u_owner, u_rows = np.divmod(keys, n)
+        resistance = np.bincount(u_owner, weights=u_values * u_values,
+                                 minlength=count)
+        return u_owner, u_rows, u_values, resistance
 
-            numerator = ball_pair_edge_sum_flat(
-                bundle_p.sources, bundle_p.nbrs, bundle_p.eids,
-                weights, in_q_stamp, clock, s_dense,
-            )
-            out[k] = w_pq * numerator / (1.0 + w_pq * resistance)
+    def _inner_products(self, owner, nodes, u_table, u_owner, u_rows,
+                        u_values):
+        """``z~_a . u`` for entries ``(owner, a)`` sorted by owner."""
+        cols = self._iperm[nodes]
+        starts = self._z_indptr[cols]
+        lengths = self._z_indptr[cols + 1] - starts
+        flat = concat_ranges(starts, lengths)
+        (u_at,) = u_table.lookup(
+            u_owner, u_rows, u_values,
+            [(np.repeat(owner, lengths), self._z_indices[flat])],
+        )
+        s_values = np.bincount(
+            np.repeat(np.arange(len(nodes)), lengths),
+            weights=self._z_data[flat] * u_at, minlength=len(nodes),
+        )
+        return s_values, len(flat)
 
-            u_dense[rows_p] = 0.0
-            u_dense[rows_q] = 0.0
-        return out
+
+def _ball_entries(ptr, members, which):
+    """Entries ``(owner, node)`` of ball ``which[k]`` for every owner ``k``."""
+    starts = ptr[which]
+    lengths = ptr[which + 1] - starts
+    owner = np.repeat(np.arange(len(which)), lengths)
+    return owner, members[concat_ranges(starts, lengths)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core._kernels import concat_ranges
+from repro.utils.arrays import concat_ranges
 from repro.graph.bfs import BallFinder
 from repro.graph.graph import Graph
 

@@ -21,9 +21,9 @@ Candidate scoring is delegated to the batched ranking engine
 pool (:mod:`repro.core.parallel`): rounds build a
 :class:`~repro.core.ranking.TreePhaseRanker` (round 1) or
 :class:`~repro.core.ranking.ApproxRanker` (rounds 2+) and shard the
-candidate list across ``config.workers`` processes.  A cross-round
-:class:`~repro.core.ranking.BallCache` keeps BFS balls warm, dropping
-only entries near edges recovered in the previous round.
+candidate list across ``config.workers`` processes.  Each ranker
+scores its candidates in blocks of segmented array operations, so a
+round issues a few hundred numpy calls rather than a few per candidate.
 """
 
 from __future__ import annotations
@@ -34,12 +34,7 @@ import numpy as np
 
 from repro.core.base import BaseSparsifierConfig, shared_artifact
 from repro.core.parallel import score_edges
-from repro.core.ranking import (
-    ApproxRanker,
-    BallCache,
-    ExactRanker,
-    TreePhaseRanker,
-)
+from repro.core.ranking import ApproxRanker, ExactRanker, TreePhaseRanker
 from repro.core.similarity import SimilarityMarker
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
@@ -105,11 +100,6 @@ class SparsifierConfig(BaseSparsifierConfig):
         Candidates per scoring task; ``0`` (default) picks
         :data:`repro.core.parallel.DEFAULT_CHUNK_SIZE`.  Results do not
         depend on this value.
-    cache_max_nodes : int or None
-        Bound on the cross-round ball cache (entries ~ candidate
-        endpoints; each costs ~``ball_size * avg_degree`` ints).
-        ``None`` (default) caches every endpoint; results do not depend
-        on this value.
     """
 
     rounds: int = 5               # N_r
@@ -123,7 +113,6 @@ class SparsifierConfig(BaseSparsifierConfig):
     ranking: str = "approx"       # "approx" | "exact" general-round ranker
     workers: int = 1              # scoring processes (0 = one per CPU)
     chunk_size: int = 0           # candidates per scoring task (0 = auto)
-    cache_max_nodes: int | None = None  # ball-cache bound (None = unbounded)
 
     def validate(self) -> None:
         """Raise :class:`~repro.exceptions.GraphError` on bad knobs."""
@@ -132,6 +121,10 @@ class SparsifierConfig(BaseSparsifierConfig):
             raise GraphError("rounds must be >= 1")
         if self.beta < 1:
             raise GraphError("beta must be >= 1")
+        if not 0.0 <= self.delta < 1.0:
+            raise GraphError(f"delta must be in [0, 1), got {self.delta!r}")
+        if self.gamma < 0:
+            raise GraphError(f"gamma must be >= 0, got {self.gamma!r}")
         if self.tree_method not in _TREE_METHODS:
             raise GraphError(
                 f"unknown tree_method {self.tree_method!r}; "
@@ -146,8 +139,6 @@ class SparsifierConfig(BaseSparsifierConfig):
             raise GraphError("workers must be >= 0 (0 = one per CPU)")
         if self.chunk_size < 0:
             raise GraphError("chunk_size must be >= 0 (0 = auto)")
-        if self.cache_max_nodes is not None and self.cache_max_nodes < 0:
-            raise GraphError("cache_max_nodes must be >= 0 or None")
         from repro.backends import check_factorization_mode
 
         check_factorization_mode(self.backend, self.cholesky_backend)
@@ -289,7 +280,6 @@ def _run(graph: Graph, config: SparsifierConfig,
     n = graph.n
     m = graph.edge_count
     backend = config.resolve_backend()
-    kernels = config.resolve_kernels()
     shift = shared_artifact(
         artifacts, "shift", (config.reg_rel,),
         lambda: regularization_shift(graph, config.reg_rel),
@@ -324,9 +314,7 @@ def _run(graph: Graph, config: SparsifierConfig,
                 # off-tree edges and scores are worker-count invariant,
                 # so a session can share them across fraction sweeps.
                 cand = np.flatnonzero(~edge_mask)
-                ranker = TreePhaseRanker(
-                    graph, forest, beta=config.beta, kernels=kernels
-                )
+                ranker = TreePhaseRanker(graph, forest, beta=config.beta)
                 scores = score_edges(
                     ranker, cand,
                     workers=config.workers, chunk_size=config.chunk_size,
@@ -357,13 +345,7 @@ def _run(graph: Graph, config: SparsifierConfig,
             }
         )
 
-        # Steps 11-23: iterative densification with Eq. (20).  The ball
-        # cache outlives each round: only nodes near edges recovered in
-        # the previous round have their balls invalidated.
-        cache = BallCache(
-            config.beta, max_entries=config.cache_max_nodes, kernels=kernels
-        )
-        touched: np.ndarray | None = None
+        # Steps 11-23: iterative densification with Eq. (20).
         for round_index in range(2, config.rounds + 1):
             if len(recovered) >= budget:
                 break
@@ -381,14 +363,9 @@ def _run(graph: Graph, config: SparsifierConfig,
                     Z = None
                     ranker = ExactRanker(graph, factor.solve)
                 else:
-                    sub_indptr, sub_nbr, _ = subgraph.adjacency()
-                    cache.attach_subgraph(
-                        sub_indptr, sub_nbr, invalidate=touched
-                    )
                     Z = backend.spai_columns(factor.L, delta=config.delta)
                     ranker = ApproxRanker(
-                        graph, subgraph, factor, Z,
-                        beta=config.beta, cache=cache, kernels=kernels,
+                        graph, subgraph, factor, Z, beta=config.beta
                     )
                 crit = score_edges(
                     ranker, candidates,
@@ -404,9 +381,6 @@ def _run(graph: Graph, config: SparsifierConfig,
                 )
                 edge_mask[chosen] = True
                 recovered.extend(chosen)
-                touched = np.unique(
-                    np.concatenate([graph.u[chosen], graph.v[chosen]])
-                ) if chosen else np.empty(0, dtype=np.int64)
             rounds_log.append(
                 {
                     "round": round_index,
@@ -416,7 +390,6 @@ def _run(graph: Graph, config: SparsifierConfig,
                     "trace_reduction": float(full_crit[chosen].sum()),
                     "spai_nnz": int(Z.nnz) if Z is not None else 0,
                     "factor_nnz": int(factor.nnz),
-                    "cached_balls": len(cache),
                     "seconds": round_timer.elapsed,
                 }
             )

@@ -7,24 +7,25 @@ Recovering an off-subgraph edge ``(p, q)`` changes the trace of
                     -----------------------------------------------------
                                  1 + w_pq * R_S(p, q)
 
-Three evaluation strategies, in decreasing cost / increasing scale:
+Two solve-based evaluations live here:
 
 * :func:`exact_trace_reduction` — Eq. (11) verbatim through one solve
   per edge (validation & tests);
 * :func:`truncated_trace_reduction_reference` — Eq. (12): the sum
   restricted to edges joining the beta-hop BFS balls of ``p`` and ``q``,
   still using exact solves (validates the truncation separately from
-  the SPAI approximation);
-* :func:`approximate_trace_reduction` — Eq. (20): the production path
-  that replaces ``L_S^{-1}`` inner products with sparse-approximate-
-  inverse columns (Algorithm 1), giving ``O(log n)`` work per edge.
+  the SPAI approximation).
+
+The production path, Eq. (20), replaces ``L_S^{-1}`` inner products with
+sparse-approximate-inverse columns (Algorithm 1), giving ``O(log n)``
+work per edge; it is :class:`repro.core.ranking.ApproxRanker`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core._kernels import ball_pair_edge_sum, concat_ranges
+from repro.core._kernels import ball_pair_edge_sum
 from repro.graph.bfs import BallFinder
 from repro.graph.graph import Graph
 
@@ -32,7 +33,6 @@ __all__ = [
     "exact_trace_reduction",
     "exact_trace_reduction_batch",
     "truncated_trace_reduction_reference",
-    "approximate_trace_reduction",
 ]
 
 
@@ -100,106 +100,4 @@ def truncated_trace_reduction_reference(
             g_indptr, g_nbr, g_eid, graph.w, nodes_p, in_q_stamp, clock, x
         )
         out[k] = w_pq * numerator / (1.0 + w_pq * resistance)
-    return out
-
-
-def approximate_trace_reduction(
-    graph: Graph,
-    subgraph: Graph,
-    factor,
-    Z,
-    edge_ids,
-    beta: int = 5,
-) -> np.ndarray:
-    """Eq. (20): SPAI-based approximate truncated trace reduction.
-
-    Parameters
-    ----------
-    graph:
-        The original graph ``G``.
-    subgraph:
-        The current subgraph ``S`` (BFS balls are grown here).
-    factor:
-        :class:`~repro.linalg.cholesky.CholeskyFactor` of the
-        regularized ``L_S`` — provides the ordering that maps original
-        nodes to columns of ``Z``.
-    Z:
-        Output of :func:`~repro.linalg.spai.sparse_approximate_inverse`
-        on ``factor.L``.
-    edge_ids:
-        Candidate off-subgraph edge ids (into ``graph``'s edge arrays).
-    beta:
-        BFS truncation depth (paper uses 5).
-
-    Returns
-    -------
-    numpy.ndarray
-        Approximate trace reduction per candidate edge.
-
-    Notes
-    -----
-    For nodes ``a, b`` (original ids) with permuted columns
-    ``za = Z[:, iperm[a]]``: ``e_ab^T L_S^{-1} e_pq ~ (za - zb) . u``
-    where ``u = zp - zq``, and ``R_S(p, q) ~ u . u``.  Per candidate we
-    scatter ``u`` once and compute all ball-node inner products with a
-    single gather + bincount.
-    """
-    edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    n = graph.n
-    iperm = factor.iperm
-    z_indptr = Z.indptr
-    z_indices = Z.indices.astype(np.int64)
-    z_data = Z.data
-
-    sub_indptr, sub_nbr, _ = subgraph.adjacency()
-    finder = BallFinder(sub_indptr, sub_nbr)
-    g_indptr, g_nbr, g_eid = graph.adjacency()
-
-    u_dense = np.zeros(n)
-    s_dense = np.zeros(n)
-    in_q_stamp = np.zeros(n, dtype=np.int64)
-    out = np.empty(len(edge_ids))
-
-    for k, edge in enumerate(edge_ids):
-        p, q = int(graph.u[edge]), int(graph.v[edge])
-        w_pq = float(graph.w[edge])
-        clock = k + 1
-
-        # u = z~_p - z~_q scattered into a dense work vector.
-        p_hat, q_hat = int(iperm[p]), int(iperm[q])
-        rows_p = z_indices[z_indptr[p_hat] : z_indptr[p_hat + 1]]
-        vals_p = z_data[z_indptr[p_hat] : z_indptr[p_hat + 1]]
-        rows_q = z_indices[z_indptr[q_hat] : z_indptr[q_hat + 1]]
-        vals_q = z_data[z_indptr[q_hat] : z_indptr[q_hat + 1]]
-        u_dense[rows_p] += vals_p
-        u_dense[rows_q] -= vals_q
-        touched = np.unique(np.concatenate([rows_p, rows_q]))
-        resistance = float(np.sum(u_dense[touched] ** 2))
-
-        # BFS balls in the current subgraph.
-        nodes_p, _, _ = finder.ball(p, beta)
-        nodes_q, _, _ = finder.ball(q, beta)
-        in_q_stamp[nodes_q] = clock
-
-        # s_a = z~_a . u for every node in either ball, in one gather.
-        ball_nodes = np.unique(np.concatenate([nodes_p, nodes_q]))
-        cols = iperm[ball_nodes]
-        starts = z_indptr[cols]
-        lengths = z_indptr[cols + 1] - starts
-        flat = concat_ranges(starts, lengths)
-        col_of = np.repeat(np.arange(len(ball_nodes)), lengths)
-        s_values = np.bincount(
-            col_of,
-            weights=z_data[flat] * u_dense[z_indices[flat]],
-            minlength=len(ball_nodes),
-        )
-        s_dense[ball_nodes] = s_values
-
-        numerator = ball_pair_edge_sum(
-            g_indptr, g_nbr, g_eid, graph.w, nodes_p, in_q_stamp, clock, s_dense
-        )
-        out[k] = w_pq * numerator / (1.0 + w_pq * resistance)
-
-        u_dense[rows_p] = 0.0
-        u_dense[rows_q] = 0.0
     return out

@@ -8,21 +8,24 @@ drop by ``1/w_e`` across each path edge.  Concretely:
 
 * ``R_T(p, q)`` comes from Tarjan's offline LCA over all queries;
 * the potential of every node in the beta-ball around ``p`` (resp.
-  ``q``) is propagated by BFS: crossing a path edge changes the
-  potential by ``-1/w`` (resp. ``+1/w``), any other tree edge keeps it
-  (Eqs. 13-14);
+  ``q``) is propagated outward one BFS level at a time: crossing a path
+  edge changes the potential by ``-1/w`` (resp. ``+1/w``), any other
+  tree edge keeps it (Eqs. 13-14).  Where the balls overlap, the
+  q-side potential is used;
 * the truncated numerator is the usual restricted quadratic form over
   original-graph edges joining the two balls (Eq. 15).
 
 The "is this tree edge on path(p, q)?" test uses Euler-tour subtree
-intervals, making it O(1) per edge with no per-candidate path walks.
+intervals, so every step is an array operation over all (candidate,
+node) entries of a block of candidates at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.bfs import BallFinder
+from repro.utils.arrays import concat_ranges
+from repro.core.ball_join import LookupTable, ball_pair_edges, score_in_blocks
 from repro.graph.graph import Graph
 from repro.tree.lca import batch_tree_resistances
 from repro.tree.rooted import RootedForest
@@ -32,7 +35,7 @@ __all__ = ["tree_truncated_trace_reduction"]
 
 def tree_truncated_trace_reduction(
     graph: Graph, forest: RootedForest, edge_ids=None, beta: int = 5,
-    resistances=None, kernels=None,
+    resistances=None,
 ):
     """Truncated trace reduction for off-tree edges (Eq. 15).
 
@@ -52,10 +55,6 @@ def tree_truncated_trace_reduction(
         engine), computing them once for the whole candidate set avoids
         repeating the offline-LCA DFS per chunk; omitted, they are
         computed here.
-    kernels : KernelSet or str, optional
-        Hot-path kernel tier evaluating the restricted quadratic form
-        of Eq. 15; defaults to the auto-resolved tier (see
-        :mod:`repro.kernels`).  Bit-identical across tiers.
 
     Returns
     -------
@@ -79,77 +78,82 @@ def tree_truncated_trace_reduction(
         if len(resistances) != len(edge_ids):
             raise ValueError("resistances/edge_ids length mismatch")
     tin, tout = forest.euler_intervals()
-    depth = forest.depth
-
-    from repro.kernels import resolve_kernel_set  # deferred: cycle
-
-    kernel_set = resolve_kernel_set(kernels)
-    ball_pair_edge_sum = kernel_set.ball_pair_edge_sum
     tree_indptr, tree_nbr, tree_local_eid = forest.tree.adjacency()
-    tree_global_eid = forest.edge_ids[tree_local_eid]
-    finder = BallFinder(
-        tree_indptr, tree_nbr, edge_ids=tree_global_eid, kernels=kernel_set
-    )
-    g_indptr, g_nbr, g_eid = graph.adjacency()
-
-    n = graph.n
+    tree = (tree_indptr, tree_nbr, forest.edge_ids[tree_local_eid],
+            forest.depth, tin, tout)
+    adjacency = graph.adjacency()
     weights = graph.w
-    v_dense = np.zeros(n)
-    in_q_stamp = np.zeros(n, dtype=np.int64)
-    out = np.empty(len(edge_ids))
+    positions = LookupTable(graph.n, len(edge_ids), np.int32, -1)
 
-    for k in range(len(edge_ids)):
-        p = int(heads[k])
-        q = int(tails[k])
-        w_pq = float(weights[edge_ids[k]])
-        r_pq = float(resistances[k])
-        clock = k + 1
+    def score_block(start, stop):
+        p, q = heads[start:stop], tails[start:stop]
+        r_pq = resistances[start:stop]
+        ends = (tin[p], tin[q])
+        # Eq. (13): v(p) = R_T(p, q), dropping by 1/w across path edges
+        # away from p; Eq. (14): v(q) = 0, rising across them.
+        p_owner, p_nodes, p_values = _tree_balls(
+            tree, weights, p, r_pq, ends, -1.0, beta)
+        q_owner, q_nodes, q_values = _tree_balls(
+            tree, weights, q, np.zeros(len(q)), ends, +1.0, beta)
+        src, nbr, src_in_q, eids = ball_pair_edges(
+            adjacency, positions, p_owner, p_nodes, q_owner, q_nodes)
+        src_values = np.where(src_in_q >= 0, q_values[src_in_q],
+                              p_values[src])
+        diffs = src_values - q_values[nbr]
+        numerator = np.bincount(p_owner[src],
+                                weights=weights[eids] * diffs * diffs,
+                                minlength=len(p))
+        w_pq = weights[edge_ids[start:stop]]
+        scores = w_pq * numerator / (1.0 + w_pq * r_pq)
+        incidences = adjacency[0][p_nodes + 1] - adjacency[0][p_nodes]
+        return scores, len(p_nodes) + len(q_nodes) + int(incidences.sum())
 
-        nodes_p, preds_p, eids_p = finder.ball(p, beta)
-        nodes_q, preds_q, eids_q = finder.ball(q, beta)
-        in_q_stamp[nodes_q] = clock
-
-        # Potential propagation, Eq. (13): v(p) = R_T(p, q), descending
-        # by 1/w across path edges when walking away from p toward q.
-        v_dense[p] = r_pq
-        _propagate(
-            nodes_p, preds_p, eids_p, v_dense, weights, depth, tin, tout,
-            p, q, -1.0,
-        )
-        # Eq. (14): v(q) = 0, ascending across path edges toward p.
-        v_dense[q] = 0.0
-        _propagate(
-            nodes_q, preds_q, eids_q, v_dense, weights, depth, tin, tout,
-            p, q, +1.0,
-        )
-
-        numerator = ball_pair_edge_sum(
-            g_indptr, g_nbr, g_eid, weights, nodes_p, in_q_stamp, clock,
-            v_dense,
-        )
-        out[k] = w_pq * numerator / (1.0 + w_pq * r_pq)
-    return out, edge_ids, resistances
+    crit = score_in_blocks(len(edge_ids), score_block, graph)
+    return crit, edge_ids, resistances
 
 
-def _propagate(nodes, preds, eids, v_dense, weights, depth, tin, tout, p, q, sign):
-    """Propagate potentials over one BFS ball (Eqs. 13-14).
+def _tree_balls(tree, weights, sources, start_values, ends, sign, beta):
+    """Beta-balls of the tree around *sources*, with their potentials.
 
-    ``nodes[0]`` is the source whose potential the caller has already
-    set; every other node copies its BFS predecessor's potential,
-    adjusted by ``sign / w`` when the connecting tree edge lies on the
-    p-q path.  The on-path test: the edge (parent, child) is on the path
-    iff exactly one of p, q lies in child's subtree (Euler intervals).
+    Grows one ball per source level by level.  In a tree every node of a
+    ball has exactly one predecessor, so a level is the previous one's
+    tree neighbors minus the node each came from.  A node copies its
+    predecessor's potential, adjusted by ``sign / w`` when the connecting
+    tree edge lies on the candidate's p-q path: the edge (parent, child)
+    is on the path iff exactly one of p, q lies in child's subtree
+    (Euler intervals, ``ends = (tin[p], tin[q])`` per candidate).
+
+    Returns the entries ``(owner, node, potential)`` grouped by owner,
+    each owner's nodes in BFS order.
     """
-    tin_p, tin_q = tin[p], tin[q]
-    for idx in range(1, len(nodes)):
-        node = int(nodes[idx])
-        pred = int(preds[idx])
-        value = v_dense[pred]
-        # The deeper endpoint of the tree edge is the subtree root.
-        child = node if depth[node] > depth[pred] else pred
+    indptr, neighbors, edge_ids, depth, tin, tout = tree
+    tin_p, tin_q = ends
+    owner = np.arange(len(sources))
+    node = np.asarray(sources, dtype=np.int64)
+    came_from = np.full(len(sources), -1, dtype=np.int64)
+    value = np.asarray(start_values, dtype=np.float64)
+    levels = [(owner, node, value)]
+    for _ in range(beta):
+        starts = indptr[node]
+        lengths = indptr[node + 1] - starts
+        flat = concat_ranges(starts, lengths)
+        pred = np.repeat(node, lengths)
+        fresh = neighbors[flat] != np.repeat(came_from, lengths)
+        if not fresh.any():
+            break
+        flat = flat[fresh]
+        pred = pred[fresh]
+        owner = np.repeat(owner, lengths)[fresh]
+        value = np.repeat(value, lengths)[fresh]
+        node = neighbors[flat]
+        child = np.where(depth[node] > depth[pred], node, pred)
         lo, hi = tin[child], tout[child]
-        in_p = lo <= tin_p < hi
-        in_q = lo <= tin_q < hi
-        if in_p != in_q:
-            value += sign / weights[eids[idx]]
-        v_dense[node] = value
+        in_p = (lo <= tin_p[owner]) & (tin_p[owner] < hi)
+        in_q = (lo <= tin_q[owner]) & (tin_q[owner] < hi)
+        value = np.where(in_p != in_q, value + sign / weights[edge_ids[flat]],
+                         value)
+        came_from = pred
+        levels.append((owner, node, value))
+    owner, node, value = (np.concatenate(parts) for parts in zip(*levels))
+    order = np.argsort(owner, kind="stable")
+    return owner[order], node[order], value[order]

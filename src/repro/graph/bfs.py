@@ -6,21 +6,23 @@ Because this runs once per off-subgraph edge, the :class:`BallFinder`
 keeps reusable "stamp" work arrays so a ball query allocates nothing of
 size ``n``.
 
-Two query families:
+Three query families:
 
-* :meth:`BallFinder.ball` — the original per-node Python BFS that also
-  reports predecessors (required by the tree-phase potential
-  propagation, Eqs. 13-14);
-* :meth:`BallFinder.ball_nodes` / :meth:`BallFinder.balls` — vectorized
-  frontier expansion returning only the (sorted) node set, used by the
-  batched ranking engine where per-node Python loops would dominate.
+* :meth:`BallFinder.ball` — per-node Python BFS that also reports
+  predecessors;
+* :meth:`BallFinder.ball_nodes` — adaptive frontier expansion returning
+  only the (sorted) node set of one ball (the incremental delta path);
+* :func:`ball_sets` — every ball around many sources at once, one array
+  operation per BFS level (the general-round scorer of Eq. 20).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BallFinder", "bfs_tree_order"]
+from repro.utils.arrays import concat_ranges
+
+__all__ = ["BallFinder", "ball_sets", "bfs_tree_order"]
 
 
 class BallFinder:
@@ -113,8 +115,7 @@ class BallFinder:
         Python loop (per-layer dispatch overhead would dominate), large
         ones hand the whole layer to the active kernel tier's
         :meth:`~repro.kernels.KernelSet.expand_frontier` (one CSR
-        gather + stamp filter per layer).  The batched rankers use this
-        when predecessor information is not needed.
+        gather + stamp filter per layer).
 
         Parameters
         ----------
@@ -164,30 +165,50 @@ class BallFinder:
             return parts[0]
         return np.sort(np.concatenate(parts))
 
-    def balls(self, sources, layers: int) -> dict:
-        """Bulk :meth:`ball_nodes` for many sources.
 
-        The ranking engine's :class:`~repro.core.ranking.BallCache`
-        warms its per-round cache through this entry point.
+def ball_sets(indptr, neighbors, sources, layers: int):
+    """Nodes within *layers* hops of each of many sources.
 
-        Parameters
-        ----------
-        sources : array_like of int
-            Ball centers (duplicates are computed once).
-        layers : int
-            BFS truncation depth.
+    A multi-source BFS over sorted ``source_index * n + node`` keys: each
+    level gathers the frontier's neighbors for every source at once,
+    drops the keys already visited, and merges the rest in.
 
-        Returns
-        -------
-        dict
-            Maps each source node to its sorted ball-node array.
-        """
-        out = {}
-        for source in np.asarray(sources, dtype=np.int64):
-            source = int(source)
-            if source not in out:
-                out[source] = self.ball_nodes(source, layers)
-        return out
+    Parameters
+    ----------
+    indptr, neighbors : numpy.ndarray
+        CSR adjacency of the graph to traverse.
+    sources : array_like of int
+        Ball centers (duplicates get their own, identical balls).
+    layers : int
+        BFS truncation depth (``beta`` in the paper).
+
+    Returns
+    -------
+    ptr : numpy.ndarray
+        ``int64`` offsets: the ball of ``sources[k]`` is
+        ``nodes[ptr[k]:ptr[k + 1]]``.
+    nodes : numpy.ndarray
+        Ball members, sorted within each ball (centers included).
+    """
+    n = len(indptr) - 1
+    sources = np.asarray(sources, dtype=np.int64)
+    visited = np.arange(len(sources), dtype=np.int64) * n + sources
+    frontier = visited
+    for _ in range(layers):
+        owner, node = np.divmod(frontier, n)
+        starts = indptr[node]
+        lengths = indptr[node + 1] - starts
+        flat = concat_ranges(starts, lengths)
+        reached = np.sort(np.repeat(owner, lengths) * n + neighbors[flat])
+        reached = reached[np.diff(reached, prepend=-1) != 0]
+        slots = np.searchsorted(visited, reached)
+        fresh = visited[np.minimum(slots, len(visited) - 1)] != reached
+        if not fresh.any():
+            break
+        frontier = reached[fresh]
+        visited = np.insert(visited, slots[fresh], frontier)
+    owner, nodes = np.divmod(visited, n)
+    return np.searchsorted(owner, np.arange(len(sources) + 1)), nodes
 
 
 def bfs_tree_order(indptr, neighbors, roots, n=None):

@@ -25,13 +25,25 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import FactorizationError
+from repro.utils.arrays import concat_ranges
 from repro.utils.validation import check_square_sparse
 
-__all__ = ["sparse_approximate_inverse", "spai_nnz_profile", "extract_columns"]
+__all__ = ["sparse_approximate_inverse", "dependency_levels", "spai_nnz_profile",
+           "extract_columns"]
 
 
 def sparse_approximate_inverse(L, delta=0.1, keep_threshold=None):
     """Compute ``Z~ ~= L^{-1}`` for a lower-triangular Cholesky factor.
+
+    Column ``j`` needs the finished columns ``z~_i`` for every
+    ``L_ij != 0``; for a Cholesky factor those are ``j``'s ancestors in
+    the elimination tree.  Columns are therefore built one dependency
+    level at a time (:func:`dependency_levels`): the columns of a level
+    are independent, so a level is one gather of the scaled dependency
+    columns, one sort-based merge and one vectorized pruning pass.
+    Within a column the terms are summed in the recurrence's order —
+    the diagonal first, then ``z~_i`` by ascending ``i`` — and explicit
+    zeros of ``L`` contribute nothing.
 
     Parameters
     ----------
@@ -61,65 +73,183 @@ def sparse_approximate_inverse(L, delta=0.1, keep_threshold=None):
     if keep_threshold is None:
         keep_threshold = max(1, int(np.ceil(np.log(max(n, 2)))))
 
-    indptr, indices, data = L.indptr, L.indices, L.data
-    col_idx: list = [None] * n
-    col_val: list = [None] * n
-    one = np.ones(1, dtype=np.float64)
+    indices = L.indices.astype(np.int64)
+    column = np.repeat(np.arange(n), np.diff(L.indptr))
+    inv_diag = 1.0 / _diagonal(L.indptr, indices, L.data, n)
+    # Coefficients -L_ij / L_jj of the recurrence; zeros are skipped.
+    off = np.flatnonzero(indices != column)
+    coeff = -L.data[off] * inv_diag[column[off]]
+    live = off[coeff != 0.0]
+    deps = (column[live], indices[live], coeff[coeff != 0.0])
 
-    for j in range(n - 1, -1, -1):
-        start, stop = indptr[j], indptr[j + 1]
-        if start == stop or indices[start] != j:
+    levels = dependency_levels(n, deps[0], deps[1])
+    order = np.argsort(levels, kind="stable")
+    bounds = np.searchsorted(levels[order],
+                             np.arange(levels.max(initial=-1) + 2))
+    built = _Columns(n, capacity=n + len(L.data))
+    dep_ptr = np.searchsorted(deps[0], np.arange(n + 1))
+    for level in range(len(bounds) - 1):
+        cols = order[bounds[level]:bounds[level + 1]]
+        keys, sums = _merge_terms(cols, inv_diag, dep_ptr, deps, built, n)
+        owner = keys // n
+        keep = _prune(sums, owner, len(cols), delta, keep_threshold)
+        built.append(cols, keys[keep] % n, sums[keep],
+                     np.bincount(owner[keep], minlength=len(cols)))
+    return built.matrix()
+
+
+def _diagonal(indptr, indices, data, n):
+    """The diagonal of *L*, raising as the column recurrence would.
+
+    The recurrence runs from column ``n - 1`` down, so the highest bad
+    column is the one reported.
+    """
+    starts = indptr[:-1]
+    safe = np.minimum(starts, max(len(indices) - 1, 0))
+    present = (indptr[1:] > starts)
+    if len(indices):
+        present &= indices[safe] == np.arange(n)
+    diag = np.where(present, data[safe], 0.0) if len(data) else np.zeros(n)
+    bad = np.flatnonzero(~present | (diag <= 0))
+    if len(bad):
+        j = int(bad[-1])
+        if not present[j]:
             raise FactorizationError(f"missing diagonal in column {j}")
-        diag = data[start]
-        if diag <= 0:
-            raise FactorizationError(f"nonpositive diagonal at column {j}")
-        inv_diag = 1.0 / diag
-        sub_rows = indices[start + 1 : stop]
-        sub_vals = data[start + 1 : stop]
-        if len(sub_rows) == 0:
-            col_idx[j] = np.array([j], dtype=np.int64)
-            col_val[j] = np.array([inv_diag], dtype=np.float64)
-            continue
-        # Gather the already-computed columns z~_i scaled by -L_ij/L_jj.
-        parts_idx = [np.array([j], dtype=np.int64)]
-        parts_val = [one * inv_diag]
-        coeffs = -sub_vals * inv_diag
-        for i, coeff in zip(sub_rows, coeffs):
-            if coeff == 0.0:
-                continue
-            parts_idx.append(col_idx[i])
-            parts_val.append(col_val[i] * coeff)
-        cat_idx = np.concatenate(parts_idx)
-        cat_val = np.concatenate(parts_val)
-        uniq, inverse = np.unique(cat_idx, return_inverse=True)
-        sums = np.bincount(inverse, weights=cat_val)
-        # Proposition 1: every entry is a sum of nonnegative terms.
-        if len(uniq) > keep_threshold:
-            keep = sums >= delta * sums.max()
-            if np.count_nonzero(keep) < keep_threshold:
-                # Algorithm 1 deems columns with <= log n entries sparse
-                # enough to keep verbatim; enforcing the same floor after
-                # pruning reproduces the paper's observed nnz(Z~) ~ n log n
-                # and keeps the column error bounded on near-singular
-                # factors (see DESIGN.md).
-                top = np.argpartition(-sums, keep_threshold - 1)
-                keep = np.zeros(len(sums), dtype=bool)
-                keep[top[:keep_threshold]] = True
-            uniq = uniq[keep]
-            sums = sums[keep]
-        col_idx[j] = uniq
-        col_val[j] = sums
+        raise FactorizationError(f"nonpositive diagonal at column {j}")
+    return diag
 
-    lengths = np.asarray([len(col_idx[j]) for j in range(n)], dtype=np.int64)
-    out_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=out_indptr[1:])
-    out_indices = np.concatenate(col_idx) if n else np.empty(0, dtype=np.int64)
-    out_data = np.concatenate(col_val) if n else np.empty(0)
-    Z = sp.csc_matrix(
-        (out_data, out_indices.astype(np.int32), out_indptr), shape=(n, n)
-    )
-    Z.has_sorted_indices = True  # np.unique returns sorted indices
-    return Z
+
+def dependency_levels(n, dep_col, dep_row):
+    """Level of each column in Algorithm 1's dependency order.
+
+    Column ``j = dep_col[k]`` needs column ``i = dep_row[k] > j``; the
+    pairs are sorted by column, rows ascending.  Level-0 columns need
+    nothing and every other column sits above all columns it needs, so
+    the columns of one level can be built together.  For a Cholesky
+    factor every needed column is an elimination-tree ancestor, so the
+    etree depth (found by pointer jumping from the etree parents, the
+    first row of each column) already is such a level; any other lower
+    triangular pattern is settled by raising late columns until none is
+    out of order.
+
+    Parameters
+    ----------
+    n : int
+        Column count.
+    dep_col, dep_row : numpy.ndarray
+        The dependency pairs.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``int64`` level per column.
+    """
+    parent = np.full(n, -1, dtype=np.int64)
+    first = np.flatnonzero(np.diff(dep_col, prepend=-1) != 0)
+    parent[dep_col[first]] = dep_row[first]
+    level = (parent >= 0).astype(np.int64)
+    jump = parent
+    active = np.flatnonzero(jump >= 0)
+    while len(active):
+        level[active] += level[jump[active]]
+        jump[active] = jump[jump[active]]
+        active = active[jump[active] >= 0]
+    while True:
+        late = level[dep_row] >= level[dep_col]
+        if not late.any():
+            return level
+        np.maximum.at(level, dep_col[late], level[dep_row[late]] + 1)
+
+
+class _Columns:
+    """Finished SPAI columns in a growable buffer, in build order."""
+
+    def __init__(self, n, capacity):
+        self.n = n
+        self.start = np.zeros(n, dtype=np.int64)
+        self.length = np.zeros(n, dtype=np.int64)
+        self.rows = np.empty(capacity, dtype=np.int32)
+        self.vals = np.empty(capacity)
+        self.used = 0
+
+    def append(self, cols, rows, vals, lengths):
+        end = self.used + len(rows)
+        if end > len(self.rows):
+            size = max(end, 2 * len(self.rows))
+            self.rows = np.concatenate(
+                [self.rows[:self.used], np.empty(size - self.used, np.int32)])
+            self.vals = np.concatenate(
+                [self.vals[:self.used], np.empty(size - self.used)])
+        self.rows[self.used:end] = rows
+        self.vals[self.used:end] = vals
+        self.start[cols] = self.used + np.cumsum(lengths) - lengths
+        self.length[cols] = lengths
+        self.used = end
+
+    def gather(self, cols):
+        """Rows, values and lengths of finished columns *cols*."""
+        lengths = self.length[cols]
+        flat = concat_ranges(self.start[cols], lengths)
+        return self.rows[flat], self.vals[flat], lengths
+
+    def matrix(self):
+        rows, vals, lengths = self.gather(np.arange(self.n))
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        Z = sp.csc_matrix((vals, rows, indptr), shape=(self.n, self.n))
+        Z.has_sorted_indices = True  # each column's rows come out sorted
+        return Z
+
+
+def _merge_terms(cols, inv_diag, dep_ptr, deps, built, n):
+    """Sum the recurrence's terms of columns *cols* per row.
+
+    Returns sorted ``local column * n + row`` keys and their sums, each
+    accumulated in the recurrence's order: ``1 / L_jj`` at row ``j``
+    first, then ``coeff * z~_i`` for the needed columns by ascending
+    ``i``, each in its row order.
+    """
+    dep_col, dep_row, coeff = deps
+    counts = dep_ptr[cols + 1] - dep_ptr[cols]
+    dep = concat_ranges(dep_ptr[cols], counts)
+    rows, vals, lengths = built.gather(dep_row[dep])
+    local = np.repeat(np.repeat(np.arange(len(cols)), counts), lengths)
+    vals = vals * np.repeat(coeff[dep], lengths)
+    per_col = np.bincount(local, minlength=len(cols))
+    # Each column's diagonal term goes in front of its gathered terms.
+    diag_at = np.arange(len(cols)) + np.cumsum(per_col) - per_col
+    term_at = np.arange(len(rows)) + local + 1
+    keys = np.empty(len(cols) + len(rows), dtype=np.int64)
+    terms = np.empty(len(keys))
+    keys[diag_at] = np.arange(len(cols)) * n + cols
+    terms[diag_at] = inv_diag[cols]
+    keys[term_at] = local * n + rows
+    terms[term_at] = vals
+    keys, slot = np.unique(keys, return_inverse=True)
+    return keys, np.bincount(slot, weights=terms)
+
+
+def _prune(sums, owner, count, delta, keep_threshold):
+    """Algorithm 1's pruning mask over the merged entries of a level.
+
+    Columns with more than *keep_threshold* entries drop entries below
+    ``delta * max``, but keep at least their *keep_threshold* largest.
+    """
+    sizes = np.bincount(owner, minlength=count)
+    starts = np.cumsum(sizes) - sizes
+    big = sizes > keep_threshold
+    column_max = np.maximum.reduceat(sums, starts)
+    keep = ~big[owner] | (sums >= delta * column_max[owner])
+    short = big & (np.bincount(owner[keep], minlength=count) < keep_threshold)
+    for col in np.flatnonzero(short):
+        # Proposition 1 makes every entry a sum of nonnegative terms;
+        # the floor reproduces the paper's nnz(Z~) ~ n log n and keeps
+        # the column error bounded on near-singular factors.
+        segment = slice(starts[col], starts[col] + sizes[col])
+        top = np.argpartition(-sums[segment], keep_threshold - 1)
+        keep[segment] = False
+        keep[starts[col] + top[:keep_threshold]] = True
+    return keep
 
 
 def extract_columns(Z, cols, kernels=None):

@@ -65,7 +65,6 @@ def test_capability_flags_match_reality():
 
 
 def test_optional_types_resolve_to_concrete():
-    assert get_method("proposed").options()["cache_max_nodes"].type is int
     assert get_method("er_sampling").options()["sketch_size"].type is int
 
 

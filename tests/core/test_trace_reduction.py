@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    approximate_trace_reduction,
+    ApproxRanker,
     exact_trace_reduction,
     exact_trace_reduction_batch,
     truncated_trace_reduction_reference,
@@ -15,6 +15,12 @@ from repro.core.trace import trace_ratio_exact
 from repro.graph import grid2d, regularization_shift, regularized_laplacian
 from repro.linalg import cholesky, sparse_approximate_inverse
 from repro.tree import mewst
+
+
+def _approx(graph, subgraph, factor, Z, edge_ids, beta):
+    """Eq. (20) through the production ranker."""
+    return ApproxRanker(graph, subgraph, factor, Z, beta=beta).score_batch(
+        edge_ids)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +109,7 @@ def test_approximate_equals_reference_when_unpruned(setting):
     factor = cholesky(L_S)
     Z = sparse_approximate_inverse(factor.L, delta=0.0, keep_threshold=10**9)
     candidates = np.setdiff1d(off, off[:10])
-    approx = approximate_trace_reduction(g, subgraph, factor, Z, candidates, beta=3)
+    approx = _approx(g, subgraph, factor, Z, candidates, beta=3)
     reference = truncated_trace_reduction_reference(
         g, subgraph, factor.solve, candidates, beta=3
     )
@@ -119,7 +125,7 @@ def test_approximate_with_pruning_preserves_top_edges(setting):
     factor = cholesky(L_S)
     Z = sparse_approximate_inverse(factor.L, delta=0.1)
     candidates = np.setdiff1d(off, off[:8])
-    approx = approximate_trace_reduction(g, subgraph, factor, Z, candidates, beta=3)
+    approx = _approx(g, subgraph, factor, Z, candidates, beta=3)
     reference = truncated_trace_reduction_reference(
         g, subgraph, factor.solve, candidates, beta=3
     )
@@ -136,7 +142,7 @@ def test_approximate_nonnegative(setting):
     L_S = regularized_laplacian(subgraph, shift)
     factor = cholesky(L_S)
     Z = sparse_approximate_inverse(factor.L, delta=0.1)
-    approx = approximate_trace_reduction(g, subgraph, factor, Z, off, beta=5)
+    approx = _approx(g, subgraph, factor, Z, off, beta=5)
     assert (approx >= 0).all()
 
 
