@@ -25,16 +25,12 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tests"))  # the per-edge loop oracle
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from repro.core import (
-    ApproxRanker,
-    approximate_trace_reduction,
-    score_edges,
-    tree_truncated_trace_reduction,
-)
+from repro.core import ApproxRanker, score_edges, tree_truncated_trace_reduction
 from repro.graph import (
     BallFinder,
     grid2d,
@@ -54,6 +50,7 @@ from repro.tree import RootedForest, batch_tree_resistances, mewst
 from repro.utils.reporting import Table
 
 from conftest import emit
+from oracles import approximate_trace_reduction
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +92,8 @@ def test_approximate_criticality(benchmark, setting):
     Z = sparse_approximate_inverse(factor.L, delta=0.1)
     subset = off[: min(len(off), 2000)]
     benchmark(
-        lambda: approximate_trace_reduction(
-            graph, tree, factor, Z, subset, beta=5
+        lambda: ApproxRanker(graph, tree, factor, Z, beta=5).score_batch(
+            subset
         )
     )
 
@@ -111,15 +108,17 @@ def test_batch_lca_resistances(benchmark, setting):
 # ----------------------------------------------------------------------
 # Batched ranking engine vs serial scoring (>= 20k nodes).
 #
-# Three paths over identical candidates, all bit-identical in output:
+# Three paths over identical candidates, equal to rtol 1e-10 (the
+# batched path reorders floating-point reductions):
 #
-# * "serial per-edge"  — one approximate_trace_reduction call per
-#   candidate, re-allocating work arrays and re-growing BFS balls every
-#   time (what naive per-candidate scoring costs; the engine's floor);
-# * "whole-batch reference" — one approximate_trace_reduction call over
-#   the full candidate array (the pre-engine round loop's actual path);
-# * "batched ranker"   — ApproxRanker.score_batch with the per-round
-#   ball/column caches (the engine's production path).
+# * "serial per-edge"  — one call of the Eq. 20 loop oracle
+#   (tests/oracles.py) per candidate, re-allocating work arrays and
+#   re-growing BFS balls every time (what naive per-candidate scoring
+#   costs);
+# * "whole-batch reference" — one loop-oracle call over the full
+#   candidate array (the per-candidate loop the engine replaced);
+# * "batched ranker"   — ApproxRanker.score_batch, segmented array
+#   operations over the whole batch (the production path).
 # ----------------------------------------------------------------------
 
 _RANKING_SUBSET = 300  # candidates scored per timing (serial path is slow)
@@ -188,8 +187,13 @@ def test_ranking_batched(benchmark, ranking_setting):
     benchmark(lambda: _rank_batched(graph, tree, factor, Z, subset))
 
 
+#: Gate on the batched ranker's speedup over per-edge scoring: half of
+#: the 36x measured on a 2-core host when the batched path landed.
+_RANKING_SPEEDUP_GATE = 18.0
+
+
 def test_ranking_batched_vs_serial_report(ranking_setting):
-    """Time the three paths, emit the comparison, check the 3x target."""
+    """Time the three paths, emit the comparison, gate the speedup."""
     graph, tree, factor, Z, subset = ranking_setting
 
     serial_scores, serial_seconds = _best_of(
@@ -202,8 +206,8 @@ def test_ranking_batched_vs_serial_report(ranking_setting):
         lambda: _rank_batched(graph, tree, factor, Z, subset)
     )
 
-    assert np.array_equal(serial_scores, batched_scores)
-    assert np.array_equal(reference_scores, batched_scores)
+    np.testing.assert_allclose(batched_scores, serial_scores, rtol=1e-10)
+    np.testing.assert_allclose(batched_scores, reference_scores, rtol=1e-10)
     speedup = serial_seconds / batched_seconds
     vs_reference = reference_seconds / batched_seconds
     table = Table(["path", "candidates", "seconds", "edges/s"])
@@ -222,7 +226,10 @@ def test_ranking_batched_vs_serial_report(ranking_setting):
         + f"\nn = {graph.n} nodes; {speedup:.1f}x vs per-edge, "
         f"{vs_reference:.2f}x vs whole-batch reference",
     )
-    assert speedup >= 3.0, f"batched ranking only {speedup:.1f}x faster"
+    assert speedup >= _RANKING_SPEEDUP_GATE, (
+        f"batched ranking only {speedup:.1f}x faster than per-edge "
+        f"(gate {_RANKING_SPEEDUP_GATE:.0f}x)"
+    )
 
 
 def test_pcg_tree_preconditioned(benchmark, setting):
@@ -269,7 +276,7 @@ def _build_tier_workloads(smoke: bool):
 
     # Edge-pair scoring inputs: beta-balls around both endpoints of
     # random edges, the q-ball stamped, the p-ball incidence flattened —
-    # exactly what ApproxRanker.score_batch feeds the scoring kernel.
+    # exactly what the per-candidate loop oracle feeds the scoring kernel.
     finder = BallFinder(indptr, nbr_arr, kernels=vector)
     edges = rng.choice(graph.edge_count, size=n_pairs, replace=False)
     stamp = np.zeros(graph.n, dtype=np.int64)

@@ -28,12 +28,17 @@ import numpy as np
 
 from repro.utils.arrays import concat_ranges
 
-__all__ = ["BLOCK_ENTRIES", "TABLE_BYTES", "LookupTable", "ball_pair_edges",
-           "score_in_blocks"]
+__all__ = ["BLOCK_ENTRIES", "TABLE_ROWS", "TABLE_BYTES", "LookupTable",
+           "ball_pair_edges", "score_in_blocks"]
 
 #: Target number of entries (ball members, incidences, SPAI gathers) one
 #: scoring block materializes.
 BLOCK_ENTRIES = 1 << 18
+
+#: Rows (candidates) one :class:`LookupTable` fills at a time: enough to
+#: amortize the per-fill numpy calls, and no more, so small graphs keep
+#: small tables.
+TABLE_ROWS = 64
 
 #: Upper bound on the size of one :class:`LookupTable`.
 TABLE_BYTES = 1 << 22
@@ -52,8 +57,8 @@ class LookupTable:
     n : int
         Column count (node count of the graph).
     rows : int
-        Largest number of rows any lookup will use; with *n* it caps
-        the table below :data:`TABLE_BYTES`.
+        Largest number of rows any lookup will use.  The table holds at
+        most :data:`TABLE_ROWS` of them and :data:`TABLE_BYTES` in all.
     dtype : numpy.dtype
         Value type.
     fill : scalar
@@ -64,7 +69,8 @@ class LookupTable:
         self.n = int(n)
         self.fill = fill
         itemsize = np.dtype(dtype).itemsize
-        self.span = max(1, min(int(rows), TABLE_BYTES // (self.n * itemsize)))
+        self.span = max(1, min(int(rows), TABLE_ROWS,
+                               TABLE_BYTES // (self.n * itemsize)))
         self._table = np.full(self.span * self.n, fill, dtype=dtype)
 
     def lookup(self, rows, cols, values, queries):

@@ -35,6 +35,12 @@ class FegrassConfig(BaseSparsifierConfig):
     gamma: int = 2
     use_similarity: bool = True
 
+    def validate(self) -> None:
+        """Raise :class:`~repro.exceptions.GraphError` on bad knobs."""
+        super().validate()
+        if self.gamma < 0:
+            raise GraphError(f"gamma must be >= 0, got {self.gamma!r}")
+
 
 def fegrass_sparsify(graph: Graph, config=None, *, artifacts=None,
                      **overrides):

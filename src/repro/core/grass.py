@@ -61,6 +61,8 @@ class GrassConfig(BaseSparsifierConfig):
             raise GraphError("power_steps must be >= 1")
         if self.probe_vectors < 1:
             raise GraphError("probe_vectors must be >= 1")
+        if self.gamma < 0:
+            raise GraphError(f"gamma must be >= 0, got {self.gamma!r}")
         if self.tree_method not in _TREE_METHODS:
             raise GraphError(f"unknown tree_method {self.tree_method!r}")
         from repro.backends import check_factorization_mode

@@ -130,6 +130,25 @@ def test_config_validation():
         SparsifierConfig(edge_fraction=-1.0).validate()
 
 
+@pytest.mark.parametrize("method,knob", [
+    ("proposed", {"delta": 1.5}),
+    ("proposed", {"delta": 1.0}),
+    ("proposed", {"delta": -0.1}),
+    ("proposed", {"delta": float("nan")}),
+    ("proposed", {"gamma": -1}),
+    ("grass", {"gamma": -1}),
+    ("fegrass", {"gamma": -1}),
+])
+def test_spai_and_similarity_knobs_rejected_before_running(grid, method,
+                                                          knob):
+    """Bad delta/gamma are GraphErrors from validate(), not late crashes."""
+    import repro
+
+    name = next(iter(knob))
+    with pytest.raises(GraphError, match=name):
+        repro.sparsify(grid, method, **knob)
+
+
 def test_config_and_overrides_conflict(grid):
     with pytest.raises(GraphError):
         trace_reduction_sparsify(grid, SparsifierConfig(), edge_fraction=0.1)

@@ -174,6 +174,16 @@ class TestEndpoints:
         with pytest.raises(ServiceError, match="400"):
             client._request("POST", "/jobs", {"graph": {}})
 
+    @pytest.mark.parametrize("options", [
+        {"method": "proposed", "delta": 1.5},
+        {"method": "proposed", "gamma": -1},
+        {"method": "grass", "gamma": -1},
+    ])
+    def test_bad_delta_gamma_jobs_are_400(self, daemon, options):
+        client = ServiceClient(daemon.url)
+        with pytest.raises(ServiceError, match="400"):
+            client.submit(**dict(SUBMIT, **options))
+
     def test_client_source_arg_validation(self, daemon):
         client = ServiceClient(daemon.url)
         with pytest.raises(ServiceError, match="exactly one"):

@@ -247,6 +247,15 @@ def test_sparsify_bad_boundary_policy_is_usage_error(capsys):
     assert "boundary_policy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--delta", "1.5"),
+                                        ("--gamma", "-1")])
+def test_sparsify_bad_delta_gamma_is_usage_error(capsys, flag, value):
+    code = main(["sparsify", "--case", "ecology2", "--scale", "0.04",
+                 flag, value])
+    assert code == 2
+    assert flag[2:] in capsys.readouterr().err
+
+
 def test_sparsify_unknown_backend_is_usage_error(capsys):
     code = main(
         ["sparsify", "--case", "ecology2", "--scale", "0.04",
