@@ -188,8 +188,10 @@ def test_ranking_batched(benchmark, ranking_setting):
 
 
 #: Gate on the batched ranker's speedup over per-edge scoring: half of
-#: the 36x measured on a 2-core host when the batched path landed.
-_RANKING_SPEEDUP_GATE = 18.0
+#: the median 44.6x (three runs: 39.6x-49.9x) measured on a 2-core x86
+#: host when the batched path landed; the per-candidate ranker it
+#: replaced measured 15.6x there.
+_RANKING_SPEEDUP_GATE = 22.0
 
 
 def test_ranking_batched_vs_serial_report(ranking_setting):

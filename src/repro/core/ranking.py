@@ -103,11 +103,6 @@ class BallCache:
         self._sub_indptr = None
         self._sub_nbr = None
 
-    @property
-    def attached(self) -> bool:
-        """True once a subgraph adjacency has been attached."""
-        return self._finder is not None
-
     def __len__(self) -> int:
         return len(self._balls)
 
@@ -419,14 +414,7 @@ class ApproxRanker:
         """
         n = self.graph.n
         count = len(p)
-        parts = []
-        for nodes in (p, q):
-            cols = self._iperm[nodes]
-            starts = self._z_indptr[cols]
-            lengths = self._z_indptr[cols + 1] - starts
-            flat = concat_ranges(starts, lengths)
-            parts.append((np.repeat(np.arange(count), lengths), flat))
-        (p_owner, p_flat), (q_owner, q_flat) = parts
+        (p_owner, p_flat), (q_owner, q_flat) = map(self._columns, (p, q))
         keys = np.concatenate([
             p_owner * n + self._z_indices[p_flat],
             q_owner * n + self._z_indices[q_flat],
@@ -445,19 +433,27 @@ class ApproxRanker:
     def _inner_products(self, owner, nodes, u_table, u_owner, u_rows,
                         u_values):
         """``z~_a . u`` for entries ``(owner, a)`` sorted by owner."""
+        entry, flat = self._columns(nodes)
+        (u_at,) = u_table.lookup(
+            u_owner, u_rows, u_values,
+            [(owner[entry], self._z_indices[flat])],
+        )
+        s_values = np.bincount(entry, weights=self._z_data[flat] * u_at,
+                               minlength=len(nodes))
+        return s_values, len(flat)
+
+    def _columns(self, nodes):
+        """Storage positions of the ``Z`` columns of *nodes*.
+
+        Returns ``(entry, flat)``: for every stored entry, the index of
+        its node in *nodes* and its position in ``Z.indices`` /
+        ``Z.data``, column by column in storage (ascending row) order.
+        """
         cols = self._iperm[nodes]
         starts = self._z_indptr[cols]
         lengths = self._z_indptr[cols + 1] - starts
-        flat = concat_ranges(starts, lengths)
-        (u_at,) = u_table.lookup(
-            u_owner, u_rows, u_values,
-            [(np.repeat(owner, lengths), self._z_indices[flat])],
-        )
-        s_values = np.bincount(
-            np.repeat(np.arange(len(nodes)), lengths),
-            weights=self._z_data[flat] * u_at, minlength=len(nodes),
-        )
-        return s_values, len(flat)
+        return (np.repeat(np.arange(len(nodes)), lengths),
+                concat_ranges(starts, lengths))
 
 
 def _ball_entries(ptr, members, which):
