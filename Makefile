@@ -12,7 +12,7 @@ test:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
 
 # Quick perf sanity: batched-vs-serial ranking comparison (>= 20k nodes;
-# scores within rtol 1e-10 of the per-edge loop oracle, >= 22x faster)
+# scores within rtol 1e-10 of the per-edge loop oracle, >= 20x faster)
 # plus a sharded-pipeline smoke run, both in statistics-free mode.
 bench-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_kernels.py \

@@ -25,7 +25,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "tests"))  # the per-edge loop oracle
+sys.path.append(str(REPO_ROOT / "tests"))  # the per-edge loop oracle
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
@@ -188,10 +188,10 @@ def test_ranking_batched(benchmark, ranking_setting):
 
 
 #: Gate on the batched ranker's speedup over per-edge scoring: half of
-#: the median 44.6x (three runs: 39.6x-49.9x) measured on a 2-core x86
+#: the median 41.0x (five runs: 39.6x-49.9x) measured on a 2-core x86
 #: host when the batched path landed; the per-candidate ranker it
 #: replaced measured 15.6x there.
-_RANKING_SPEEDUP_GATE = 22.0
+_RANKING_SPEEDUP_GATE = 20.0
 
 
 def test_ranking_batched_vs_serial_report(ranking_setting):
