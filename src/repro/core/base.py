@@ -79,8 +79,10 @@ class BaseSparsifierConfig:
         connectivity backbone plus a leverage-biased sample of the
         rest (smaller output, looser spectral guarantee).
     kernels : str
-        Hot-path kernel tier executing the scoring / BFS / gather
-        loops: ``"auto"`` (default; honors ``REPRO_KERNELS`` and picks
+        Kernel tier executing the single-ball BFS, CSC column gather
+        and probe right-hand-side loops (the batched ``proposed``
+        scorers use none of them): ``"auto"`` (default; honors
+        ``REPRO_KERNELS`` and picks
         the best available tier), ``"vector"`` (numpy, the historical
         path), ``"numba"`` (compiled fused loops, when installed) or
         ``"python"`` (reference loops).  Every tier is bit-identical —

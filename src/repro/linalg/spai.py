@@ -105,11 +105,10 @@ def _diagonal(indptr, indices, data, n):
     column is the one reported.
     """
     starts = indptr[:-1]
-    safe = np.minimum(starts, max(len(indices) - 1, 0))
-    present = (indptr[1:] > starts)
-    if len(indices):
-        present &= indices[safe] == np.arange(n)
-    diag = np.where(present, data[safe], 0.0) if len(data) else np.zeros(n)
+    present = indptr[1:] > starts
+    present[present] = indices[starts[present]] == np.flatnonzero(present)
+    diag = np.zeros(n)
+    diag[present] = data[starts[present]]
     bad = np.flatnonzero(~present | (diag <= 0))
     if len(bad):
         j = int(bad[-1])
