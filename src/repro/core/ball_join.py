@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.arrays import concat_ranges
+from repro.utils.arrays import concat_ranges, unique_slots
 
 __all__ = ["BLOCK_ENTRIES", "TABLE_ROWS", "TABLE_BYTES", "LookupTable",
            "ball_pair_edges", "score_in_blocks"]
@@ -156,8 +156,7 @@ def ball_pair_edges(adjacency, positions, p_owner, p_nodes, q_owner,
     eids = edge_ids[flat[hit]]
     # One key per (candidate, edge): the first occurrence wins and the
     # survivors come out in ascending edge order within a candidate.
-    _, first = np.unique(owner[hit] * np.int64(len(edge_ids)) + eids,
-                         return_index=True)
+    _, _, first = unique_slots(owner[hit] * np.int64(len(edge_ids)) + eids)
     hit = hit[first]
     return (src_entry[hit], nbr_entry[hit].astype(np.int64),
             src_in_q[hit].astype(np.int64), eids[first])

@@ -34,7 +34,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.utils.arrays import concat_ranges
+from repro.utils.arrays import concat_ranges, unique_slots
 from repro.core.ball_join import LookupTable, ball_pair_edges, score_in_blocks
 from repro.core.trace_reduction import exact_trace_reduction_batch
 from repro.core.tree_phase import tree_truncated_trace_reduction
@@ -380,7 +380,7 @@ class ApproxRanker:
         adjacency = graph.adjacency()
         positions, u_table = tables
         count = len(p)
-        ends, which = np.unique(np.concatenate([p, q]), return_inverse=True)
+        ends, which, _ = unique_slots(np.concatenate([p, q]))
         ptr, members = ball_sets(*self._sub_adjacency, ends, self.beta)
         p_owner, p_nodes = _ball_entries(ptr, members, which[:count])
         q_owner, q_nodes = _ball_entries(ptr, members, which[count:])
@@ -391,9 +391,8 @@ class ApproxRanker:
         u_owner, u_rows, u_values, resistance = self._differences(p, q)
         # s_a = z~_a . u at each joined edge's endpoints, once per
         # (candidate, node).
-        keys, slot = np.unique(
-            np.concatenate([owner * n + p_nodes[src], owner * n + q_nodes[nbr]]),
-            return_inverse=True,
+        keys, slot, _ = unique_slots(
+            np.concatenate([owner * n + p_nodes[src], owner * n + q_nodes[nbr]])
         )
         s_values, gathered = self._inner_products(
             keys // n, keys % n, u_table, u_owner, u_rows, u_values
@@ -419,7 +418,7 @@ class ApproxRanker:
             p_owner * n + self._z_indices[p_flat],
             q_owner * n + self._z_indices[q_flat],
         ])
-        keys, slot = np.unique(keys, return_inverse=True)
+        keys, slot, _ = unique_slots(keys)
         # Accumulating +z~_p before -z~_q per row reproduces the dense
         # scatter ``u[rows_p] += z~_p; u[rows_q] -= z~_q`` exactly.
         u_values = np.bincount(slot, weights=np.concatenate(

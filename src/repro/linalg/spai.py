@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import FactorizationError
-from repro.utils.arrays import concat_ranges
+from repro.utils.arrays import concat_ranges, unique_slots
 from repro.utils.validation import check_square_sparse
 
 __all__ = ["sparse_approximate_inverse", "dependency_levels", "spai_nnz_profile",
@@ -224,7 +224,7 @@ def _merge_terms(cols, inv_diag, dep_ptr, deps, built, n):
     terms[diag_at] = inv_diag[cols]
     keys[term_at] = local * n + rows
     terms[term_at] = vals
-    keys, slot = np.unique(keys, return_inverse=True)
+    keys, slot, _ = unique_slots(keys)
     return keys, np.bincount(slot, weights=terms)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["concat_ranges"]
+__all__ = ["concat_ranges", "unique_slots"]
 
 
 def concat_ranges(starts, lengths):
@@ -42,3 +42,34 @@ def concat_ranges(starts, lengths):
     if len(starts) > 1:
         out[cum[:-1]] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
     return np.cumsum(out)
+
+
+def unique_slots(keys):
+    """Sorted distinct values of an integer array, with where each went.
+
+    ``np.unique(keys, return_index=True, return_inverse=True)`` on a
+    stable sort, which runs in linear time on the concatenations of
+    sorted runs the batched scorers build.
+
+    Parameters
+    ----------
+    keys : numpy.ndarray
+        One-dimensional integer array.
+
+    Returns
+    -------
+    values : numpy.ndarray
+        The distinct keys, ascending.
+    slot : numpy.ndarray
+        ``values[slot[k]] == keys[k]`` for every ``k``.
+    first : numpy.ndarray
+        Index of each distinct key's first occurrence in *keys*.
+    """
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    slot = np.empty(len(keys), dtype=np.int64)
+    slot[order] = np.cumsum(fresh) - 1
+    return ordered[fresh], slot, order[fresh]
