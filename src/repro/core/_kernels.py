@@ -1,10 +1,12 @@
-"""Vectorized micro-kernels shared by the criticality computations.
+"""Per-candidate micro-kernels of the restricted quadratic form.
 
-Both the tree phase (Eq. 15) and the general phase (Eq. 20) end with the
-same restricted Laplacian quadratic form: given per-node values ``s``
-(voltages or SPAI inner products), sum ``w_ij (s_i - s_j)^2`` over the
-original graph's edges joining the two BFS balls.  These helpers keep
-that per-candidate work in numpy.
+Eqs. 12, 15 and 20 end with the same restricted Laplacian quadratic
+form: given per-node values ``s`` (voltages or SPAI inner products),
+sum ``w_ij (s_i - s_j)^2`` over the original graph's edges joining the
+two BFS balls of one candidate.  These helpers evaluate it for one
+candidate at a time, for the solve-based Eq. 12 reference and the
+kernel tiers; the production scorers join whole blocks of candidates
+in :mod:`repro.core.ball_join`.
 """
 
 from __future__ import annotations

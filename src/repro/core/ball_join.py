@@ -166,9 +166,9 @@ def score_in_blocks(count: int, score_block, graph) -> np.ndarray:
     """Score ``count`` candidates in blocks sized by their entry counts.
 
     The first block assumes the worst case, balls covering all of
-    *graph*; later blocks hold about :data:`BLOCK_ENTRIES` entries at the
-    entries-per-candidate rate seen so far, growing at most eightfold
-    per block.
+    *graph*; each later block holds about :data:`BLOCK_ENTRIES` entries
+    at the previous block's entries-per-candidate rate, growing at most
+    eightfold per block.
 
     Parameters
     ----------

@@ -82,10 +82,10 @@ class BaseSparsifierConfig:
         Kernel tier executing the single-ball BFS, CSC column gather
         and probe right-hand-side loops (the batched ``proposed``
         scorers use none of them): ``"auto"`` (default; honors
-        ``REPRO_KERNELS`` and picks
-        the best available tier), ``"vector"`` (numpy, the historical
-        path), ``"numba"`` (compiled fused loops, when installed) or
-        ``"python"`` (reference loops).  Every tier is bit-identical —
+        ``REPRO_KERNELS`` and picks the best available tier),
+        ``"vector"`` (numpy, the historical path), ``"numba"``
+        (compiled fused loops, when installed) or ``"python"``
+        (reference loops).  Every tier is bit-identical —
         the choice never changes results, only speed.  See
         :mod:`repro.kernels`.
     """
