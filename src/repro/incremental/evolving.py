@@ -3,8 +3,8 @@
 A production service absorbing edge-stream traffic sees *mutations* of
 a graph it already sparsified, not fresh graphs.  Rebuilding from
 scratch on every batch discards exactly the state the trace-reduction
-loop spent its time on: the spanning forest, the BFS-ball cache, and
-the effective-resistance estimates.  All three admit local updates
+loop spent its time on: the spanning forest, the BFS balls, and the
+effective-resistance estimates.  All three admit local updates
 under small edge batches — leverage scores ``w_e * R_eff(e)`` change
 materially only near the mutated endpoints (Spielman & Srivastava,
 arXiv:0803.0929) — so :class:`EvolvingSparsifier` keeps them alive:
@@ -13,7 +13,7 @@ arXiv:0803.0929) — so :class:`EvolvingSparsifier` keeps them alive:
   :class:`~repro.tree.dsu.DisjointSetUnion` (deleted tree edges get a
   replacement-edge search, local-first);
 * the :class:`~repro.core.ranking.BallCache` touched-node invalidation
-  is reused as the locality engine — only nodes whose beta-ball
+  is the locality engine — only nodes whose beta-ball
   overlaps a mutated endpoint (in the old *or* new adjacency) are
   considered changed;
 * off-tree kept edges are re-ranked only inside that touched
