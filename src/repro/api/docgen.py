@@ -154,12 +154,15 @@ def api_reference_markdown() -> str:
         "",
         "## Kernel tiers",
         "",
-        "The hot-path kernels (criticality scoring, BFS ball",
-        "expansion, SPAI column gather, Hutchinson probe RHS) are",
-        "swappable as a unit via the `kernels` option / `--kernels`",
-        "flag every method accepts (default `'auto'`: the",
+        "The tier kernels (single-ball BFS expansion, SPAI column",
+        "gather, Hutchinson probe RHS) are swappable as a unit via",
+        "the `kernels` option / `--kernels` flag every method accepts",
+        "(default `'auto'`: the",
         f"`{KERNELS_ENV_VAR}` environment variable if set, else the",
-        "best available tier). Every tier is bit-identical — same",
+        "best available tier). Of the sparsifiers only `er_sampling`",
+        "runs a tier kernel (the probe RHS); the `proposed` rankers",
+        "score whole candidate blocks with segmented array operations.",
+        "Every tier is bit-identical — same",
         "`RunRecord` fingerprint, different speed; see `repro.kernels`",
         "and `docs/kernels.md`. Availability is machine-dependent —",
         "introspect it with `repro.kernels.available_kernel_sets()`.",

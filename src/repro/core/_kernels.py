@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.utils.arrays import concat_ranges
 
-__all__ = ["concat_ranges", "ball_pair_edge_sum", "ball_pair_edge_sum_flat"]
+__all__ = ["ball_pair_edge_sum", "ball_pair_edge_sum_flat"]
 
 
 def ball_pair_edge_sum(
@@ -79,10 +79,10 @@ def ball_pair_edge_sum_flat(
 ):
     """:func:`ball_pair_edge_sum` on a pre-flattened adjacency slice.
 
-    The batched rankers cache, per ball, the flattened incident-edge
-    triples ``(sources, nbrs, eids)`` of the original graph; this entry
-    point skips the per-call CSR gather that :func:`ball_pair_edge_sum`
-    performs and goes straight to the stamped restriction.
+    Takes the flattened incident-edge triples ``(sources, nbrs, eids)``
+    of the p-ball in the original graph, so it skips the CSR gather that
+    :func:`ball_pair_edge_sum` performs and goes straight to the stamped
+    restriction.
 
     Parameters
     ----------

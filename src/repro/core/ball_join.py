@@ -28,8 +28,7 @@ import numpy as np
 
 from repro.utils.arrays import concat_ranges, unique_slots
 
-__all__ = ["BLOCK_ENTRIES", "TABLE_ROWS", "TABLE_BYTES", "LookupTable",
-           "ball_pair_edges", "score_in_blocks"]
+__all__ = ["ball_pair_edges", "score_in_blocks"]
 
 #: Target number of entries (ball members, incidences, SPAI gathers) one
 #: scoring block materializes.
@@ -58,7 +57,10 @@ class LookupTable:
         Column count (node count of the graph).
     rows : int
         Largest number of rows any lookup will use.  The table holds at
-        most :data:`TABLE_ROWS` of them and :data:`TABLE_BYTES` in all.
+        most :data:`TABLE_ROWS` of them and :data:`TABLE_BYTES` in all,
+        but never fewer than one row: a row of more than
+        :data:`TABLE_BYTES` (``n`` above ``2**19`` for ``float64``)
+        makes a one-row table, filled once per candidate.
     dtype : numpy.dtype
         Value type.
     fill : scalar

@@ -79,13 +79,13 @@ class BaseSparsifierConfig:
         connectivity backbone plus a leverage-biased sample of the
         rest (smaller output, looser spectral guarantee).
     kernels : str
-        Kernel tier executing the single-ball BFS, CSC column gather
-        and probe right-hand-side loops (the batched ``proposed``
-        scorers use none of them): ``"auto"`` (default; honors
-        ``REPRO_KERNELS`` and picks the best available tier),
-        ``"vector"`` (numpy, the historical path), ``"numba"``
-        (compiled fused loops, when installed) or ``"python"``
-        (reference loops).  Every tier is bit-identical —
+        Kernel tier executing the probe right-hand sides of the
+        ``er_sampling`` resistance sketch; the other methods run no
+        tier kernel and only validate and record it: ``"auto"``
+        (default; honors ``REPRO_KERNELS`` and picks the best
+        available tier), ``"vector"`` (numpy, the historical path),
+        ``"numba"`` (compiled fused loops, when installed) or
+        ``"python"`` (reference loops).  Every tier is bit-identical —
         the choice never changes results, only speed.  See
         :mod:`repro.kernels`.
     """

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.utils.arrays import concat_ranges
 
-__all__ = ["BallFinder", "ball_sets", "bfs_tree_order"]
+__all__ = ["BallFinder", "bfs_tree_order"]
 
 
 class BallFinder:

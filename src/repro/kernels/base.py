@@ -101,7 +101,7 @@ class KernelSet:
 
         Zero-length ranges contribute nothing; the result is one
         ``int64`` array.  See
-        :func:`repro.core._kernels.concat_ranges` for the reference
+        :func:`repro.utils.arrays.concat_ranges` for the reference
         semantics.
         """
         raise NotImplementedError

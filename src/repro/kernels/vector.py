@@ -2,7 +2,8 @@
 
 Every operation delegates to (or restates verbatim) the vectorized
 micro-kernels the package has always run —
-:mod:`repro.core._kernels`, the CSR layer gather of
+:mod:`repro.core._kernels` and :func:`repro.utils.arrays.concat_ranges`,
+the CSR layer gather of
 :meth:`repro.graph.bfs.BallFinder.ball_nodes`, the column gather of
 :func:`repro.linalg.spai.extract_columns` and the sparse matvec behind
 the JL probes — so selecting ``kernels="vector"`` is bit-identical to
@@ -15,12 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core._kernels import (
-    ball_pair_edge_sum,
-    ball_pair_edge_sum_flat,
-    concat_ranges,
-)
+from repro.core._kernels import ball_pair_edge_sum, ball_pair_edge_sum_flat
 from repro.kernels.base import KernelSet
+from repro.utils.arrays import concat_ranges
 
 __all__ = ["VectorKernels"]
 

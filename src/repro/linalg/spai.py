@@ -28,8 +28,7 @@ from repro.exceptions import FactorizationError
 from repro.utils.arrays import concat_ranges, unique_slots
 from repro.utils.validation import check_square_sparse
 
-__all__ = ["sparse_approximate_inverse", "dependency_levels", "spai_nnz_profile",
-           "extract_columns"]
+__all__ = ["sparse_approximate_inverse", "spai_nnz_profile", "extract_columns"]
 
 
 def sparse_approximate_inverse(L, delta=0.1, keep_threshold=None):

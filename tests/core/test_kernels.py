@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core._kernels import (
-    ball_pair_edge_sum,
-    ball_pair_edge_sum_flat,
-    concat_ranges,
-)
+from repro.core._kernels import ball_pair_edge_sum, ball_pair_edge_sum_flat
 from repro.graph import Graph
+from repro.utils.arrays import concat_ranges
 
 
 class TestConcatRanges:

@@ -26,7 +26,6 @@ from repro.api.records import RunRecord
 from repro.core._kernels import (
     ball_pair_edge_sum as legacy_ball_pair_edge_sum,
     ball_pair_edge_sum_flat as legacy_ball_pair_edge_sum_flat,
-    concat_ranges as legacy_concat_ranges,
 )
 from repro.kernels import (
     NumbaKernels,
@@ -37,6 +36,7 @@ from repro.kernels import (
 )
 from repro.kernels import numba_kernels as nk
 from repro.kernels.base import KernelSet
+from repro.utils.arrays import concat_ranges as legacy_concat_ranges
 
 
 class InterpretedNumbaBodies(KernelSet):

@@ -14,10 +14,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core._kernels import ball_pair_edge_sum, concat_ranges
+from repro.core._kernels import ball_pair_edge_sum
 from repro.exceptions import FactorizationError
 from repro.graph.bfs import BallFinder
 from repro.tree.lca import batch_tree_resistances
+from repro.utils.arrays import concat_ranges
 from repro.utils.validation import check_square_sparse
 
 
