@@ -5,7 +5,7 @@ PYTHON ?= python
 PYTHONPATH_PREFIX := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test bench-smoke serve-smoke load-smoke incremental-smoke \
-	kernels-smoke apps-smoke docs-check
+	apps-smoke docs-check
 
 # Tier-1 gate: the full unit/property suite.
 test:
@@ -40,13 +40,6 @@ load-smoke:
 # BENCH_incremental.json.
 incremental-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) benchmarks/bench_incremental.py --smoke
-
-# Kernel-tier sanity: every available repro.kernels tier must produce
-# bitwise-identical outputs on each hot-path kernel, and the fastest
-# non-reference tier must beat the pure-Python reference by >= 5x on
-# the scoring kernel.  Writes BENCH_kernels.json.
-kernels-smoke:
-	$(PYTHONPATH_PREFIX) $(PYTHON) benchmarks/bench_kernels.py --smoke
 
 # Application sanity: both application-level benchmarks (transient
 # power-grid simulation and spectral clustering) at CI scale, under a

@@ -143,39 +143,6 @@ def api_reference_markdown() -> str:
             f"| {'yes' if caps['compiled_factorization'] else 'no'} "
             f"| {'yes' if caps['persistent_factors'] else 'no'} |"
         )
-    from repro.kernels import (
-        KERNELS_ENV_VAR,
-        kernel_capabilities,
-        kernel_description,
-        list_kernel_sets,
-    )
-
-    lines.extend([
-        "",
-        "## Kernel tiers",
-        "",
-        "The tier kernels (single-ball BFS expansion, SPAI column",
-        "gather, Hutchinson probe RHS) are swappable as a unit via",
-        "the `kernels` option / `--kernels` flag every method accepts",
-        "(default `'auto'`: the",
-        f"`{KERNELS_ENV_VAR}` environment variable if set, else the",
-        "best available tier). Of the sparsifiers only `er_sampling`",
-        "runs a tier kernel (the probe RHS); the `proposed` rankers",
-        "score whole candidate blocks with segmented array operations.",
-        "Every tier is bit-identical — same",
-        "`RunRecord` fingerprint, different speed; see `repro.kernels`",
-        "and `docs/kernels.md`. Availability is machine-dependent —",
-        "introspect it with `repro.kernels.available_kernel_sets()`.",
-        "",
-        "| kernels | description | compiled kernels |",
-        "|---|---|---|",
-    ])
-    kernel_caps = kernel_capabilities()
-    for name in list_kernel_sets():
-        lines.append(
-            f"| `{name}` | {kernel_description(name)} "
-            f"| {'yes' if kernel_caps[name]['compiled_kernels'] else 'no'} |"
-        )
     lines.extend([
         "",
         "## Run records",
@@ -183,9 +150,8 @@ def api_reference_markdown() -> str:
         "Every front door emits `repro.RunRecord` objects (lossless",
         "JSON; see `docs/benchmarks.md` for the schema). The chosen",
         "backend and its capability flags are recorded in",
-        "`record.environment`, as are the resolved kernel tier and its",
-        "flags (both excluded from `record.fingerprint()`, which must",
-        "not depend on execution details).",
+        "`record.environment`; `record.fingerprint()` strips only the",
+        "wall-clock fields.",
         "",
         "## Service endpoints",
         "",

@@ -21,7 +21,7 @@ import numpy as np
 
 __all__ = ["RunRecord", "capture_environment"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _jsonify(value):
@@ -50,16 +50,12 @@ def _strip_seconds(value):
     return value
 
 
-def capture_environment(backend: str | None = None,
-                        kernels: str | None = None) -> dict:
+def capture_environment(backend: str | None = None) -> dict:
     """Versions that determine a run's numerics (for provenance).
 
     When *backend* names a linalg backend, the dict also records the
     backend and its capability flags — so a ``BENCH_*.json`` trajectory
-    shows which execution path produced each run.  When *kernels* names
-    a hot-path kernel tier (``"auto"`` included), the dict records the
-    **resolved** tier and its capability flags; tiers are bit-identical
-    by contract, so :meth:`RunRecord.fingerprint` excludes these keys.
+    shows which execution path produced each run.
     """
     import scipy
 
@@ -78,14 +74,6 @@ def capture_environment(backend: str | None = None,
         environment["backend"] = str(backend)
         environment["backend_capabilities"] = (
             backend_capabilities().get(str(backend), {})
-        )
-    if kernels is not None:
-        from repro.kernels import kernel_capabilities, resolve_kernels
-
-        resolved = resolve_kernels(str(kernels))
-        environment["kernels"] = resolved
-        environment["kernel_capabilities"] = (
-            kernel_capabilities().get(resolved, {})
         )
     return environment
 
@@ -201,8 +189,6 @@ class RunRecord:
             environment=capture_environment(
                 backend=config.get("backend") if isinstance(config, dict)
                 else None,
-                kernels=config.get("kernels") if isinstance(config, dict)
-                else None,
             ),
             sharding=_jsonify(getattr(result, "sharding", None)),
         )
@@ -257,25 +243,13 @@ class RunRecord:
         Two runs of the same configuration are *outcome*-identical when
         their fingerprints are equal — method, graph, config, quality,
         per-round log and environment all match bit for bit; only
-        elapsed-seconds measurements (which no two runs share) and the
-        hot-path kernel tier (bit-identical across tiers by the
-        :mod:`repro.kernels` parity contract, so an execution detail
-        like thread count) are excluded.  This is the equality both the
-        artifact cache's warm-equals-cold guarantee and the kernel
-        layer's compiled-equals-reference guarantee are stated in.
+        elapsed-seconds measurements (which no two runs share) are
+        excluded.  This is the equality the artifact cache's
+        warm-equals-cold guarantee is stated in.
         """
         data = self.to_dict()
         data.pop("timings", None)
         # Copies: to_dict() shares the nested dicts with the record.
-        if isinstance(data.get("config"), dict):
-            data["config"] = {
-                k: v for k, v in data["config"].items() if k != "kernels"
-            }
-        if isinstance(data.get("environment"), dict):
-            data["environment"] = {
-                k: v for k, v in data["environment"].items()
-                if k not in ("kernels", "kernel_capabilities")
-            }
         if data.get("quality"):
             data["quality"] = {
                 k: v for k, v in data["quality"].items()
@@ -290,7 +264,15 @@ class RunRecord:
         return data
 
     def to_config(self):
-        """Reconstruct the method's config dataclass from the record."""
+        """Reconstruct the method's config dataclass from the record.
+
+        Raises
+        ------
+        repro.exceptions.GraphError
+            When the record carries an option the method no longer
+            accepts (e.g. one written by an older release); the message
+            names the key.
+        """
         from repro.api.registry import get_method
 
-        return get_method(self.method).config_cls(**self.config)
+        return get_method(self.method).config_cls.from_dict(self.config)

@@ -40,7 +40,6 @@ __all__ = [
     "backend_capabilities",
     "backend_description",
     "check_backend",
-    "check_factorization_mode",
 ]
 
 #: Name of the backend used when a config does not choose one.
@@ -105,25 +104,6 @@ def check_backend(name: str) -> str:
             f"{', '.join(available_backends())}"
         )
     return name
-
-
-def check_factorization_mode(backend: str, mode: str) -> None:
-    """Reject a ``cholesky_backend`` refinement *backend* cannot honor.
-
-    ``cholesky_backend`` predates this layer and selects among the
-    scipy backend's factorization paths (``"auto"`` | ``"superlu"`` |
-    ``"python"``); the other backends each have exactly one path.
-    Silently ignoring the knob would hand a user benchmarking
-    ``superlu`` pure-numpy numbers, so — per this package's
-    no-silent-drop contract — the combination is an error instead.
-    """
-    if mode != "auto" and backend != "scipy":
-        raise BackendError(
-            f"cholesky_backend={mode!r} selects among the scipy "
-            f"backend's factorization paths; backend {backend!r} has a "
-            "single path and cannot honor it (leave "
-            "cholesky_backend='auto')"
-        )
 
 
 def get_backend(name: str = DEFAULT_BACKEND) -> LinalgBackend:

@@ -101,7 +101,7 @@ class LinalgBackend:
     # ------------------------------------------------------------------
     # the five kernels
     # ------------------------------------------------------------------
-    def factorize(self, matrix, mode: str = "auto"):
+    def factorize(self, matrix):
         """Cholesky-factor an SPD sparse matrix.
 
         Parameters
@@ -109,10 +109,6 @@ class LinalgBackend:
         matrix:
             Square SPD scipy sparse matrix (regularized Laplacian in
             this package's use).
-        mode:
-            Backend-specific refinement kept for compatibility with the
-            pre-backend ``cholesky_backend`` config knob; backends that
-            have a single factorization path ignore it.
 
         Returns
         -------
@@ -136,8 +132,7 @@ class LinalgBackend:
         """Preconditioned conjugate gradients (see :func:`repro.linalg.pcg`)."""
         return _pcg(A, b, M_solve=M_solve, **options)
 
-    def sketch_matvecs(self, factor, incidence, sketch_size: int, rng,
-                       kernels=None):
+    def sketch_matvecs(self, factor, incidence, sketch_size: int, rng):
         """The JL effective-resistance sketch of Spielman–Srivastava.
 
         Draws ``sketch_size`` Rademacher probe vectors from *rng* (one
@@ -146,25 +141,19 @@ class LinalgBackend:
         order — draw, then solve, row by row — is part of the contract:
         it determines the RNG stream position, which the
         effective-resistance sampler records for bit-exact warm runs.
-        The probe right-hand sides ``B^T W^{1/2} q_i`` go through the
-        active kernel tier's :meth:`~repro.kernels.KernelSet.probe_rhs`
-        (bit-identical across tiers by its accumulation-order contract).
 
         Returns
         -------
         numpy.ndarray
             ``(sketch_size, n)`` array of sketch rows.
         """
-        from repro.kernels import resolve_kernel_set  # deferred: cycle
-
-        probe_rhs = resolve_kernel_set(kernels).probe_rhs
         n = incidence.shape[1]
         m = incidence.shape[0]
         sketch = np.empty((sketch_size, n))
         scale = 1.0 / np.sqrt(sketch_size)
         for i in range(sketch_size):
             q = rng.choice((-scale, scale), size=m)
-            sketch[i] = factor.solve(probe_rhs(incidence, q))
+            sketch[i] = factor.solve(incidence.T @ q)
         return sketch
 
     def spai_columns(self, L, delta: float = 0.1, keep_threshold=None):

@@ -149,8 +149,8 @@ class CholmodBackend(LinalgBackend):
                 _PERSISTENT = False
         return _PERSISTENT
 
-    def factorize(self, matrix, mode: str = "auto"):
-        """Factor through CHOLMOD (``mode`` is ignored: one path)."""
+    def factorize(self, matrix):
+        """Factor through CHOLMOD."""
         cholmod = _cholmod_module()
         if cholmod is None:
             raise BackendError(

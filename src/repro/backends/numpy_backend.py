@@ -27,12 +27,6 @@ class NumpyBackend(LinalgBackend):
     compiled_factorization = False
     persistent_factors = True
 
-    def factorize(self, matrix, mode: str = "auto"):
-        """Factor with the pure-Python up-looking Cholesky.
-
-        *mode* is accepted for interface symmetry but the numpy backend
-        has exactly one factorization path (RCM-ordered up-looking);
-        requesting ``mode="superlu"`` here would contradict the
-        backend's no-compiled-code contract, so it is ignored.
-        """
+    def factorize(self, matrix):
+        """Factor with the pure-Python up-looking Cholesky (RCM order)."""
         return cholesky(matrix, backend="python", ordering="rcm")

@@ -31,8 +31,6 @@ class ScipyBackend(LinalgBackend):
     compiled_factorization = True
     persistent_factors = False
 
-    def factorize(self, matrix, mode: str = "auto"):
-        """Factor through SuperLU (``mode`` keeps the legacy
-        ``cholesky_backend`` values ``"auto"``/``"superlu"``/``"python"``
-        working)."""
-        return cholesky(matrix, backend=mode)
+    def factorize(self, matrix):
+        """Factor through SuperLU (pure-Python fallback on failure)."""
+        return cholesky(matrix)

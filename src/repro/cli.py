@@ -435,23 +435,6 @@ def _cmd_methods(args) -> int:
         ])
     print()
     print(backends.render())
-    kernels = Table(["kernels", "available", "compiled", "description"])
-    from repro.kernels import (
-        kernel_capabilities,
-        kernel_description,
-        resolve_kernels,
-    )
-
-    for name, caps in sorted(kernel_capabilities().items()):
-        kernels.add_row([
-            name,
-            "yes" if caps["available"] else "no",
-            "yes" if caps["compiled_kernels"] else "-",
-            kernel_description(name),
-        ])
-    print()
-    print(kernels.render())
-    print(f"auto resolves to: {resolve_kernels()}")
     return 0
 
 

@@ -21,7 +21,6 @@ from repro.core.trace import (
 from repro.core.trace_reduction import (
     exact_trace_reduction,
     exact_trace_reduction_batch,
-    truncated_trace_reduction_reference,
 )
 from repro.core.tree_phase import tree_truncated_trace_reduction
 from repro.core.ranking import (
@@ -71,7 +70,6 @@ __all__ = [
     "trace_ratio",
     "exact_trace_reduction",
     "exact_trace_reduction_batch",
-    "truncated_trace_reduction_reference",
     "tree_truncated_trace_reduction",
     "EdgeRanker",
     "BallCache",

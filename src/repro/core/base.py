@@ -25,6 +25,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
 from repro.exceptions import GraphError
 from repro.utils.timers import Timer
@@ -78,16 +79,6 @@ class BaseSparsifierConfig:
         the spectrally safe choice; ``"sample"`` keeps a per-component
         connectivity backbone plus a leverage-biased sample of the
         rest (smaller output, looser spectral guarantee).
-    kernels : str
-        Kernel tier executing the probe right-hand sides of the
-        ``er_sampling`` resistance sketch; the other methods run no
-        tier kernel and only validate and record it: ``"auto"``
-        (default; honors ``REPRO_KERNELS`` and picks the best
-        available tier), ``"vector"`` (numpy, the historical path),
-        ``"numba"`` (compiled fused loops, when installed) or
-        ``"python"`` (reference loops).  Every tier is bit-identical —
-        the choice never changes results, only speed.  See
-        :mod:`repro.kernels`.
     """
 
     edge_fraction: float = 0.10
@@ -95,7 +86,6 @@ class BaseSparsifierConfig:
     backend: str = "scipy"
     shards: int = 1
     boundary_policy: str = "keep"
-    kernels: str = "auto"
 
     def validate(self) -> None:
         """Raise on bad knobs (:class:`~repro.exceptions.GraphError`
@@ -112,10 +102,8 @@ class BaseSparsifierConfig:
             )
         # Deferred so this module stays import-light (module docstring).
         from repro.backends import check_backend
-        from repro.kernels import check_kernels
 
         check_backend(self.backend)
-        check_kernels(self.kernels)
 
     def resolve_backend(self):
         """The validated :class:`~repro.backends.LinalgBackend` instance."""
@@ -124,14 +112,14 @@ class BaseSparsifierConfig:
         return get_backend(self.backend)
 
     def resolve_kernels(self):
-        """The resolved :class:`~repro.kernels.KernelSet` instance.
+        """Compatibility stub: an object whose ``name`` is ``"vector"``.
 
-        ``"auto"`` resolves here (env override, then best available),
-        so every consumer in one run sees the same concrete tier.
+        There is no kernel option: every run takes one numpy code path.
+        ``perfbench/run.py`` still records ``config.resolve_kernels().name``
+        in its ``# environment`` line, and ``"vector"`` keeps that line
+        as it was.  Delete this stub together with that call.
         """
-        from repro.kernels import get_kernels
-
-        return get_kernels(self.kernels)
+        return SimpleNamespace(name="vector")
 
     def to_dict(self) -> dict:
         """All options as a plain ``{name: value}`` dict (JSON-safe)."""

@@ -60,7 +60,7 @@ class ErSamplingConfig(BaseSparsifierConfig):
 
 def approximate_effective_resistances(
     graph: Graph, sketch_size=None, reg_rel=1e-6, seed=0, factor=None,
-    backend=None, kernels=None,
+    backend=None,
 ) -> np.ndarray:
     """JL-sketched effective resistance of every edge.
 
@@ -77,9 +77,6 @@ def approximate_effective_resistances(
     backend:
         :class:`~repro.backends.LinalgBackend` executing the
         factorization and sketch solves (default ``"scipy"``).
-    kernels:
-        :class:`~repro.kernels.KernelSet` (or tier name) computing the
-        probe right-hand sides; bit-identical across tiers.
 
     Returns
     -------
@@ -100,9 +97,7 @@ def approximate_effective_resistances(
         factor = backend.factorize(laplacian)
     incidence = incidence_matrix(graph, weighted=True)  # m x n, W^(1/2) B
     # Sketch rows: y_i = L^{-1} (B^T W^{1/2} q_i), q_i ~ Rademacher/sqrt(k).
-    sketch = backend.sketch_matvecs(
-        factor, incidence, sketch_size, rng, kernels=kernels
-    )
+    sketch = backend.sketch_matvecs(factor, incidence, sketch_size, rng)
     diffs = sketch[:, graph.u] - sketch[:, graph.v]
     return np.sum(diffs * diffs, axis=0)
 
@@ -152,7 +147,6 @@ def _run(graph: Graph, config: ErSamplingConfig,
          artifacts=None) -> SparsifierResult:
     rng = as_rng(config.seed)
     backend = config.resolve_backend()
-    kernels = config.resolve_kernels()
     if config.include_tree:
         tree_ids = shared_artifact(
             artifacts, "tree", ("mewst",), lambda: mewst(graph)
@@ -175,7 +169,7 @@ def _run(graph: Graph, config: ErSamplingConfig,
         )
         values = approximate_effective_resistances(
             graph, sketch_size=config.sketch_size, reg_rel=config.reg_rel,
-            seed=rng, factor=factor, backend=backend, kernels=kernels,
+            seed=rng, factor=factor, backend=backend,
         )
         return values, rng.bit_generator.state
 

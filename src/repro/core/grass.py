@@ -51,7 +51,6 @@ class GrassConfig(BaseSparsifierConfig):
     tree_method: str = "mewst"
     use_similarity: bool = True
     reg_rel: float = 1e-6
-    cholesky_backend: str = "auto"
 
     def validate(self) -> None:
         super().validate()
@@ -65,9 +64,6 @@ class GrassConfig(BaseSparsifierConfig):
             raise GraphError(f"gamma must be >= 0, got {self.gamma!r}")
         if self.tree_method not in _TREE_METHODS:
             raise GraphError(f"unknown tree_method {self.tree_method!r}")
-        from repro.backends import check_factorization_mode
-
-        check_factorization_mode(self.backend, self.cholesky_backend)
 
 
 def perturbation_criticality(
@@ -164,9 +160,7 @@ def _run(graph: Graph, config: GrassConfig,
         with round_timer:
             subgraph = graph.subgraph(edge_mask)
             laplacian_s = regularized_laplacian(subgraph, shift)
-            factor = backend.factorize(
-                laplacian_s, mode=config.cholesky_backend
-            )
+            factor = backend.factorize(laplacian_s)
             candidates = np.flatnonzero(~edge_mask & ~marker.marked)
             if len(candidates) == 0:
                 break

@@ -262,13 +262,10 @@ class ExactRanker:
 
     @classmethod
     def from_subgraph(
-        cls, graph: Graph, subgraph: Graph, shift: float,
-        cholesky_backend: str = "auto",
+        cls, graph: Graph, subgraph: Graph, shift: float
     ) -> "ExactRanker":
         """Factor ``L_S + shift I`` and build the ranker from it."""
-        factor = cholesky(
-            regularized_laplacian(subgraph, shift), backend=cholesky_backend
-        )
+        factor = cholesky(regularized_laplacian(subgraph, shift))
         return cls(graph, factor.solve)
 
     def prepare(self, edge_ids) -> None:

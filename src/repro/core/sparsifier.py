@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.base import BaseSparsifierConfig, shared_artifact
 from repro.core.parallel import score_edges
-from repro.core.ranking import ApproxRanker, ExactRanker, TreePhaseRanker
+from repro.core.ranking import ApproxRanker, TreePhaseRanker
 from repro.core.similarity import SimilarityMarker
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
@@ -49,8 +49,6 @@ _TREE_METHODS = {
     "max_weight": maximum_spanning_forest,
     "bfs": bfs_spanning_forest,
 }
-
-_RANKINGS = ("approx", "exact")
 
 
 @dataclass(kw_only=True)
@@ -82,16 +80,9 @@ class SparsifierConfig(BaseSparsifierConfig):
         Linear-algebra backend executing the per-round factorizations
         and SPAI columns (inherited from
         :class:`~repro.core.base.BaseSparsifierConfig`).
-    cholesky_backend : str
-        Legacy refinement of the scipy backend's factorization path
-        (``"auto"`` | ``"superlu"`` | ``"python"``); other backends
-        ignore it.
     seed : int
         Seed recorded for API symmetry with the randomized baselines
         (Algorithm 2 itself is deterministic).
-    ranking : {"approx", "exact"}
-        Ranker used in the general (post-tree) rounds: the production
-        SPAI path (Eq. 20) or exact solves (Eq. 11, validation only).
     workers : int
         Worker processes for candidate scoring: ``1`` serial (default),
         ``>1`` that many processes, ``0`` one per CPU.  Results are
@@ -109,8 +100,6 @@ class SparsifierConfig(BaseSparsifierConfig):
     tree_method: str = "mewst"    # "mewst" | "max_weight" | "bfs"
     use_similarity: bool = True   # mark similar edges for exclusion
     reg_rel: float = 1e-6         # footnote-1 diagonal shift, relative
-    cholesky_backend: str = "auto"
-    ranking: str = "approx"       # "approx" | "exact" general-round ranker
     workers: int = 1              # scoring processes (0 = one per CPU)
     chunk_size: int = 0           # candidates per scoring task (0 = auto)
 
@@ -130,18 +119,10 @@ class SparsifierConfig(BaseSparsifierConfig):
                 f"unknown tree_method {self.tree_method!r}; "
                 f"choose from {sorted(_TREE_METHODS)}"
             )
-        if self.ranking not in _RANKINGS:
-            raise GraphError(
-                f"unknown ranking {self.ranking!r}; "
-                f"choose from {sorted(_RANKINGS)}"
-            )
         if self.workers < 0:
             raise GraphError("workers must be >= 0 (0 = one per CPU)")
         if self.chunk_size < 0:
             raise GraphError("chunk_size must be >= 0 (0 = auto)")
-        from repro.backends import check_factorization_mode
-
-        check_factorization_mode(self.backend, self.cholesky_backend)
 
 
 @dataclass
@@ -353,20 +334,14 @@ def _run(graph: Graph, config: SparsifierConfig,
             with round_timer:
                 subgraph = graph.subgraph(edge_mask)
                 laplacian_s = regularized_laplacian(subgraph, shift)
-                factor = backend.factorize(
-                    laplacian_s, mode=config.cholesky_backend
-                )
+                factor = backend.factorize(laplacian_s)
                 candidates = np.flatnonzero(~edge_mask & ~marker.marked)
                 if len(candidates) == 0:
                     break
-                if config.ranking == "exact":
-                    Z = None
-                    ranker = ExactRanker(graph, factor.solve)
-                else:
-                    Z = backend.spai_columns(factor.L, delta=config.delta)
-                    ranker = ApproxRanker(
-                        graph, subgraph, factor, Z, beta=config.beta
-                    )
+                Z = backend.spai_columns(factor.L, delta=config.delta)
+                ranker = ApproxRanker(
+                    graph, subgraph, factor, Z, beta=config.beta
+                )
                 crit = score_edges(
                     ranker, candidates,
                     workers=config.workers, chunk_size=config.chunk_size,
@@ -388,7 +363,7 @@ def _run(graph: Graph, config: SparsifierConfig,
                     "candidates": len(candidates),
                     "added": len(chosen),
                     "trace_reduction": float(full_crit[chosen].sum()),
-                    "spai_nnz": int(Z.nnz) if Z is not None else 0,
+                    "spai_nnz": int(Z.nnz),
                     "factor_nnz": int(factor.nnz),
                     "seconds": round_timer.elapsed,
                 }

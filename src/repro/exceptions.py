@@ -45,15 +45,6 @@ class BackendError(ReproError, ValueError):
     """
 
 
-class KernelError(BackendError):
-    """Raised for unknown or unavailable hot-path kernel tiers.
-
-    A :class:`BackendError` (and therefore a :class:`ValueError`) so
-    callers validating a ``kernels=`` option can treat it exactly like
-    a bad ``backend=``.
-    """
-
-
 class CacheError(ReproError):
     """Raised for unusable on-disk artifact-cache configurations."""
 

@@ -37,20 +37,12 @@ class BallFinder:
         Optional array parallel to *neighbors* giving the id of the edge
         connecting each (node, neighbor) pair; when provided, ball
         queries also report the predecessor edge of every visited node.
-    kernels:
-        Optional :class:`~repro.kernels.KernelSet` (or tier name)
-        executing the vectorized layer expansion of
-        :meth:`ball_nodes`; defaults to the auto-resolved tier.  Every
-        tier is bit-identical, so this only affects speed.
     """
 
-    def __init__(self, indptr, neighbors, edge_ids=None, kernels=None) -> None:
-        from repro.kernels import resolve_kernel_set  # deferred: cycle
-
+    def __init__(self, indptr, neighbors, edge_ids=None) -> None:
         self.indptr = indptr
         self.neighbors = neighbors
         self.edge_ids = edge_ids
-        self.kernels = resolve_kernel_set(kernels)
         n = len(indptr) - 1
         self._stamp = np.zeros(n, dtype=np.int64)
         self._clock = 0
@@ -113,9 +105,8 @@ class BallFinder:
 
         Adaptive frontier expansion: small frontiers walk a plain
         Python loop (per-layer dispatch overhead would dominate), large
-        ones hand the whole layer to the active kernel tier's
-        :meth:`~repro.kernels.KernelSet.expand_frontier` (one CSR
-        gather + stamp filter per layer).
+        ones expand the whole layer at once (one CSR gather, stamp
+        filter and ``np.unique`` per layer).
 
         Parameters
         ----------
@@ -135,7 +126,6 @@ class BallFinder:
         stamp = self._stamp
         indptr = self.indptr
         neighbors = self.neighbors
-        expand = self.kernels.expand_frontier
         stamp[source] = clock
         frontier: list | np.ndarray = [int(source)]
         parts = [np.asarray(frontier, dtype=np.int64)]
@@ -153,10 +143,12 @@ class BallFinder:
                 frontier = fresh_list
                 parts.append(np.asarray(fresh_list, dtype=np.int64))
             else:
-                fresh = expand(
-                    indptr, neighbors,
-                    np.asarray(frontier, dtype=np.int64), stamp, clock,
-                )
+                frontier = np.asarray(frontier, dtype=np.int64)
+                starts = indptr[frontier]
+                lengths = indptr[frontier + 1] - starts
+                nbrs = neighbors[concat_ranges(starts, lengths)]
+                fresh = np.unique(nbrs[stamp[nbrs] != clock])
+                stamp[fresh] = clock
                 if len(fresh) == 0:
                     break
                 parts.append(fresh)

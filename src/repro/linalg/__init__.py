@@ -8,7 +8,7 @@ from repro.linalg.ordering import (
 from repro.linalg.etree import elimination_tree, ereach, postorder
 from repro.linalg.triangular import solve_lower_csc, solve_upper_from_lower_csc
 from repro.linalg.cholesky import CholeskyFactor, cholesky
-from repro.linalg.spai import extract_columns, sparse_approximate_inverse
+from repro.linalg.spai import sparse_approximate_inverse
 from repro.linalg.pcg import pcg, PCGResult
 from repro.linalg.eigen import (
     generalized_lambda_max,
@@ -28,7 +28,6 @@ __all__ = [
     "CholeskyFactor",
     "cholesky",
     "sparse_approximate_inverse",
-    "extract_columns",
     "pcg",
     "PCGResult",
     "generalized_lambda_max",

@@ -28,7 +28,7 @@ from repro.exceptions import FactorizationError
 from repro.utils.arrays import concat_ranges, unique_slots
 from repro.utils.validation import check_square_sparse
 
-__all__ = ["sparse_approximate_inverse", "spai_nnz_profile", "extract_columns"]
+__all__ = ["sparse_approximate_inverse", "spai_nnz_profile"]
 
 
 def sparse_approximate_inverse(L, delta=0.1, keep_threshold=None):
@@ -248,45 +248,6 @@ def _prune(sums, owner, count, delta, keep_threshold):
         keep[segment] = False
         keep[starts[col] + top[:keep_threshold]] = True
     return keep
-
-
-def extract_columns(Z, cols, kernels=None):
-    """Gather many columns of a CSC matrix in one pass.
-
-    The batched rankers need the SPAI columns of every candidate-edge
-    endpoint; slicing ``Z`` column by column costs one Python call per
-    endpoint.  This helper gathers all requested columns through the
-    active kernel tier's
-    :meth:`~repro.kernels.KernelSet.gather_csc_columns` (a single
-    ``concat_ranges`` pass on the default vector tier).
-
-    Parameters
-    ----------
-    Z : scipy.sparse.csc_matrix
-        Column-sparse matrix (e.g. the output of
-        :func:`sparse_approximate_inverse`).
-    cols : array_like of int
-        Column indices to extract (duplicates allowed).
-    kernels : KernelSet or str, optional
-        Hot-path kernel tier; defaults to the auto-resolved tier (see
-        :mod:`repro.kernels`).  Bit-identical across tiers.
-
-    Returns
-    -------
-    indptr : numpy.ndarray
-        ``int64`` offsets into *indices*/*data*; column ``cols[k]``
-        occupies ``[indptr[k], indptr[k + 1])``.
-    indices : numpy.ndarray
-        Row indices of the gathered entries (``int64``).
-    data : numpy.ndarray
-        Values of the gathered entries.
-    """
-    from repro.kernels import resolve_kernel_set  # deferred: cycle
-
-    cols = np.asarray(cols, dtype=np.int64)
-    return resolve_kernel_set(kernels).gather_csc_columns(
-        Z.indptr, Z.indices, Z.data, cols
-    )
 
 
 def spai_nnz_profile(L, deltas):

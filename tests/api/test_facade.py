@@ -89,6 +89,13 @@ def test_unknown_option_raises(grid):
         sparsify(grid, method="proposed", bogus_option=1)
 
 
+@pytest.mark.parametrize("removed", ["kernels", "cholesky_backend", "ranking"])
+def test_removed_options_raise(grid, removed):
+    """Options that were removed are rejected, not silently ignored."""
+    with pytest.raises(UnknownOptionError, match=removed):
+        sparsify(grid, method="proposed", **{removed: "auto"})
+
+
 def test_all_methods_share_budget_convention(grid):
     """Equal edge budget is what makes the paper's comparison fair."""
     counts = {

@@ -8,6 +8,7 @@ import pytest
 from repro.api import RunRecord, capture_environment, get_method, list_methods
 from repro.api import sparsify
 from repro.core import evaluate_sparsifier
+from repro.exceptions import ReproError
 from repro.graph import grid2d
 
 
@@ -26,6 +27,17 @@ def test_config_roundtrips_through_json(grid, method):
     assert rebuilt == record
     assert rebuilt.to_config() == config
     assert type(rebuilt.to_config()) is type(config)
+
+
+@pytest.mark.parametrize("removed", ["kernels", "cholesky_backend",
+                                     "cache_max_nodes"])
+def test_to_config_names_a_removed_option(grid, removed):
+    """An older record's dropped option is a typed error naming the key."""
+    result = sparsify(grid, method="proposed", edge_fraction=0.05)
+    record = RunRecord.from_result(result, method="proposed")
+    record.config[removed] = "auto"
+    with pytest.raises(ReproError, match=repr(removed)):
+        record.to_config()
 
 
 @pytest.mark.parametrize("method", sorted(list_methods()))
@@ -90,13 +102,13 @@ def test_from_dict_tolerates_missing_optionals():
     )
     assert record.quality is None
     assert record.rounds_log == []
-    assert record.schema_version == 1
+    assert record.schema_version == 2
 
 
 def test_schema_version_present(grid):
     result = sparsify(grid, method="fegrass", edge_fraction=0.05)
     record = RunRecord.from_result(result, method="fegrass")
-    assert json.loads(record.to_json())["schema_version"] == 1
+    assert json.loads(record.to_json())["schema_version"] == 2
 
 
 def test_record_is_dataclass():

@@ -4,10 +4,13 @@ Small random graphs cover the corners the segmented array code has to
 get right: disconnected graphs, balls that swallow the whole component
 (beta at or above the diameter), nodes inside both balls of a candidate
 (where the q-side potential wins), single-candidate batches, explicit
-zeros in the Cholesky factor and SPAI's keep-threshold floor.
+zeros in the Cholesky factor and SPAI's keep-threshold floor.  The
+ball-pair edge sum the loop oracles share is pinned down on a toy graph
+at the end.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,3 +146,53 @@ def test_dependency_levels_order_every_dependency():
     levels = dependency_levels(4, dep_col, dep_row)
     assert (levels[dep_row] < levels[dep_col]).all()
     assert levels.tolist() == [2, 0, 1, 0]
+
+
+class TestBallPairEdgeSum:
+    @pytest.fixture()
+    def graph(self):
+        # Square 0-1-2-3-0 plus diagonal (0, 2).
+        return Graph.from_edges(
+            4,
+            [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (0, 3, 4.0), (0, 2, 5.0)],
+        )
+
+    def _sum(self, graph, ball_p, ball_q, values):
+        indptr, nbr, eid = graph.adjacency()
+        stamp = np.zeros(graph.n, dtype=np.int64)
+        stamp[np.asarray(ball_q)] = 1
+        return oracles.ball_pair_edge_sum(
+            indptr, nbr, eid, graph.w,
+            np.asarray(ball_p, dtype=np.int64), stamp, 1,
+            np.asarray(values, dtype=np.float64),
+        )
+
+    def test_single_edge(self, graph):
+        values = np.array([1.0, 0.0, 0.0, 0.0])
+        # Only edge (0,1) joins {0} to {1}: w=1, diff=1.
+        assert self._sum(graph, [0], [1], values) == pytest.approx(1.0)
+
+    def test_counts_each_edge_once(self, graph):
+        """Edge with both endpoints in both balls is not double counted."""
+        values = np.array([2.0, 1.0, 0.0, 0.0])
+        result = self._sum(graph, [0, 1], [0, 1], values)
+        # Only edge (0,1) has both endpoints inside both balls -> 1*(1)^2;
+        # but edges from 0 or 1 leaving the ball of q don't count.
+        assert result == pytest.approx(1.0)
+
+    def test_full_balls_give_laplacian_quadratic_form(self, graph):
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal(4)
+        everything = self._sum(graph, [0, 1, 2, 3], [0, 1, 2, 3], values)
+        expected = float(
+            np.sum(graph.w * (values[graph.u] - values[graph.v]) ** 2)
+        )
+        assert everything == pytest.approx(expected)
+
+    def test_disjoint_balls_no_edges(self, graph):
+        values = np.zeros(4)
+        # Balls {1} and {3} are joined by no direct edge.
+        assert self._sum(graph, [1], [3], values) == 0.0
+
+    def test_empty_ball(self, graph):
+        assert self._sum(graph, [], [0, 1], np.zeros(4)) == 0.0

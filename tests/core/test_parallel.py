@@ -158,5 +158,3 @@ class TestSparsifierParallel:
             trace_reduction_sparsify(small_grid, workers=-1)
         with pytest.raises(GraphError):
             trace_reduction_sparsify(small_grid, chunk_size=-2)
-        with pytest.raises(GraphError):
-            trace_reduction_sparsify(small_grid, ranking="nope")

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import truncated_trace_reduction_reference
 from repro.core import (
     ApproxRanker,
     exact_trace_reduction,
     exact_trace_reduction_batch,
-    truncated_trace_reduction_reference,
 )
 from repro.core.trace import trace_ratio_exact
 from repro.graph import grid2d, regularization_shift, regularized_laplacian

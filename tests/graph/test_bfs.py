@@ -1,8 +1,16 @@
 """Tests for BFS kernels (BallFinder and bfs_tree_order)."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.graph import BallFinder, bfs_tree_order
+from repro.graph import BallFinder, Graph, bfs_tree_order, grid2d
+
+# Big enough that a ball's frontier reaches BallFinder._VECTOR_FRONTIER
+# (the L1 diamond's layer k holds 4k nodes), so ball_nodes switches
+# from its Python loop to whole-layer array expansion.
+_GRID_30 = grid2d(30, 30, weights="uniform", seed=14)
 
 
 def _finder(graph, with_eids=False):
@@ -66,6 +74,52 @@ def test_ball_reuse_is_clean(path_graph):
     first, _, _ = finder.ball(0, 1)
     second, _, _ = finder.ball(4, 1)
     assert set(second.tolist()) == {3, 4}
+
+
+def _assert_ball_nodes_match_ball(finder, source, layers):
+    nodes = finder.ball_nodes(source, layers)
+    assert nodes.dtype == np.int64
+    np.testing.assert_array_equal(
+        nodes, np.sort(finder.ball(source, layers)[0])
+    )
+
+
+@pytest.mark.parametrize("layers", [8, 9, 12, 20])
+def test_ball_nodes_vector_layers_match_ball(layers):
+    """From the grid center, depths >= 9 expand the 32-node ring at
+    distance 8 (and every later ring) as whole-layer array operations."""
+    assert 4 * 8 >= BallFinder._VECTOR_FRONTIER
+    _assert_ball_nodes_match_ball(_finder(_GRID_30), 15 * 30 + 15, layers)
+
+
+@given(queries=st.lists(
+    st.tuples(st.integers(0, _GRID_30.n - 1), st.integers(0, 20)),
+    min_size=1, max_size=6,
+))
+@settings(max_examples=40, deadline=None)
+def test_ball_nodes_matches_sorted_ball_property(queries):
+    """ball_nodes == sorted ball() for any source and depth, on one
+    reused finder (stamps from earlier queries must not leak)."""
+    finder = _finder(_GRID_30)
+    for source, layers in queries:
+        _assert_ball_nodes_match_ball(finder, source, layers)
+
+
+def test_ball_nodes_on_forest_star_and_isolated_node(forest_graph):
+    finder = _finder(forest_graph)
+    for source in range(forest_graph.n):
+        for layers in (0, 1, 3):
+            _assert_ball_nodes_match_ball(finder, source, layers)
+    # From a leaf, layer 3 expands the other 39 leaves as one array
+    # operation and finds nothing new.
+    star = Graph.from_edges(41, [(0, k, 1.0) for k in range(1, 41)])
+    finder = _finder(star)
+    for source in (0, 1):
+        _assert_ball_nodes_match_ball(finder, source, 3)
+    isolated = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 2.0)])
+    finder = _finder(isolated)
+    assert finder.ball_nodes(3, 20).tolist() == [3]
+    _assert_ball_nodes_match_ball(finder, 3, 20)
 
 
 def test_bfs_tree_order_visits_all(medium_grid):

@@ -1,10 +1,11 @@
 """Per-item loop oracles for the batched production paths.
 
 Each function here is the straightforward loop form of one equation —
-one candidate edge (Eqs. 15 and 20) or one SPAI column (Algorithm 1) at
-a time — kept only to check the segmented array implementations in
+one candidate edge (Eqs. 12, 15 and 20) or one SPAI column (Algorithm 1)
+at a time — kept only to check the segmented array implementations in
 ``repro.core.tree_phase``, ``repro.core.ranking.ApproxRanker`` and
-``repro.linalg.spai`` against.  The oracle rankers plug the loops into
+``repro.linalg.spai`` against (Eq. 12, with exact solves, checks the
+ball truncation on its own).  The oracle rankers plug the loops into
 the sparsifier driver through the :class:`~repro.core.ranking.EdgeRanker`
 protocol.
 """
@@ -14,12 +15,68 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core._kernels import ball_pair_edge_sum
 from repro.exceptions import FactorizationError
 from repro.graph.bfs import BallFinder
 from repro.tree.lca import batch_tree_resistances
 from repro.utils.arrays import concat_ranges
 from repro.utils.validation import check_square_sparse
+
+
+def ball_pair_edge_sum(indptr, neighbors, edge_ids, weights, nodes_p,
+                       in_q_stamp, clock, values):
+    """``sum w_e (values[i] - values[j])^2`` over ball-to-ball edges.
+
+    The edges of the CSR graph ``(indptr, neighbors, edge_ids)`` with
+    one endpoint in *nodes_p* and the other stamped into the q-ball
+    (``in_q_stamp[x] == clock``), each undirected edge counted once.
+    """
+    starts = indptr[nodes_p]
+    lengths = indptr[nodes_p + 1] - starts
+    flat = concat_ranges(starts, lengths)
+    nbrs = neighbors[flat]
+    mask = in_q_stamp[nbrs] == clock
+    if not np.any(mask):
+        return 0.0
+    sources = np.repeat(nodes_p, lengths)[mask]
+    nbrs = nbrs[mask]
+    # Dedupe: when both orientations qualify the edge appears twice.
+    unique_eids, first = np.unique(edge_ids[flat][mask], return_index=True)
+    diffs = values[sources[first]] - values[nbrs[first]]
+    return float(np.sum(weights[unique_eids] * diffs * diffs))
+
+
+def truncated_trace_reduction_reference(graph, subgraph, solve, edge_ids,
+                                        beta=5):
+    """Eq. 12: the ball-truncated sum with *exact* solves.
+
+    BFS balls are grown in the current subgraph ``S`` (current flows
+    through ``S``, so high/low-potential nodes cluster around ``p`` /
+    ``q`` within ``S``).
+    """
+    edge_ids = np.asarray(edge_ids, dtype=np.int64)
+    n = graph.n
+    sub_indptr, sub_nbr, _ = subgraph.adjacency()
+    finder = BallFinder(sub_indptr, sub_nbr)
+    g_indptr, g_nbr, g_eid = graph.adjacency()
+    in_q_stamp = np.zeros(n, dtype=np.int64)
+    out = np.empty(len(edge_ids))
+    for k, edge in enumerate(edge_ids):
+        p, q = int(graph.u[edge]), int(graph.v[edge])
+        w_pq = float(graph.w[edge])
+        rhs = np.zeros(n)
+        rhs[p] += 1.0
+        rhs[q] -= 1.0
+        x = solve(rhs)
+        resistance = float(x[p] - x[q])
+        nodes_p, _, _ = finder.ball(p, beta)
+        nodes_q, _, _ = finder.ball(q, beta)
+        clock = k + 1
+        in_q_stamp[nodes_q] = clock
+        numerator = ball_pair_edge_sum(
+            g_indptr, g_nbr, g_eid, graph.w, nodes_p, in_q_stamp, clock, x
+        )
+        out[k] = w_pq * numerator / (1.0 + w_pq * resistance)
+    return out
 
 
 def tree_truncated_trace_reduction(graph, forest, edge_ids, beta=5,

@@ -71,23 +71,6 @@ class TestRegistry:
             assert set(flags) == set(BACKEND_CAPABILITY_FLAGS)
             assert all(isinstance(v, bool) for v in flags.values())
 
-    @pytest.mark.parametrize("method", ["proposed", "grass"])
-    def test_cholesky_backend_refinement_rejected_off_scipy(
-        self, small_grid, method
-    ):
-        """cholesky_backend selects among scipy's factorization paths;
-        other backends must reject it, never silently ignore it."""
-        with pytest.raises(BackendError, match="cannot honor"):
-            sparsify(
-                small_grid, method=method, backend="numpy",
-                cholesky_backend="superlu",
-            )
-        # The default refinement stays accepted everywhere.
-        sparsify(
-            small_grid, method=method, backend="numpy",
-            edge_fraction=0.05, rounds=1,
-        )
-
     def test_scipy_compiled_numpy_persistent(self):
         capabilities = backend_capabilities()
         assert capabilities["scipy"]["compiled_factorization"]

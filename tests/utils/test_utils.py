@@ -1,10 +1,12 @@
-"""Tests for repro.utils (rng, timers, validation, reporting)."""
+"""Tests for repro.utils (rng, timers, validation, reporting, arrays)."""
 
 import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils import (
     Table,
@@ -17,6 +19,7 @@ from repro.utils import (
     format_bytes,
     format_seconds,
 )
+from repro.utils.arrays import concat_ranges
 from repro.utils.reporting import format_count
 
 
@@ -113,3 +116,67 @@ class TestReporting:
         table = Table(["a", "b"])
         with pytest.raises(ValueError):
             table.add_row(["only one"])
+
+
+class TestConcatRanges:
+    def test_basic(self):
+        out = concat_ranges(np.array([0, 10]), np.array([3, 2]))
+        np.testing.assert_array_equal(out, [0, 1, 2, 10, 11])
+
+    def test_empty(self):
+        assert len(concat_ranges(np.array([]), np.array([]))) == 0
+
+    def test_zero_length_ranges_skipped(self):
+        out = concat_ranges(np.array([5, 7, 9]), np.array([2, 0, 1]))
+        np.testing.assert_array_equal(out, [5, 6, 9])
+
+    def test_single_range(self):
+        np.testing.assert_array_equal(
+            concat_ranges(np.array([4]), np.array([4])), [4, 5, 6, 7]
+        )
+
+    def test_all_zero_lengths(self):
+        assert len(concat_ranges(np.array([1, 2]), np.array([0, 0]))) == 0
+
+    def test_all_empty_ranges_regression(self):
+        """All-zero lengths early-return before any cum[-1] path.
+
+        Pins down the defensive restructure (total-length check first):
+        the old filter-then-check path also handled this, but the guard
+        keeps any future edit from reordering the empty check after the
+        cumsum indexing.  The empty result must carry the right dtype
+        so downstream fancy indexing keeps working.
+        """
+        out = concat_ranges(np.arange(100), np.zeros(100, dtype=np.int64))
+        assert out.shape == (0,)
+        assert out.dtype == np.int64
+        # An isolated node's adjacency range is the canonical producer
+        # of the all-empty case: indexing with the result must not raise.
+        assert len(np.arange(10)[out]) == 0
+
+    def test_empty_input_arrays(self):
+        out = concat_ranges(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        )
+        assert out.shape == (0,)
+        assert out.dtype == np.int64
+
+    def test_negative_lengths_dropped(self):
+        """Negative lengths are treated as empty ranges, not corruption."""
+        out = concat_ranges(np.array([0, 5, 9]), np.array([3, -1, 2]))
+        np.testing.assert_array_equal(out, [0, 1, 2, 9, 10])
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 1000), st.integers(0, 20)),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_matches_naive(self, ranges):
+        starts = np.array([s for s, _ in ranges], dtype=np.int64)
+        lengths = np.array([l for _, l in ranges], dtype=np.int64)
+        expected = np.concatenate(
+            [np.arange(s, s + l) for s, l in ranges] or [np.empty(0)]
+        ).astype(np.int64)
+        np.testing.assert_array_equal(concat_ranges(starts, lengths), expected)

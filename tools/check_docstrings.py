@@ -3,10 +3,11 @@
 
 Walks the published surface — everything ``repro.api``,
 ``repro.backends``, ``repro.core.sharding``,
-``repro.graph.generators``, ``repro.incremental``, ``repro.kernels``,
+``repro.graph.generators``, ``repro.incremental``,
 ``repro.partitioning`` and ``repro.service`` export, ``repro.sparsify``,
-and every config class the method registry exposes — and fails when any public object (module, class,
-function, method or property) lacks a docstring.
+and every config class the method registry exposes — and fails when
+any public object (module, class, function, method or property) lacks
+a docstring.
 ``make docs-check`` runs this, so an undocumented addition to the
 public API fails CI rather than shipping dark.
 
@@ -65,7 +66,6 @@ def public_surface():
     import repro.core.sharding
     import repro.graph.generators
     import repro.incremental
-    import repro.kernels
     import repro.partitioning
     import repro.service
     from repro.api.registry import get_method, list_methods
@@ -77,7 +77,7 @@ def public_surface():
             surface.append((f"repro.{name}", obj))
     for module in (repro.api, repro.backends, repro.core.sharding,
                    repro.graph.generators, repro.incremental,
-                   repro.kernels, repro.partitioning, repro.service):
+                   repro.partitioning, repro.service):
         surface.append((module.__name__, module))
         for name in module.__all__:
             surface.append((f"{module.__name__}.{name}",
