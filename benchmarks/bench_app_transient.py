@@ -22,8 +22,9 @@ is always checked against what the sparsifier is *for*.
 
 ``--smoke`` shrinks the sweep to CI size, enforces a wall-clock budget
 (default 60 s shared with the clustering smoke) and fails the run when
-the sparsifier-preconditioned transient diverges from the dense
-reference by more than the paper's 16 mV waveform bound.
+any PCG solve misses its tolerance or the sparsifier-preconditioned
+transient diverges from the dense reference by more than the paper's
+16 mV waveform bound.
 """
 
 from __future__ import annotations
@@ -124,6 +125,8 @@ def run_family(family: str, n: int, *, method: str = "proposed",
             "setup_seconds": iterative.setup_seconds,
             "transient_seconds": iterative.transient_seconds,
             "memory_bytes": int(iterative.memory_bytes),
+            "unconverged_steps": int(
+                iterative.extra["unconverged_steps"]),
         },
         "vs_dense": {
             "transient_speedup": direct.transient_seconds
@@ -183,6 +186,12 @@ def main(argv=None) -> int:
         return 1
     if args.smoke:
         for record in records:
+            unconverged = record["sparsifier_pcg"]["unconverged_steps"]
+            if unconverged:
+                print(f"FAIL: {record['family']} sparsifier-PCG left "
+                      f"{unconverged} solves short of rtol",
+                      file=sys.stderr)
+                return 1
             deviation = record["quality"]["max_probe_deviation_v"]
             if not np.isfinite(deviation) or deviation > DEVIATION_BOUND_V:
                 print(f"FAIL: {record['family']} sparsifier-PCG waveform "

@@ -110,6 +110,8 @@ def test_iterative_transient(benchmark, name, method, scale):
             netlist, factor, t_end=T_END, max_step=MAX_STEP, rtol=PCG_RTOL
         ),
     )
+    assert result.extra["unconverged_steps"] == 0, (
+        f"{result.extra['unconverged_steps']} PCG solves missed rtol")
     row = _rows.setdefault(name, {"n": netlist.n})
     row[method] = {
         "Ts": sparsify_seconds,

@@ -68,7 +68,8 @@ def pcg(
         Right-hand side vector.
     M_solve:
         Preconditioner application ``r -> M^{-1} r`` (e.g.
-        ``CholeskyFactor.solve``); ``None`` for plain CG.
+        ``CholeskyFactor.solve``); ``None`` for plain CG.  It must be
+        SPD: once ``r @ M^{-1} r <= 0`` the solve stops unconverged.
     rtol:
         Convergence when ``||r||_2 <= rtol * ||b||_2`` (paper uses 1e-3
         for Table 1 and 1e-6 for transient analysis).
@@ -107,8 +108,8 @@ def pcg(
     for iterations in range(1, maxiter + 1):
         Ap = matvec(p)
         pAp = float(p @ Ap)
-        if pAp <= 0:
-            break  # matrix is not SPD along p; bail out
+        if pAp <= 0 or rz <= 0:
+            break  # A or the preconditioner is not SPD; bail out
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap

@@ -17,13 +17,13 @@ voltage of its net, and load currents leave VDD nodes / enter GND nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.graph.graph import Graph
-from repro.powergrid.waveforms import PulsePattern
+from repro.powergrid.waveforms import PulsePattern, _pulse_values
 
 __all__ = ["CurrentLoad", "PowerGridNetlist"]
 
@@ -79,6 +79,7 @@ class PowerGridNetlist:
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
+        """Number of nodes (the conductance graph's vertex count)."""
         return self.graph.n
 
     def pad_nodes(self) -> np.ndarray:
@@ -91,7 +92,39 @@ class PowerGridNetlist:
 
     def source_vector(self, t: float) -> np.ndarray:
         """MNA right-hand side ``u(t)``: pad injections + load currents."""
-        u = self.pad_conductance * self.rail_voltage
-        for load in self.loads:
-            u[load.node] += load.sign * load.pattern.value(t)
+        return self._source_term()(t)
+
+    def _source_term(self):
+        """``t -> u(t)`` over the loads as they are now.
+
+        Simulators build it once per call and evaluate it every step;
+        it does not follow later edits to :attr:`loads`.
+        """
+        return _LoadSources(self)
+
+
+class _LoadSources:
+    """Struct-of-arrays view of a netlist's pad injections and loads.
+
+    One array per :class:`CurrentLoad` node and sign and per
+    :class:`PulsePattern` field, so every load current at time ``t``
+    is one array expression rather than one waveform call per load.
+    Currents add into ``u`` in load order (``np.add.at``), so loads
+    sharing a node sum exactly as a loop over :attr:`loads` would.
+    """
+
+    def __init__(self, netlist: PowerGridNetlist):
+        loads = netlist.loads
+        self.base = netlist.pad_conductance * netlist.rail_voltage
+        self.nodes = np.array([load.node for load in loads], dtype=np.int64)
+        self.signs = np.array([load.sign for load in loads], dtype=np.float64)
+        self.pulses = tuple(
+            np.array([getattr(load.pattern, spec.name) for load in loads],
+                     dtype=np.float64)
+            for spec in fields(PulsePattern)
+        )
+
+    def __call__(self, t: float) -> np.ndarray:
+        u = self.base.copy()
+        np.add.at(u, self.nodes, self.signs * _pulse_values(t, *self.pulses))
         return u

@@ -60,12 +60,31 @@ class TransientResult:
     extra: dict = field(default_factory=dict)
 
     def probe(self, node: int) -> np.ndarray:
+        """Voltage of probed *node* at each entry of ``times``."""
         return self.probes[int(node)]
 
 
 def _record(probes, store, x):
     for node in probes:
         store[node].append(float(x[node]))
+
+
+def _step_schedule(points, t_end, max_step):
+    """Steps ``(t, t_next)`` from 0 to *t_end*.
+
+    Each step ends at the next breakpoint in *points* (sorted), at
+    ``t + max_step`` or at *t_end*, whichever comes first, so no step
+    crosses a waveform corner; with no *points* the steps are fixed.
+    """
+    t = 0.0
+    bp_index = 0
+    while t < t_end - 1e-15:
+        while bp_index < len(points) and points[bp_index] <= t + 1e-18:
+            bp_index += 1
+        next_bp = points[bp_index] if bp_index < len(points) else t_end
+        t_next = min(next_bp, t + max_step, t_end)
+        yield t, t_next
+        t = t_next
 
 
 def simulate_transient_direct(
@@ -85,20 +104,18 @@ def simulate_transient_direct(
         A = (G + sp.diags(cap / step)).tocsc()
         factor = cholesky(A)
         x, _ = dc_solve(netlist, method="direct")
+        source = netlist._source_term()
     store = {p: [float(x[p])] for p in probes}
     times = [0.0]
     scale = cap / step
     run = Timer()
+    steps = 0
     with run:
-        t = 0.0
-        steps = 0
-        while t < t_end - 1e-15:
-            t_next = min(t + step, t_end)
-            rhs = scale * x + netlist.source_vector(t_next)
+        for _, t_next in _step_schedule((), t_end, step):
+            rhs = scale * x + source(t_next)
             x = factor.solve(rhs)
             _record(probes, store, x)
             times.append(t_next)
-            t = t_next
             steps += 1
     memory = factor.memory_bytes() + int(A.nnz) * 12
     return TransientResult(
@@ -135,6 +152,7 @@ def simulate_transient_direct_varied(
         cap = netlist.capacitance
         x, _ = dc_solve(netlist, method="direct")
         points = breakpoints_union(netlist.load_patterns(), t_end)
+        source = netlist._source_term()
     store = {p: [float(x[p])] for p in probes}
     times = [0.0]
     run = Timer()
@@ -143,24 +161,17 @@ def simulate_transient_direct_varied(
     current_h = None
     steps = 0
     with run:
-        t = 0.0
-        bp_index = 0
-        while t < t_end - 1e-15:
-            while bp_index < len(points) and points[bp_index] <= t + 1e-18:
-                bp_index += 1
-            next_bp = points[bp_index] if bp_index < len(points) else t_end
-            t_next = min(next_bp, t + max_step, t_end)
+        for t, t_next in _step_schedule(points, t_end, max_step):
             h = t_next - t
             if factor is None or abs(h - current_h) > 1e-18:
                 A = (G + sp.diags(cap / h)).tocsc()
                 factor = cholesky(A)
                 current_h = h
                 refactorizations += 1
-            rhs = (cap / h) * x + netlist.source_vector(t_next)
+            rhs = (cap / h) * x + source(t_next)
             x = factor.solve(rhs)
             _record(probes, store, x)
             times.append(t_next)
-            t = t_next
             steps += 1
     memory = factor.memory_bytes() + int(G.nnz) * 12
     return TransientResult(
@@ -223,6 +234,8 @@ def simulate_transient_pcg(
     Steps land exactly on waveform breakpoints (never crossing one) and
     are capped at *max_step*; the preconditioner (from
     :func:`build_sparsifier_preconditioner`) is fixed for the whole run.
+    PCG solves that miss *rtol*, the DC operating point included, are
+    counted in ``extra["unconverged_steps"]``.
     """
     probes = [int(p) for p in probes]
     setup = Timer()
@@ -233,26 +246,22 @@ def simulate_transient_pcg(
             netlist, method="pcg", preconditioner=preconditioner, rtol=rtol
         )
         points = breakpoints_union(netlist.load_patterns(), t_end)
+        source = netlist._source_term()
     store = {p: [float(x[p])] for p in probes}
     times = [0.0]
     run = Timer()
     total_iterations = 0
+    unconverged = 0 if dc_info["converged"] else 1
     steps = 0
     with run:
-        t = 0.0
-        bp_index = 0
-        while t < t_end - 1e-15:
-            while bp_index < len(points) and points[bp_index] <= t + 1e-18:
-                bp_index += 1
-            next_bp = points[bp_index] if bp_index < len(points) else t_end
-            t_next = min(next_bp, t + max_step, t_end)
+        for t, t_next in _step_schedule(points, t_end, max_step):
             h = t_next - t
             scale = cap / h
 
             def matvec(v, scale=scale):
                 return G @ v + scale * v
 
-            rhs = scale * x + netlist.source_vector(t_next)
+            rhs = scale * x + source(t_next)
             result = pcg(
                 matvec,
                 rhs,
@@ -262,9 +271,9 @@ def simulate_transient_pcg(
             )
             x = result.x
             total_iterations += result.iterations
+            unconverged += not result.converged
             _record(probes, store, x)
             times.append(t_next)
-            t = t_next
             steps += 1
     memory = preconditioner.memory_bytes() + int(G.nnz) * 12
     return TransientResult(
@@ -276,7 +285,8 @@ def simulate_transient_pcg(
         transient_seconds=run.elapsed,
         setup_seconds=setup.elapsed,
         memory_bytes=memory,
-        extra={"dc": dc_info, "max_step": max_step},
+        extra={"dc": dc_info, "max_step": max_step,
+               "unconverged_steps": unconverged},
     )
 
 

@@ -52,24 +52,9 @@ class PulsePattern:
 
     def value(self, t: float) -> float:
         """Waveform value at time *t* (vectorized over numpy arrays)."""
-        t = np.asarray(t, dtype=np.float64)
-        local = np.mod(t - self.delay, self.period)
-        local = np.where(t < self.delay, -1.0, local)  # before first pulse
-        up_end = self.rise
-        top_end = self.rise + self.width
-        down_end = self.rise + self.width + self.fall
-        result = np.where(
-            (local >= 0) & (local < up_end),
-            self.amplitude * local / self.rise,
-            0.0,
-        )
-        result = np.where(
-            (local >= up_end) & (local < top_end), self.amplitude, result
-        )
-        result = np.where(
-            (local >= top_end) & (local < down_end),
-            self.amplitude * (down_end - local) / self.fall,
-            result,
+        result = _pulse_values(
+            np.asarray(t, dtype=np.float64), self.amplitude, self.delay,
+            self.rise, self.width, self.fall, self.period,
         )
         if result.ndim == 0:
             return float(result)
@@ -94,6 +79,30 @@ class PulsePattern:
                     points.append(t)
             start += self.period
         return np.asarray(sorted(set(points)))
+
+
+def _pulse_values(t, amplitude, delay, rise, width, fall, period):
+    """The pulse-train formula, elementwise over broadcast arguments.
+
+    The one implementation behind :meth:`PulsePattern.value` (scalar
+    fields, scalar or array *t*) and the per-step load evaluation of a
+    netlist (one array per field, scalar *t*).  Each element takes the
+    same float operations in the same order either way, so both give
+    bit-identical values.
+    """
+    local = np.mod(t - delay, period)
+    local = np.where(t < delay, -1.0, local)  # before first pulse
+    top_end = rise + width
+    down_end = top_end + fall
+    result = np.where(
+        (local >= 0) & (local < rise), amplitude * local / rise, 0.0
+    )
+    result = np.where((local >= rise) & (local < top_end), amplitude, result)
+    return np.where(
+        (local >= top_end) & (local < down_end),
+        amplitude * (down_end - local) / fall,
+        result,
+    )
 
 
 def breakpoints_union(patterns, t_end: float) -> np.ndarray:

@@ -101,6 +101,13 @@ def test_raise_on_fail(system):
         pcg(A, b, rtol=1e-14, maxiter=2, raise_on_fail=True)
 
 
+def test_indefinite_preconditioner_stops_unconverged(system):
+    """``M = -I`` would silently replay plain CG; PCG needs SPD ``M``."""
+    A, b = system
+    result = pcg(A, b, M_solve=lambda r: -r, rtol=1e-8, maxiter=5000)
+    assert not result.converged
+
+
 def test_rejects_bad_operator():
     with pytest.raises(TypeError):
         pcg("not a matrix", np.ones(3))

@@ -1,13 +1,14 @@
 """Per-item loop oracles for the batched production paths.
 
 Each function here is the straightforward loop form of one equation —
-one candidate edge (Eqs. 12, 15 and 20) or one SPAI column (Algorithm 1)
-at a time — kept only to check the segmented array implementations in
-``repro.core.tree_phase``, ``repro.core.ranking.ApproxRanker`` and
-``repro.linalg.spai`` against (Eq. 12, with exact solves, checks the
-ball truncation on its own).  The oracle rankers plug the loops into
-the sparsifier driver through the :class:`~repro.core.ranking.EdgeRanker`
-protocol.
+one candidate edge (Eqs. 12, 15 and 20), one SPAI column (Algorithm 1)
+or one pulse load (the source term u(t) of Eq. 21) at a time — kept
+only to check the segmented array implementations in
+``repro.core.tree_phase``, ``repro.core.ranking.ApproxRanker``,
+``repro.linalg.spai`` and ``repro.powergrid.netlist`` against (Eq. 12,
+with exact solves, checks the ball truncation on its own).  The oracle
+rankers plug the loops into the sparsifier driver through the
+:class:`~repro.core.ranking.EdgeRanker` protocol.
 """
 
 from __future__ import annotations
@@ -270,3 +271,27 @@ class OracleApproxRanker:
     def score_batch(self, edge_ids):
         return approximate_trace_reduction(*self.args, edge_ids,
                                            beta=self.beta)
+
+
+def pulse_value(pattern, t):
+    """One trapezoidal pulse train at scalar time *t*, in Python floats."""
+    if t < pattern.delay:
+        return 0.0
+    local = (t - pattern.delay) % pattern.period
+    top_end = pattern.rise + pattern.width
+    down_end = pattern.rise + pattern.width + pattern.fall
+    if local < pattern.rise:
+        return pattern.amplitude * local / pattern.rise
+    if local < top_end:
+        return pattern.amplitude
+    if local < down_end:
+        return pattern.amplitude * (down_end - local) / pattern.fall
+    return 0.0
+
+
+def source_vector(netlist, t):
+    """MNA right-hand side ``u(t)``, adding one load current at a time."""
+    u = netlist.pad_conductance * netlist.rail_voltage
+    for load in netlist.loads:
+        u[load.node] += load.sign * pulse_value(load.pattern, t)
+    return u

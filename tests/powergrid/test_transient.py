@@ -76,6 +76,7 @@ def test_pcg_uses_fewer_steps(direct_run, pcg_run):
 def test_pcg_converges_every_step(pcg_run):
     assert pcg_run.avg_iterations > 0
     assert pcg_run.avg_iterations < 100
+    assert pcg_run.extra["unconverged_steps"] == 0
 
 
 def test_waveforms_agree(direct_run, pcg_run, small_case):
@@ -131,3 +132,40 @@ def test_steps_never_cross_breakpoints(pcg_run, small_case):
 
 def test_steps_capped(pcg_run):
     assert np.diff(pcg_run.times).max() <= 200 * _PS + 1e-18
+
+
+def test_step_schedule_matches_the_breakpoint_loop(small_case):
+    """The variable-step schedule equals the written-out breakpoint loop."""
+    from repro.powergrid import breakpoints_union
+    from repro.powergrid.transient import _step_schedule
+
+    netlist, _, _ = small_case
+    t_end, max_step = 5e-9, 200 * _PS
+    points = breakpoints_union(netlist.load_patterns(), t_end)
+    expected = []
+    t, bp_index = 0.0, 0
+    while t < t_end - 1e-15:
+        while bp_index < len(points) and points[bp_index] <= t + 1e-18:
+            bp_index += 1
+        next_bp = points[bp_index] if bp_index < len(points) else t_end
+        t_next = min(next_bp, t + max_step, t_end)
+        expected.append((t, t_next))
+        t = t_next
+    assert list(_step_schedule(points, t_end, max_step)) == expected
+    assert len(expected) > 20
+
+
+def test_unconverged_steps_are_counted(small_case):
+    """A preconditioner that is not positive definite fails every solve."""
+
+    class Negated:
+        def solve(self, r):
+            return -r
+
+        def memory_bytes(self):
+            return 0
+
+    netlist, _, _ = small_case
+    run = simulate_transient_pcg(netlist, Negated(), t_end=0.5e-9)
+    assert not run.extra["dc"]["converged"]
+    assert run.extra["unconverged_steps"] == run.steps + 1

@@ -4,8 +4,9 @@
 Walks the published surface — everything ``repro.api``,
 ``repro.backends``, ``repro.core.sharding``,
 ``repro.graph.generators``, ``repro.incremental``,
-``repro.partitioning`` and ``repro.service`` export, ``repro.sparsify``,
-and every config class the method registry exposes — and fails when
+``repro.partitioning``, ``repro.powergrid`` and ``repro.service``
+export, ``repro.sparsify``, and every config class the method
+registry exposes — and fails when
 any public object (module, class, function, method or property) lacks
 a docstring.
 ``make docs-check`` runs this, so an undocumented addition to the
@@ -67,6 +68,7 @@ def public_surface():
     import repro.graph.generators
     import repro.incremental
     import repro.partitioning
+    import repro.powergrid
     import repro.service
     from repro.api.registry import get_method, list_methods
 
@@ -77,7 +79,7 @@ def public_surface():
             surface.append((f"repro.{name}", obj))
     for module in (repro.api, repro.backends, repro.core.sharding,
                    repro.graph.generators, repro.incremental,
-                   repro.partitioning, repro.service):
+                   repro.partitioning, repro.powergrid, repro.service):
         surface.append((module.__name__, module))
         for name in module.__all__:
             surface.append((f"{module.__name__}.{name}",
