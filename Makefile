@@ -5,7 +5,7 @@ PYTHON ?= python
 PYTHONPATH_PREFIX := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test bench-smoke serve-smoke load-smoke incremental-smoke \
-	apps-smoke docs-check
+	apps-smoke docs-check perfbench-smoke
 
 # Tier-1 gate: the full unit/property suite.
 test:
@@ -52,6 +52,19 @@ apps-smoke:
 		--smoke --budget 35
 	$(PYTHONPATH_PREFIX) $(PYTHON) benchmarks/bench_app_clustering.py \
 		--smoke --budget 25
+
+# Repository-benchmark sanity: one short evolving-stream run, untraced
+# and traced (--trace 1 imports every traced layer module); fails
+# unless each run's closing JSON line reports "correct": true.
+PERFBENCH_CHECK := import json, sys; lines = sys.stdin.readlines(); \
+	sys.stdout.writelines(lines); sys.exit(not json.loads(lines[-1])["correct"])
+
+perfbench-smoke:
+	for trace in 0 1; do \
+		$(PYTHON) perfbench/run.py --workload evolving-stream --seed 1 \
+			--seconds 1 --trace $$trace | $(PYTHON) -c '$(PERFBENCH_CHECK)' \
+			|| exit 1; \
+	done
 
 # The documentation gate: the generated API reference must match the
 # registries, the public API must be fully docstringed, and every

@@ -131,9 +131,9 @@ def test_grass_sparsification(benchmark, name, scale):
 
 
 # ---------------------------------------------------------------------
-# Cold vs warm, per linalg backend: the persistent artifact cache must
-# let a second process skip setup while reproducing the cold run's
-# RunRecord bit for bit (timings excluded — `RunRecord.fingerprint`).
+# Cold vs warm: the persistent artifact cache must let a second
+# process skip setup while reproducing the cold run's RunRecord bit for
+# bit (timings excluded — `RunRecord.fingerprint`).
 # ---------------------------------------------------------------------
 COLD_WARM_CASE = "ecology2"
 COLD_WARM_METHODS = ("proposed", "er_sampling")
@@ -143,27 +143,26 @@ _cold_warm_rows: list = []
 
 @pytest.fixture(scope="module", autouse=True)
 def cold_warm_report():
-    """Emit the backend cold/warm table after its benchmarks ran."""
+    """Emit the cold/warm table after its benchmarks ran."""
     yield
     if not _cold_warm_rows:
         return
     table = Table(
-        ["Case", "method", "backend", "Ts_cold", "Ts_warm",
+        ["Case", "method", "Ts_cold", "Ts_warm",
          "T_restore", "disk_loads", "identical"]
     )
     for row in _cold_warm_rows:
         table.add_row([
-            row["case"], row["method"], row["backend"],
+            row["case"], row["method"],
             row["ts_cold"], row["ts_warm"], row["restore"],
             row["disk_loads"], "yes" if row["identical"] else "NO",
         ])
-    emit("table1_backend_cold_warm", table.render())
+    emit("table1_cold_warm", table.render())
 
 
 @pytest.mark.parametrize("method", COLD_WARM_METHODS)
-@pytest.mark.parametrize("backend_name", ["scipy", "numpy"])
-def test_backend_cold_warm(backend_name, method, scale, tmp_path):
-    """One cold + one warm run per (method, backend) into the trajectory."""
+def test_cold_warm(method, scale, tmp_path):
+    """One cold + one warm run per method into the trajectory."""
     from repro.api import SparsifierSession
 
     graph, _ = _graph(COLD_WARM_CASE, scale)
@@ -173,11 +172,10 @@ def test_backend_cold_warm(backend_name, method, scale, tmp_path):
         # A fresh session per phase: the warm one shares nothing
         # in-memory with the cold one, exactly like a new process.
         session = SparsifierSession(
-            graph, label=f"{COLD_WARM_CASE}[{backend_name}-{phase}]",
+            graph, label=f"{COLD_WARM_CASE}[{phase}]",
             cache_dir=tmp_path,
         )
-        options = {"edge_fraction": EDGE_FRACTION, "seed": 1,
-                   "backend": backend_name}
+        options = {"edge_fraction": EDGE_FRACTION, "seed": 1}
         if method == "proposed":
             options["rounds"] = ROUNDS
         records[phase] = session.run(method, **options)
@@ -197,11 +195,9 @@ def test_backend_cold_warm(backend_name, method, scale, tmp_path):
         return fp
 
     identical = _neutral(cold) == _neutral(warm)
-    assert identical, (
-        f"warm {method}/{backend_name} run diverged from cold"
-    )
+    assert identical, f"warm {method} run diverged from cold"
     _cold_warm_rows.append({
-        "case": COLD_WARM_CASE, "method": method, "backend": backend_name,
+        "case": COLD_WARM_CASE, "method": method,
         "ts_cold": cold.timings["sparsify_seconds"],
         "ts_warm": warm.timings["sparsify_seconds"],
         # The warm run's setup is mostly cache I/O; the split keeps the

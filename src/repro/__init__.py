@@ -107,13 +107,6 @@ from repro.incremental import (
     EvolvingSparsifier,
     sparsify_delta,
 )
-from repro.backends import (
-    LinalgBackend,
-    get_backend,
-    list_backends,
-    available_backends,
-    backend_capabilities,
-)
 
 __version__ = "0.7.0"
 
@@ -191,10 +184,5 @@ __all__ = [
     "EdgeBatch",
     "EvolvingSparsifier",
     "sparsify_delta",
-    "LinalgBackend",
-    "get_backend",
-    "list_backends",
-    "available_backends",
-    "backend_capabilities",
     "__version__",
 ]

@@ -12,11 +12,7 @@ into:
   (:class:`MethodSpec` = runner + config class + capability flags);
 * :class:`repro.api.SparsifierSession` — per-graph artifact reuse for
   fraction/method sweeps and repeated-request serving;
-* :class:`repro.api.RunRecord` — lossless JSON run records;
-* :func:`repro.api.get_backend` / :func:`list_backends` /
-  :func:`backend_capabilities` — the pluggable linear-algebra backend
-  registry (:mod:`repro.backends`), selected per call via the
-  ``backend`` option every method accepts.
+* :class:`repro.api.RunRecord` — lossless JSON run records.
 
 Everything here re-exports at the top level: ``repro.sparsify`` is
 :func:`repro.api.sparsify`.
@@ -34,12 +30,6 @@ from repro.api.registry import (
 from repro.api import methods as _methods  # noqa: F401  (registrations)
 from repro.api.records import RunRecord, capture_environment
 from repro.api.session import SparsifierSession, sparsify
-from repro.backends import (
-    available_backends,
-    backend_capabilities,
-    get_backend,
-    list_backends,
-)
 
 __all__ = [
     "MethodSpec",
@@ -53,8 +43,4 @@ __all__ = [
     "capture_environment",
     "SparsifierSession",
     "sparsify",
-    "get_backend",
-    "list_backends",
-    "available_backends",
-    "backend_capabilities",
 ]

@@ -1,22 +1,16 @@
 """Generate the markdown API reference from the live registries.
 
 ``docs/api-reference.md`` is never edited by hand: it is rendered from
-the sparsifier method registry and the linalg backend registry by
-:func:`api_reference_markdown`, reachable as ``repro methods
---markdown`` and written to disk by ``tools/gen_api_docs.py`` (which
-``make docs-check`` runs in ``--check`` mode, so a registry change
-without a doc regeneration fails CI).
+the sparsifier method registry by :func:`api_reference_markdown`,
+reachable as ``repro methods --markdown`` and written to disk by
+``tools/gen_api_docs.py`` (which ``make docs-check`` runs in
+``--check`` mode, so a registry change without a doc regeneration
+fails CI).
 """
 
 from __future__ import annotations
 
 from repro.api.registry import get_method, list_methods
-from repro.backends import (
-    DEFAULT_BACKEND,
-    backend_capabilities,
-    backend_description,
-    list_backends,
-)
 
 __all__ = [
     "api_reference_markdown",
@@ -121,37 +115,11 @@ def api_reference_markdown() -> str:
         )
     lines.extend([
         "",
-        "## Linear-algebra backends",
-        "",
-        "Selected per call with the `backend` option / `--backend`",
-        f"flag every method accepts (default `{DEFAULT_BACKEND!r}`);",
-        "see `repro.backends` for the kernel protocol",
-        "(`factorize`, `solve_triangular`, `pcg`, `sketch_matvecs`,",
-        "`spai_columns`). Availability is machine-dependent —",
-        "introspect it at runtime with `repro.available_backends()`;",
-        "the flags below are intrinsic.",
-        "",
-        "| backend | description | compiled factorization "
-        "| persistent factors |",
-        "|---|---|---|---|",
-    ])
-    capabilities = backend_capabilities()
-    for name in list_backends():
-        caps = capabilities[name]
-        lines.append(
-            f"| `{name}` | {backend_description(name)} "
-            f"| {'yes' if caps['compiled_factorization'] else 'no'} "
-            f"| {'yes' if caps['persistent_factors'] else 'no'} |"
-        )
-    lines.extend([
-        "",
         "## Run records",
         "",
         "Every front door emits `repro.RunRecord` objects (lossless",
-        "JSON; see `docs/benchmarks.md` for the schema). The chosen",
-        "backend and its capability flags are recorded in",
-        "`record.environment`; `record.fingerprint()` strips only the",
-        "wall-clock fields.",
+        "JSON; see `docs/benchmarks.md` for the schema).",
+        "`record.fingerprint()` strips only the wall-clock fields.",
         "",
         "## Service endpoints",
         "",

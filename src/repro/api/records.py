@@ -21,7 +21,7 @@ import numpy as np
 
 __all__ = ["RunRecord", "capture_environment"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _jsonify(value):
@@ -50,32 +50,19 @@ def _strip_seconds(value):
     return value
 
 
-def capture_environment(backend: str | None = None) -> dict:
-    """Versions that determine a run's numerics (for provenance).
-
-    When *backend* names a linalg backend, the dict also records the
-    backend and its capability flags — so a ``BENCH_*.json`` trajectory
-    shows which execution path produced each run.
-    """
+def capture_environment() -> dict:
+    """Versions that determine a run's numerics (for provenance)."""
     import scipy
 
     import repro
 
-    environment = {
+    return {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "repro": repro.__version__,
     }
-    if backend is not None:
-        from repro.backends import backend_capabilities
-
-        environment["backend"] = str(backend)
-        environment["backend_capabilities"] = (
-            backend_capabilities().get(str(backend), {})
-        )
-    return environment
 
 
 @dataclass
@@ -186,10 +173,7 @@ class RunRecord:
             quality=quality_dict,
             rounds_log=_jsonify(result.rounds_log),
             timings=timings,
-            environment=capture_environment(
-                backend=config.get("backend") if isinstance(config, dict)
-                else None,
-            ),
+            environment=capture_environment(),
             sharding=_jsonify(getattr(result, "sharding", None)),
         )
 

@@ -181,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("cases", help="list registered graph and PG cases")
     methods = sub.add_parser(
-        "methods", help="list registered sparsifier methods and backends"
+        "methods", help="list registered sparsifier methods"
     )
     methods.add_argument(
         "--markdown", action="store_true",
@@ -421,20 +421,6 @@ def _cmd_methods(args) -> int:
             spec.description,
         ])
     print(table.render())
-    backends = Table(["backend", "available", "compiled", "persistent",
-                      "description"])
-    from repro.backends import backend_capabilities, backend_description
-
-    for name, caps in sorted(backend_capabilities().items()):
-        backends.add_row([
-            name,
-            "yes" if caps["available"] else "no",
-            "yes" if caps["compiled_factorization"] else "-",
-            "yes" if caps["persistent_factors"] else "-",
-            backend_description(name),
-        ])
-    print()
-    print(backends.render())
     return 0
 
 

@@ -22,6 +22,7 @@ modules can depend on it without cycles.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import Counter
 from dataclasses import dataclass, fields, replace
@@ -59,12 +60,6 @@ class BaseSparsifierConfig:
     seed : int
         Seed of the method's random stream (recorded even for
         deterministic methods, for API symmetry).
-    backend : str
-        Linear-algebra backend executing the method's factorizations,
-        solves, sketches and SPAI columns: ``"scipy"`` (default,
-        compiled SuperLU), ``"numpy"`` (pure-numpy reference) or
-        ``"cholmod"`` (scikit-sparse, when installed).  See
-        :mod:`repro.backends`.
     shards : int
         Shard-parallel pipeline (:mod:`repro.core.sharding`): ``1``
         (default) sparsifies the graph in one piece — byte-identical to
@@ -83,16 +78,16 @@ class BaseSparsifierConfig:
 
     edge_fraction: float = 0.10
     seed: int = 0
-    backend: str = "scipy"
     shards: int = 1
     boundary_policy: str = "keep"
 
     def validate(self) -> None:
-        """Raise on bad knobs (:class:`~repro.exceptions.GraphError`
-        for numeric ranges, :class:`~repro.exceptions.BackendError` for
-        unknown/unavailable backends)."""
-        if not 0.0 <= self.edge_fraction:
-            raise GraphError("edge_fraction must be nonnegative")
+        """Raise :class:`~repro.exceptions.GraphError` on bad knobs."""
+        if not 0.0 <= self.edge_fraction < math.inf:
+            raise GraphError(
+                "edge_fraction must be finite and nonnegative, "
+                f"got {self.edge_fraction!r}"
+            )
         if self.shards < 1:
             raise GraphError("shards must be >= 1")
         if self.boundary_policy not in BOUNDARY_POLICIES:
@@ -100,16 +95,18 @@ class BaseSparsifierConfig:
                 f"unknown boundary_policy {self.boundary_policy!r}; "
                 f"choose from {sorted(BOUNDARY_POLICIES)}"
             )
-        # Deferred so this module stays import-light (module docstring).
-        from repro.backends import check_backend
-
-        check_backend(self.backend)
 
     def resolve_backend(self):
-        """The validated :class:`~repro.backends.LinalgBackend` instance."""
-        from repro.backends import get_backend
+        """Compatibility stub: an object whose ``name`` is ``"scipy"``.
 
-        return get_backend(self.backend)
+        There is no backend option: every method factors through
+        :func:`repro.linalg.cholesky` (SuperLU).  ``perfbench/run.py``
+        still records ``config.resolve_backend().name`` in its
+        ``# environment`` line, and ``"scipy"`` keeps that line as it
+        was.  Delete this stub together with that call, in the next
+        change to the benchmark.
+        """
+        return SimpleNamespace(name="scipy")
 
     def resolve_kernels(self):
         """Compatibility stub: an object whose ``name`` is ``"vector"``.
@@ -150,7 +147,7 @@ class ArtifactStore:
     :class:`~repro.api.SparsifierSession` owns one); entries are keyed
     by ``(kind, key)`` where *key* pins down every input that
     determines the artifact — e.g. ``("tree", ("mewst",))`` or
-    ``("factor_g", (reg_rel, backend))``.  Stored values are treated as
+    ``("factor_g", (reg_rel,))``.  Stored values are treated as
     read-only by all consumers, which is what makes reuse bit-exact.
 
     With a :class:`~repro.core.diskcache.DiskCache` attached, misses

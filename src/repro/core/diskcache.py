@@ -16,7 +16,7 @@ Every entry is addressed by content, never by position:
   identical graphs share entries and any change invalidates them;
 * the **artifact kind and key** — the same ``(kind, key)`` pair the
   in-memory store uses, where the key pins every input that determines
-  the artifact (and, for factor-derived kinds, the linalg backend);
+  the artifact;
 * the **cache schema version**, the ``repro`` package version *and a
   digest of the package's source files* — a release, a schema bump or
   any source edit (even between version bumps, mid-development)
@@ -28,8 +28,8 @@ The root directory is ``$REPRO_CACHE_DIR`` when set, else
 and reads treat any unpicklable/truncated entry as a miss: the corrupt
 file is evicted and the artifact rebuilt, so a killed writer can never
 poison later runs.  Values that cannot be pickled exactly (e.g. live
-SuperLU handles inside scipy-backend Cholesky factors) are skipped
-rather than persisted lossily — bit-exactness beats hit rate.
+SuperLU handles inside Cholesky factors) are skipped rather than
+persisted lossily — bit-exactness beats hit rate.
 """
 
 from __future__ import annotations

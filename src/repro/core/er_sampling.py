@@ -33,6 +33,7 @@ from repro.graph.laplacian import (
     regularization_shift,
     regularized_laplacian,
 )
+from repro.linalg.cholesky import cholesky
 from repro.tree.spanning import mewst
 from repro.utils.rng import as_rng
 from repro.utils.timers import Timer
@@ -60,7 +61,6 @@ class ErSamplingConfig(BaseSparsifierConfig):
 
 def approximate_effective_resistances(
     graph: Graph, sketch_size=None, reg_rel=1e-6, seed=0, factor=None,
-    backend=None,
 ) -> np.ndarray:
     """JL-sketched effective resistance of every edge.
 
@@ -74,30 +74,35 @@ def approximate_effective_resistances(
     factor:
         Optional precomputed Cholesky factor of the regularized
         Laplacian (sessions pass it to skip the refactorization).
-    backend:
-        :class:`~repro.backends.LinalgBackend` executing the
-        factorization and sketch solves (default ``"scipy"``).
 
     Returns
     -------
     numpy.ndarray
         Approximate ``R_eff`` per edge, aligned with the edge arrays.
-    """
-    if backend is None:
-        from repro.backends import get_backend
 
-        backend = get_backend()
+    Notes
+    -----
+    Each row draws its probe from the generator and then solves, row by
+    row.  That order fixes the generator's final state, which the
+    sampler records so that a warm run draws its sample exactly like a
+    cold one.
+    """
     rng = as_rng(seed)
     n = graph.n
     if sketch_size is None:
         sketch_size = int(np.ceil(8 * np.log(max(n, 2))))
+    if sketch_size < 1:
+        raise GraphError(f"sketch_size must be >= 1, got {sketch_size!r}")
     if factor is None:
         shift = regularization_shift(graph, reg_rel)
-        laplacian = regularized_laplacian(graph, shift)
-        factor = backend.factorize(laplacian)
+        factor = cholesky(regularized_laplacian(graph, shift))
     incidence = incidence_matrix(graph, weighted=True)  # m x n, W^(1/2) B
     # Sketch rows: y_i = L^{-1} (B^T W^{1/2} q_i), q_i ~ Rademacher/sqrt(k).
-    sketch = backend.sketch_matvecs(factor, incidence, sketch_size, rng)
+    sketch = np.empty((sketch_size, n))
+    scale = 1.0 / np.sqrt(sketch_size)
+    for i in range(sketch_size):
+        q = rng.choice((-scale, scale), size=graph.edge_count)
+        sketch[i] = factor.solve(incidence.T @ q)
     diffs = sketch[:, graph.u] - sketch[:, graph.v]
     return np.sum(diffs * diffs, axis=0)
 
@@ -146,7 +151,6 @@ def er_sample_sparsify(graph: Graph, config=None, *, artifacts=None,
 def _run(graph: Graph, config: ErSamplingConfig,
          artifacts=None) -> SparsifierResult:
     rng = as_rng(config.seed)
-    backend = config.resolve_backend()
     if config.include_tree:
         tree_ids = shared_artifact(
             artifacts, "tree", ("mewst",), lambda: mewst(graph)
@@ -164,18 +168,18 @@ def _run(graph: Graph, config: ErSamplingConfig,
             lambda: regularization_shift(graph, config.reg_rel),
         )
         factor = shared_artifact(
-            artifacts, "factor_g", (config.reg_rel, config.backend),
-            lambda: backend.factorize(regularized_laplacian(graph, shift)),
+            artifacts, "factor_g", (config.reg_rel,),
+            lambda: cholesky(regularized_laplacian(graph, shift)),
         )
         values = approximate_effective_resistances(
             graph, sketch_size=config.sketch_size, reg_rel=config.reg_rel,
-            seed=rng, factor=factor, backend=backend,
+            seed=rng, factor=factor,
         )
         return values, rng.bit_generator.state
 
     resistances, rng_state = shared_artifact(
         artifacts, "er_resistances",
-        (config.sketch_size, config.reg_rel, config.seed, config.backend),
+        (config.sketch_size, config.reg_rel, config.seed),
         _resistances,
     )
     rng.bit_generator.state = rng_state

@@ -26,6 +26,7 @@ from repro.core.sparsifier import SparsifierResult, _pick_edges
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
 from repro.graph.laplacian import regularization_shift, regularized_laplacian
+from repro.linalg.cholesky import cholesky
 from repro.tree.rooted import RootedForest
 from repro.tree.spanning import bfs_spanning_forest, maximum_spanning_forest, mewst
 from repro.utils.rng import as_rng
@@ -126,7 +127,6 @@ def _run(graph: Graph, config: GrassConfig,
     n = graph.n
     m = graph.edge_count
     rng = as_rng(config.seed)
-    backend = config.resolve_backend()
     shift = shared_artifact(
         artifacts, "shift", (config.reg_rel,),
         lambda: regularization_shift(graph, config.reg_rel),
@@ -160,7 +160,7 @@ def _run(graph: Graph, config: GrassConfig,
         with round_timer:
             subgraph = graph.subgraph(edge_mask)
             laplacian_s = regularized_laplacian(subgraph, shift)
-            factor = backend.factorize(laplacian_s)
+            factor = cholesky(laplacian_s)
             candidates = np.flatnonzero(~edge_mask & ~marker.marked)
             if len(candidates) == 0:
                 break

@@ -13,11 +13,10 @@ independently, and preserve the cut.  Concretely:
 2. **Sparsify per shard** — run any registered method on each shard's
    induced subgraph through its own
    :class:`~repro.api.SparsifierSession`, so every shard hits the
-   artifact/disk cache and the linalg backend layer independently, and
-   shards run concurrently on the :func:`~repro.core.parallel.parallel_map`
-   worker pool (the ``workers`` knob moves from candidate scoring to
-   the shard level — results stay bit-identical for every worker
-   count).
+   artifact/disk cache independently, and shards run concurrently on
+   the :func:`~repro.core.parallel.parallel_map` worker pool (the
+   ``workers`` knob moves from candidate scoring to the shard level —
+   results stay bit-identical for every worker count).
 3. **Stitch** — union the intra-shard sparsifiers with the boundary
    (cut) edges: ``boundary_policy="keep"`` retains every cut edge
    verbatim (spectrally safe; the stitched sparsifier of a connected

@@ -39,6 +39,8 @@ from repro.core.similarity import SimilarityMarker
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
 from repro.graph.laplacian import regularization_shift, regularized_laplacian
+from repro.linalg.cholesky import cholesky
+from repro.linalg.spai import sparse_approximate_inverse
 from repro.tree.spanning import bfs_spanning_forest, maximum_spanning_forest, mewst
 from repro.utils.timers import Timer
 
@@ -76,10 +78,6 @@ class SparsifierConfig(BaseSparsifierConfig):
     reg_rel : float
         Relative diagonal shift regularizing singular Laplacians
         (footnote 1 of the paper).
-    backend : str
-        Linear-algebra backend executing the per-round factorizations
-        and SPAI columns (inherited from
-        :class:`~repro.core.base.BaseSparsifierConfig`).
     seed : int
         Seed recorded for API symmetry with the randomized baselines
         (Algorithm 2 itself is deterministic).
@@ -260,7 +258,6 @@ def _run(graph: Graph, config: SparsifierConfig,
          artifacts=None) -> SparsifierResult:
     n = graph.n
     m = graph.edge_count
-    backend = config.resolve_backend()
     shift = shared_artifact(
         artifacts, "shift", (config.reg_rel,),
         lambda: regularization_shift(graph, config.reg_rel),
@@ -334,11 +331,11 @@ def _run(graph: Graph, config: SparsifierConfig,
             with round_timer:
                 subgraph = graph.subgraph(edge_mask)
                 laplacian_s = regularized_laplacian(subgraph, shift)
-                factor = backend.factorize(laplacian_s)
+                factor = cholesky(laplacian_s)
                 candidates = np.flatnonzero(~edge_mask & ~marker.marked)
                 if len(candidates) == 0:
                     break
-                Z = backend.spai_columns(factor.L, delta=config.delta)
+                Z = sparse_approximate_inverse(factor.L, delta=config.delta)
                 ranker = ApproxRanker(
                     graph, subgraph, factor, Z, beta=config.beta
                 )

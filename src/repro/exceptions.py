@@ -37,14 +37,6 @@ class UnknownOptionError(ReproError):
     """Raised when a sparsifier option does not apply to the method."""
 
 
-class BackendError(ReproError, ValueError):
-    """Raised for unknown or unavailable linear-algebra backends.
-
-    Also a :class:`ValueError` so generic option-validation callers can
-    treat a bad ``backend=`` the same way as any other bad option.
-    """
-
-
 class CacheError(ReproError):
     """Raised for unusable on-disk artifact-cache configurations."""
 

@@ -79,8 +79,10 @@ def regularization_shift(graph: Graph, rel: float = 1e-6) -> np.ndarray:
     vector, pinning the smallest generalized eigenvalue at 1 (paper
     footnote 1).
     """
-    if rel <= 0:
-        raise GraphError(f"relative shift must be positive, got {rel}")
+    if not 0 < rel < np.inf:
+        raise GraphError(
+            f"relative shift must be positive and finite, got {rel}"
+        )
     deg = graph.weighted_degrees()
     # Isolated nodes (possible in subgraphs of forests) still need a
     # strictly positive diagonal; fall back to the graph's mean degree.
@@ -98,8 +100,10 @@ def regularized_laplacian(
         raise GraphError(
             f"shift must have shape ({graph.n},), got {shift.shape}"
         )
-    if np.any(shift <= 0):
-        raise GraphError("regularization shift must be strictly positive")
+    if not np.all((shift > 0) & (shift < np.inf)):
+        raise GraphError(
+            "regularization shift must be strictly positive and finite"
+        )
     return laplacian(graph, shift=shift, fmt=fmt)
 
 

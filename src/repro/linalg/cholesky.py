@@ -1,6 +1,8 @@
 """Sparse Cholesky factorization of SPD (SDD) matrices.
 
-Two backends behind one :class:`CholeskyFactor` interface:
+Every sparsifier factors through :func:`cholesky` with its default
+``backend="auto"``.  Two factorizations sit behind one
+:class:`CholeskyFactor` interface:
 
 ``"python"``
     A from-scratch up-looking factorization (CSparse's ``cs_chol``
@@ -21,8 +23,8 @@ Two backends behind one :class:`CholeskyFactor` interface:
 row/column permutations disagree (which would mean it pivoted
 asymmetrically and the Cholesky reading is invalid).
 
-Both backends keep the fill-reducing permutation ``perm`` with the
-convention ``A[perm][:, perm] = L @ L.T``.
+Both factorizations keep the fill-reducing permutation ``perm`` with
+the convention ``A[perm][:, perm] = L @ L.T``.
 """
 
 from __future__ import annotations

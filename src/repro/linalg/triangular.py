@@ -1,8 +1,9 @@
 """Sparse triangular solves on CSC lower factors.
 
 These are column-oriented solves vectorized with numpy per column, used
-by the pure-Python Cholesky backend (the SuperLU backend solves through
-its own compiled routines).
+by the pure-Python Cholesky factorization, the fallback when SuperLU
+pivots asymmetrically (SuperLU factors solve through its own compiled
+routines).
 """
 
 from __future__ import annotations

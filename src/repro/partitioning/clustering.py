@@ -1,4 +1,4 @@
-"""Spectral k-way clustering on top of the backend/sparsifier stack.
+"""Spectral k-way clustering on top of the sparsifier stack.
 
 Generalizes the Fiedler machinery (paper Sec. 4.3) from bipartition to
 k clusters: a low-eigenvector embedding of the regularized Laplacian is

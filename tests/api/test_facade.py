@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.api import list_methods, sparsify
+from repro.api import get_method, list_methods, sparsify
 from repro.core import (
     ErSamplingConfig,
     SparsifierConfig,
@@ -15,7 +15,7 @@ from repro.core import (
     grass_sparsify,
     trace_reduction_sparsify,
 )
-from repro.exceptions import UnknownMethodError, UnknownOptionError
+from repro.exceptions import GraphError, UnknownMethodError, UnknownOptionError
 from repro.graph import grid2d
 
 LEGACY = {
@@ -89,11 +89,25 @@ def test_unknown_option_raises(grid):
         sparsify(grid, method="proposed", bogus_option=1)
 
 
-@pytest.mark.parametrize("removed", ["kernels", "cholesky_backend", "ranking"])
+@pytest.mark.parametrize("removed", ["kernels", "cholesky_backend", "ranking",
+                                     "backend"])
 def test_removed_options_raise(grid, removed):
     """Options that were removed are rejected, not silently ignored."""
     with pytest.raises(UnknownOptionError, match=removed):
         sparsify(grid, method="proposed", **{removed: "auto"})
+
+
+@pytest.mark.parametrize("method", ["proposed", "grass", "fegrass",
+                                    "er_sampling"])
+def test_non_finite_options_raise_graph_error(grid, method):
+    """inf/NaN budgets and shifts are typed errors, not a traceback or
+    a sparsifier ranked on NaN."""
+    bad = [("edge_fraction", np.inf), ("edge_fraction", np.nan)]
+    if "reg_rel" in get_method(method).option_names():
+        bad += [("reg_rel", np.inf), ("reg_rel", np.nan)]
+    for option, value in bad:
+        with pytest.raises(GraphError, match="finite"):
+            sparsify(grid, method=method, **{option: value})
 
 
 def test_all_methods_share_budget_convention(grid):

@@ -30,7 +30,7 @@ def test_config_roundtrips_through_json(grid, method):
 
 
 @pytest.mark.parametrize("removed", ["kernels", "cholesky_backend",
-                                     "cache_max_nodes"])
+                                     "cache_max_nodes", "backend"])
 def test_to_config_names_a_removed_option(grid, removed):
     """An older record's dropped option is a typed error naming the key."""
     result = sparsify(grid, method="proposed", edge_fraction=0.05)
@@ -89,8 +89,8 @@ def test_record_everything_is_json_native(grid):
 
 def test_environment_capture():
     env = capture_environment()
-    for key in ("python", "platform", "numpy", "scipy", "repro"):
-        assert env[key]
+    assert set(env) == {"python", "platform", "numpy", "scipy", "repro"}
+    assert all(env.values())
     import repro
 
     assert env["repro"] == repro.__version__
@@ -102,13 +102,13 @@ def test_from_dict_tolerates_missing_optionals():
     )
     assert record.quality is None
     assert record.rounds_log == []
-    assert record.schema_version == 2
+    assert record.schema_version == 3
 
 
 def test_schema_version_present(grid):
     result = sparsify(grid, method="fegrass", edge_fraction=0.05)
     record = RunRecord.from_result(result, method="fegrass")
-    assert json.loads(record.to_json())["schema_version"] == 2
+    assert json.loads(record.to_json())["schema_version"] == 3
 
 
 def test_record_is_dataclass():

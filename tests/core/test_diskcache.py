@@ -4,7 +4,7 @@ The contract under test: a warm run in a *fresh process* (modeled by a
 fresh session sharing nothing in memory) reproduces the cold run bit
 for bit while loading its setup from disk; corrupt entries are evicted
 and rebuilt instead of poisoning results; and every entry is content-
-addressed, so a different graph, backend or package version can never
+addressed, so a different graph, key or package version can never
 be served another's artifacts.
 """
 
@@ -64,10 +64,10 @@ class TestHitMiss:
         assert (found, value) == (False, None)
         assert cache.misses["tree"] == 1
 
-    def test_key_distinguishes_backend(self, grid, tmp_path):
+    def test_key_distinguishes_reg_rel(self, grid, tmp_path):
         cache = DiskCache(grid, root=tmp_path)
-        cache.store("factor_g", (1e-6, "numpy"), "numpy-factor")
-        found, _ = cache.load("factor_g", (1e-6, "scipy"))
+        cache.store("factor_g", (1e-6,), "factor")
+        found, _ = cache.load("factor_g", (1e-5,))
         assert not found
 
     def test_graphs_are_namespaced(self, grid, tmp_path):
@@ -298,3 +298,15 @@ class TestWarmEqualsCold:
         # Everything needed was loaded; nothing new was written.
         assert sum(disk["stores"].values()) == 0
         assert {"tree", "er_resistances"} <= set(disk["hits"])
+
+    def test_scipy_factor_not_persisted_but_run_still_warm(
+        self, grid, tmp_path
+    ):
+        """SuperLU factors skip the disk; everything else still warms."""
+        cold_session = SparsifierSession(grid, cache_dir=tmp_path)
+        cold = cold_session.run("er_sampling", edge_fraction=0.10, seed=1)
+        assert cold_session.stats()["disk"]["skips"].get("factor_g", 0) == 1
+        warm_session = SparsifierSession(grid, cache_dir=tmp_path)
+        warm = warm_session.run("er_sampling", edge_fraction=0.10, seed=1)
+        assert warm.fingerprint() == cold.fingerprint()
+        assert warm_session.stats()["disk"]["hits"].get("factor_g", 0) == 0

@@ -12,7 +12,6 @@ import pytest
 
 import oracles
 import repro
-import repro.backends.base
 import repro.core.sparsifier
 from repro.graph import make_case
 
@@ -29,7 +28,7 @@ def test_oracles_select_the_same_edges(case, monkeypatch):
                         oracles.OracleTreePhaseRanker)
     monkeypatch.setattr(repro.core.sparsifier, "ApproxRanker",
                         oracles.OracleApproxRanker)
-    monkeypatch.setattr(repro.backends.base, "sparse_approximate_inverse",
+    monkeypatch.setattr(repro.core.sparsifier, "sparse_approximate_inverse",
                         oracles.sparse_approximate_inverse)
     looped = repro.sparsify(graph, "proposed", **options)
     assert np.array_equal(batched.edge_mask, looped.edge_mask)

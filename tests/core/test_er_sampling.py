@@ -9,8 +9,9 @@ from repro.core import (
     evaluate_sparsifier,
 )
 from repro.core.resistance import effective_resistance
+from repro.exceptions import GraphError
 from repro.graph import connected_components, grid2d, regularization_shift
-from repro.graph.laplacian import regularized_laplacian
+from repro.graph.laplacian import incidence_matrix, regularized_laplacian
 from repro.linalg import cholesky
 
 
@@ -91,3 +92,31 @@ def test_without_tree_backbone(grid):
     )
     assert len(result.tree_edge_ids) == 0
     assert result.edge_count == int(round(0.3 * grid.n))
+
+
+def test_er_sketch_bits_match_explicit_loop(grid):
+    """The sketch replays the explicit draw-then-solve loop bit for bit
+    and leaves the generator in the same state, which the sampler
+    records so that warm runs draw the same sample as cold ones."""
+    sketch_size = 32
+    rng = np.random.default_rng(7)
+    resistances = approximate_effective_resistances(
+        grid, sketch_size=sketch_size, seed=rng,
+    )
+    loop_rng = np.random.default_rng(7)
+    factor = cholesky(regularized_laplacian(grid, regularization_shift(grid)))
+    incidence = incidence_matrix(grid, weighted=True)
+    sketch = np.empty((sketch_size, grid.n))
+    scale = 1.0 / np.sqrt(sketch_size)
+    for i in range(sketch_size):
+        q = loop_rng.choice((-scale, scale), size=grid.edge_count)
+        sketch[i] = factor.solve(incidence.T @ q)
+    diffs = sketch[:, grid.u] - sketch[:, grid.v]
+    np.testing.assert_array_equal(resistances, np.sum(diffs * diffs, axis=0))
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("sketch_size", [0, -1])
+def test_sketch_size_below_one_is_a_graph_error(grid, sketch_size):
+    with pytest.raises(GraphError, match="sketch_size"):
+        approximate_effective_resistances(grid, sketch_size=sketch_size)

@@ -71,8 +71,9 @@ def test_regularization_shift_positive(small_grid):
 
 
 def test_regularization_shift_rejects_bad_rel(small_grid):
-    with pytest.raises(GraphError):
-        regularization_shift(small_grid, rel=0)
+    for rel in (0, -1e-6, np.nan, np.inf):
+        with pytest.raises(GraphError):
+            regularization_shift(small_grid, rel=rel)
 
 
 def test_regularization_handles_isolated_nodes():
@@ -93,8 +94,11 @@ def test_smallest_generalized_eigenvalue_is_one(small_grid):
 
 
 def test_regularized_laplacian_validates_shift(small_grid):
-    with pytest.raises(GraphError):
-        regularized_laplacian(small_grid, np.zeros(small_grid.n))
+    for bad in (0.0, np.nan, np.inf):
+        shift = np.ones(small_grid.n)
+        shift[3] = bad
+        with pytest.raises(GraphError):
+            regularized_laplacian(small_grid, shift)
     with pytest.raises(GraphError):
         regularized_laplacian(small_grid, np.ones(3))
 

@@ -1,4 +1,4 @@
-"""Tests for the sparse Cholesky backends."""
+"""Tests for the sparse Cholesky factorizations (SuperLU and its pure-Python fallback)."""
 
 import numpy as np
 import pytest
@@ -133,3 +133,33 @@ def test_solve_lower_upper_consistency(small_grid, backend):
     x = np.empty_like(z)
     x[factor.perm] = z
     np.testing.assert_allclose(x, factor.solve(b), rtol=1e-8, atol=1e-10)
+
+
+def test_auto_falls_back_to_python_when_superlu_pivots(small_grid,
+                                                       monkeypatch):
+    """An asymmetric SuperLU pivot sends ``cholesky`` — and with it
+    every sparsifier — to the pure-Python factorization."""
+    import importlib
+
+    from repro import sparsify
+
+    A = _spd_matrix(small_grid)
+    b = np.random.default_rng(5).standard_normal(small_grid.n)
+    expected = cholesky(A).solve(b)
+    calls = []
+
+    def pivoted(matrix):
+        calls.append(matrix.shape)
+        raise FactorizationError("SuperLU pivoted asymmetrically")
+
+    module = importlib.import_module("repro.linalg.cholesky")
+    monkeypatch.setattr(module, "_factor_superlu", pivoted)
+    factor = cholesky(A)
+    assert factor.backend == "python"
+    np.testing.assert_allclose(factor.solve(b), expected, rtol=1e-10)
+
+    calls.clear()
+    result = sparsify(small_grid, method="proposed", edge_fraction=0.1,
+                      rounds=3)
+    assert len(calls) == 2  # rounds 2 and 3 each factor once
+    assert result.edge_count == small_grid.n - 1 + round(0.1 * small_grid.n)

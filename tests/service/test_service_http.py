@@ -184,6 +184,14 @@ class TestEndpoints:
         with pytest.raises(ServiceError, match="400"):
             client.submit(**dict(SUBMIT, **options))
 
+    def test_removed_backend_option_is_400(self, daemon):
+        client = ServiceClient(daemon.url)
+        with pytest.raises(ServiceError, match="400.*backend"):
+            client._request("POST", "/jobs", {
+                "graph": {"case": "ecology2", "scale": 0.02},
+                "method": "grass", "options": {"backend": "numpy"},
+            })
+
     def test_client_source_arg_validation(self, daemon):
         client = ServiceClient(daemon.url)
         with pytest.raises(ServiceError, match="exactly one"):

@@ -194,19 +194,6 @@ def test_sweep_warm_run_reports_setup_skipped(capsys, tmp_path):
     assert strip(cold) == strip(warm)
 
 
-def test_sparsify_backend_flag_in_record(capsys):
-    code = main(
-        ["sparsify", "--case", "ecology2", "--scale", "0.04",
-         "--method", "er_sampling", "--backend", "numpy", "--json"]
-    )
-    assert code == 0
-    import json
-
-    record = json.loads(capsys.readouterr().out)
-    assert record["config"]["backend"] == "numpy"
-    assert record["environment"]["backend"] == "numpy"
-
-
 def test_sparsify_shards_flag(capsys):
     code = main(
         ["sparsify", "--case", "ecology2", "--scale", "0.06",
@@ -257,22 +244,31 @@ def test_sparsify_bad_delta_gamma_is_usage_error(capsys, flag, value):
 
 
 def test_sparsify_unknown_backend_is_usage_error(capsys):
-    code = main(
-        ["sparsify", "--case", "ecology2", "--scale", "0.04",
-         "--backend", "blas9000"]
-    )
+    """The removed ``--backend`` flag is an argparse usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sparsify", "--case", "ecology2", "--scale", "0.04",
+              "--backend", "numpy"])
+    assert exc.value.code == 2
+    assert "--backend" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--fraction", "inf"),
+                                        ("--reg-rel", "nan")])
+def test_sparsify_non_finite_value_is_usage_error(capsys, flag, value):
+    code = main(["sparsify", "--case", "ecology2", "--scale", "0.04",
+                 flag, value])
     assert code == 2
-    assert "unknown linalg backend" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
-def test_methods_lists_backends_and_markdown(capsys):
+def test_methods_markdown_is_the_generated_reference(capsys):
     assert main(["methods"]) == 0
-    out = capsys.readouterr().out
-    assert "scipy" in out and "numpy" in out and "cholmod" in out
+    assert "backend" not in capsys.readouterr().out
     assert main(["methods", "--markdown"]) == 0
     markdown = capsys.readouterr().out
     assert markdown.startswith("<!-- GENERATED")
-    assert "## Linear-algebra backends" in markdown
+    assert "## Sparsifier methods" in markdown
 
 
 def test_partition_method_flag(capsys):

@@ -2,13 +2,11 @@
 """Docstring-coverage lint for the public API surface.
 
 Walks the published surface — everything ``repro.api``,
-``repro.backends``, ``repro.core.sharding``,
-``repro.graph.generators``, ``repro.incremental``,
-``repro.partitioning``, ``repro.powergrid`` and ``repro.service``
-export, ``repro.sparsify``, and every config class the method
-registry exposes — and fails when
-any public object (module, class, function, method or property) lacks
-a docstring.
+``repro.core.sharding``, ``repro.graph.generators``,
+``repro.incremental``, ``repro.partitioning``, ``repro.powergrid`` and
+``repro.service`` export, ``repro.sparsify``, and every config class
+the method registry exposes — and fails when any public object
+(module, class, function, method or property) lacks a docstring.
 ``make docs-check`` runs this, so an undocumented addition to the
 public API fails CI rather than shipping dark.
 
@@ -63,7 +61,6 @@ def public_surface():
     """The objects the lint covers, as ``(label, object)`` pairs."""
     import repro
     import repro.api
-    import repro.backends
     import repro.core.sharding
     import repro.graph.generators
     import repro.incremental
@@ -77,7 +74,7 @@ def public_surface():
         obj = getattr(repro, name)
         if not inspect.ismodule(obj):
             surface.append((f"repro.{name}", obj))
-    for module in (repro.api, repro.backends, repro.core.sharding,
+    for module in (repro.api, repro.core.sharding,
                    repro.graph.generators, repro.incremental,
                    repro.partitioning, repro.powergrid, repro.service):
         surface.append((module.__name__, module))

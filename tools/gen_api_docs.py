@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Write (or verify) the generated ``docs/api-reference.md``.
 
-The reference is rendered from the live method and backend registries
-by :func:`repro.api.docgen.api_reference_markdown` — the same text
+The reference is rendered from the live method registry by
+:func:`repro.api.docgen.api_reference_markdown` — the same text
 ``repro methods --markdown`` prints.  Two modes:
 
 * default — regenerate ``docs/api-reference.md`` in place;
