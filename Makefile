@@ -12,11 +12,12 @@ test:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
 
 # Quick perf sanity: batched-vs-serial ranking comparison (>= 20k nodes;
-# scores within rtol 1e-10 of the per-edge loop oracle, >= 20x faster)
-# plus a sharded-pipeline smoke run, both in statistics-free mode.
+# scores within rtol 1e-10 of the per-edge loop oracle, >= 20x faster),
+# the shared tree set-up on full NLR (bit-identical to the loop oracles,
+# >= 5x faster), plus a sharded-pipeline smoke run, all statistics-free.
 bench-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_kernels.py \
-		-q -s -k ranking --benchmark-disable
+		-q -s -k "ranking or setup" --benchmark-disable
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_sharding.py \
 		-q -s --benchmark-disable
 

@@ -1,9 +1,10 @@
 """feGRASS baseline — effective-resistance-based sparsification [13].
 
 feGRASS builds the maximum effective weight spanning tree, scores every
-off-tree edge by its *stretch* ``w_pq R_T(p, q)`` (the tree effective
-resistance is computable in one offline-LCA pass, Sec. 2 of the paper),
-and recovers the top edges in a single pass with similarity exclusion.
+off-tree edge by its *stretch* ``w_pq R_T(p, q)`` (one batched LCA
+query gives the tree effective resistances of all off-tree edges,
+Sec. 2 of the paper), and recovers the top edges in a single pass with
+similarity exclusion.
 No linear solves are needed at all, which is why feGRASS is fast but —
 as the paper's Table 1 argument goes — less effective than
 densification-based methods that re-rank against the growing subgraph.
@@ -79,7 +80,7 @@ def _run(graph: Graph, config: FegrassConfig,
     if budget > 0 and len(candidates):
         def _stretch():
             # Off-tree stretches depend only on the MEWST, so a session
-            # sweeping fractions reuses one offline-LCA pass.
+            # sweeping fractions reuses one batched LCA query.
             resistances, _ = batch_tree_resistances(
                 forest, graph.u[candidates], graph.v[candidates]
             )

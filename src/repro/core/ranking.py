@@ -199,9 +199,9 @@ class TreePhaseRanker:
     def prepare(self, edge_ids) -> None:
         """Batch-compute tree resistances and warm shared structures.
 
-        One Tarjan offline-LCA DFS covers the whole candidate set, so
+        One batched LCA query covers the whole candidate set, so
         per-chunk ``score_batch`` calls (serial or in forked workers)
-        skip the O(n) DFS; the Euler intervals and CSR adjacencies are
+        skip it; the Euler intervals and CSR adjacencies are
         materialized here too so workers inherit them copy-on-write.
         """
         edge_ids = np.asarray(edge_ids, dtype=np.int64)

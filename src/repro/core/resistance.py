@@ -3,7 +3,7 @@
 ``R_S(p, q) = e_pq^T L_S^{-1} e_pq`` — computed exactly through a solve
 with the (regularized) subgraph Laplacian.  For trees, use
 :func:`repro.tree.lca.batch_tree_resistances` instead, which answers
-all queries with one DFS.
+all queries with one batched LCA pass.
 """
 
 from __future__ import annotations

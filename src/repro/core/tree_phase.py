@@ -6,7 +6,8 @@ needed at all: the paper's physical model injects a unit current at
 tree path, so node potentials are piecewise constant off the path and
 drop by ``1/w_e`` across each path edge.  Concretely:
 
-* ``R_T(p, q)`` comes from Tarjan's offline LCA over all queries;
+* ``R_T(p, q)`` comes from one batched LCA query over all candidates
+  (binary lifting, :func:`repro.tree.lca.batch_tree_resistances`);
 * the potential of every node in the beta-ball around ``p`` (resp.
   ``q``) is propagated outward one BFS level at a time: crossing a path
   edge changes the potential by ``-1/w`` (resp. ``+1/w``), any other
@@ -53,8 +54,8 @@ def tree_truncated_trace_reduction(
         Precomputed tree effective resistances aligned with
         *edge_ids*.  When scoring in chunks (the batched ranking
         engine), computing them once for the whole candidate set avoids
-        repeating the offline-LCA DFS per chunk; omitted, they are
-        computed here.
+        repeating the LCA query per chunk; omitted, they are computed
+        here.
 
     Returns
     -------

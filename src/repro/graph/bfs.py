@@ -14,15 +14,20 @@ Three query families:
   only the (sorted) node set of one ball (the incremental delta path);
 * :func:`ball_sets` — every ball around many sources at once, one array
   operation per BFS level (the general-round scorer of Eq. 20).
+
+:func:`bfs_forest` is the untruncated search from every component root
+at once that roots spanning forests.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro.utils.arrays import concat_ranges
 
-__all__ = ["BallFinder", "bfs_tree_order"]
+__all__ = ["BallFinder", "bfs_forest"]
 
 
 class BallFinder:
@@ -203,32 +208,41 @@ def ball_sets(indptr, neighbors, sources, layers: int):
     return np.searchsorted(owner, np.arange(len(sources) + 1)), nodes
 
 
-def bfs_tree_order(indptr, neighbors, roots, n=None):
-    """Full BFS over a graph from the given roots.
+def bfs_forest(indptr, neighbors, roots):
+    """Breadth-first search from several roots in one pass.
 
-    Returns ``(order, pred)`` where *order* lists every reachable node in
-    BFS order and ``pred`` maps each node to its BFS predecessor (``-1``
-    for roots, ``-2`` for unreachable nodes).  Used to root spanning
-    forests and for component sweeps.
+    scipy's ``breadth_first_order`` runs from an extra node ``n`` whose
+    row lists *roots*, in the given order.  The visiting order
+    interleaves the roots' searches level by level, so it is sorted by
+    hop distance from the nearest root.  With one root per component,
+    each node gets the predecessor that a separate queue per root would
+    give it: the shared queue, restricted to one component, is that
+    component's own queue.
+
+    Parameters
+    ----------
+    indptr, neighbors : numpy.ndarray
+        CSR adjacency of the graph to traverse.
+    roots : array_like of int
+        Start nodes, searched in this order.
+
+    Returns
+    -------
+    order : numpy.ndarray
+        Every node reachable from *roots*, in visiting order.
+    parent : numpy.ndarray
+        BFS predecessor of each node: ``-1`` at roots and at nodes no
+        root reaches.
     """
-    if n is None:
-        n = len(indptr) - 1
-    pred = np.full(n, -2, dtype=np.int64)  # -2 == unvisited
-    order = []
-    for root in np.atleast_1d(np.asarray(roots, dtype=np.int64)):
-        root = int(root)
-        if pred[root] != -2:
-            continue
-        pred[root] = -1
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            node = queue[head]
-            head += 1
-            order.append(node)
-            for nbr in neighbors[indptr[node] : indptr[node + 1]]:
-                nbr = int(nbr)
-                if pred[nbr] == -2:
-                    pred[nbr] = node
-                    queue.append(nbr)
-    return np.asarray(order, dtype=np.int64), pred
+    n = len(indptr) - 1
+    roots = np.asarray(roots, dtype=np.int64)
+    rows = sp.csr_matrix(
+        (np.ones(len(neighbors) + len(roots)),
+         np.concatenate([neighbors, roots]),
+         np.append(indptr, indptr[-1] + len(roots))),
+        shape=(n + 1, n + 1),
+    )
+    order, pred = breadth_first_order(rows, n, directed=True)
+    parent = pred[:n].astype(np.int64)
+    parent[(parent < 0) | (parent == n)] = -1
+    return order[1:].astype(np.int64), parent

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from repro.graph.graph import Graph
 
@@ -20,25 +22,15 @@ def connected_components(graph: Graph):
         ``labels[i]`` is the 0-based component id of node ``i``; ids are
         assigned in order of each component's smallest node.
     """
-    indptr, nbr, _ = graph.adjacency()
-    labels = np.full(graph.n, -1, dtype=np.int64)
-    count = 0
-    for start in range(graph.n):
-        if labels[start] != -1:
-            continue
-        labels[start] = count
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            node = queue[head]
-            head += 1
-            for neighbor in nbr[indptr[node] : indptr[node + 1]]:
-                neighbor = int(neighbor)
-                if labels[neighbor] == -1:
-                    labels[neighbor] = count
-                    queue.append(neighbor)
-        count += 1
-    return count, labels
+    n = graph.n
+    upper = sp.csr_matrix(
+        (np.ones(graph.edge_count), (graph.u, graph.v)), shape=(n, n)
+    )
+    count, labels = csgraph.connected_components(upper, directed=False)
+    # Renumber scipy's labels by each component's smallest node.
+    rank = np.empty(count, dtype=np.int64)
+    rank[np.argsort(component_roots(labels))] = np.arange(count)
+    return int(count), rank[labels]
 
 
 def is_connected(graph: Graph) -> bool:
@@ -50,8 +42,6 @@ def is_connected(graph: Graph) -> bool:
 def component_roots(labels: np.ndarray) -> np.ndarray:
     """Smallest node id of each component (roots for forest rooting)."""
     count = int(labels.max()) + 1 if len(labels) else 0
-    roots = np.full(count, -1, dtype=np.int64)
-    for node, label in enumerate(labels):
-        if roots[label] == -1:
-            roots[label] = node
+    roots = np.full(count, len(labels), dtype=np.int64)
+    np.minimum.at(roots, labels, np.arange(len(labels)))
     return roots

@@ -9,16 +9,17 @@ under small edge batches — leverage scores ``w_e * R_eff(e)`` change
 materially only near the mutated endpoints (Spielman & Srivastava,
 arXiv:0803.0929) — so :class:`EvolvingSparsifier` keeps them alive:
 
-* the spanning forest is repaired with the existing
-  :class:`~repro.tree.dsu.DisjointSetUnion` (deleted tree edges get a
-  replacement-edge search, local-first);
+* the spanning forest is repaired by one maximum spanning forest over
+  a strict edge order — surviving forest edges first, then edges near
+  the mutations, then (only after a forest-edge deletion) the rest — so
+  deleted tree edges get a local-first replacement search;
 * the :class:`~repro.core.ranking.BallCache` touched-node invalidation
   is the locality engine — only nodes whose beta-ball
   overlaps a mutated endpoint (in the old *or* new adjacency) are
   considered changed;
 * off-tree kept edges are re-ranked only inside that touched
   neighborhood, by the tree-resistance leverage surrogate
-  ``w_e * R_T(e)`` (one Tarjan offline-LCA batch per mutation batch).
+  ``w_e * R_T(e)`` (one batched LCA query per mutation batch).
 
 A drift monitor accumulates a conservative condition-number factor for
 every change the local pass could *not* compensate; when the estimate
@@ -44,10 +45,9 @@ from repro.exceptions import IncrementalError
 from repro.graph.bfs import BallFinder
 from repro.graph.graph import Graph
 from repro.incremental.delta import DeltaRecord, EdgeBatch, normalize_batch
-from repro.tree.dsu import DisjointSetUnion
 from repro.tree.lca import batch_tree_resistances
 from repro.tree.rooted import RootedForest
-from repro.tree.spanning import effective_weights
+from repro.tree.spanning import effective_weights, maximum_spanning_forest
 from repro.utils.timers import Timer
 
 __all__ = ["EvolvingSparsifier", "sparsify_delta"]
@@ -162,11 +162,7 @@ class EvolvingSparsifier:
     @property
     def sparsifier(self) -> Graph:
         """The maintained sparsifier ``P`` as a graph on all ``n`` nodes."""
-        lookup = self.graph.edge_lookup()
-        mask = np.zeros(self.graph.edge_count, dtype=bool)
-        for pair in self._kept:
-            mask[lookup[pair]] = True
-        return self.graph.subgraph(mask)
+        return self.graph.subgraph(self._edge_ids(self._kept))
 
     @property
     def drift_estimate(self) -> float:
@@ -202,6 +198,19 @@ class EvolvingSparsifier:
             self.n,
             [(u, v, w) for (u, v), w in sorted(self._edges.items())],
         )
+
+    def _edge_ids(self, pairs) -> np.ndarray:
+        """Sorted ids of ``(u, v)`` pairs in the materialized graph.
+
+        The graph is materialized in ``(u, v)`` order, so its
+        ``u * n + v`` keys are sorted and one ``searchsorted`` finds
+        every pair.
+        """
+        graph = self.graph
+        pairs = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+        keys = graph.u * self.n + graph.v
+        wanted = pairs[:, 0] * self.n + pairs[:, 1]
+        return np.sort(np.searchsorted(keys, wanted))
 
     def _full_build(self) -> RunRecord:
         """Run the registered method from scratch on the current graph.
@@ -379,48 +388,47 @@ class EvolvingSparsifier:
     def _repair_forest(self, region: np.ndarray, tree_deleted: bool) -> int:
         """Restore the spanning forest after a batch, local-first.
 
-        Surviving forest edges are unioned into a DSU; replacement
-        candidates incident to the touched *region* are tried first (by
-        descending feGRASS effective weight, ties on ``(u, v)``), and a
-        global Kruskal completion runs only when a tree edge was
-        deleted — insertions can only ever *add* forest edges between
-        previously separate components, and those are always local.
+        One maximum spanning forest over a strict edge order: the
+        surviving forest edges, then the non-forest edges incident to
+        the touched *region* (by descending feGRASS effective weight,
+        ties on ``(u, v)``), then — only when a tree edge was deleted —
+        every other edge by the same key.  Under a strict order the
+        forest is unique, so it is the one Kruskal's algorithm builds
+        walking that order: every surviving edge plus the replacements
+        counted here.  Insertions can only ever *add* forest edges
+        between previously separate components, and those are always
+        local.
         """
         graph = self.graph
-        dsu = DisjointSetUnion(self.n)
-        for u, v in self._tree:
-            dsu.union(u, v)
-        eff = effective_weights(graph)
-        u_arr, v_arr = graph.u, graph.v
-
-        def _absorb(edge_ids) -> int:
-            count = 0
-            order = sorted(
-                (int(e) for e in edge_ids),
-                key=lambda e: (-eff[e], int(u_arr[e]), int(v_arr[e])),
-            )
-            for e in order:
-                if dsu.union(int(u_arr[e]), int(v_arr[e])):
-                    self._tree.add((int(u_arr[e]), int(v_arr[e])))
-                    count += 1
-            return count
-
-        local_mask = np.isin(u_arr, region) | np.isin(v_arr, region)
-        replacements = _absorb(np.nonzero(local_mask)[0])
+        forest = self._edge_ids(self._tree)
+        in_forest = np.zeros(graph.edge_count, dtype=bool)
+        in_forest[forest] = True
+        local = np.isin(graph.u, region) | np.isin(graph.v, region)
+        # The materialized graph is (u, v)-sorted: edge ids break ties.
+        by_key = np.argsort(-effective_weights(graph), kind="stable")
+        by_key = by_key[~in_forest[by_key]]
+        ranked = [forest, by_key[local[by_key]]]
         if tree_deleted:
             # A deleted tree edge's replacement may live outside the
-            # locality radius; the Kruskal completion is a no-op when
-            # the local pass already reconnected everything.
-            replacements += _absorb(np.nonzero(~local_mask)[0])
+            # locality radius; the completion picks nothing when the
+            # local edges already reconnected everything.
+            ranked.append(by_key[~local[by_key]])
+        order = np.concatenate(ranked)
+        picked = order[maximum_spanning_forest(
+            graph.subgraph(order), key=-np.arange(len(order), dtype=float)
+        )]
+        fresh = picked[~in_forest[picked]]
+        self._tree.update(zip(graph.u[fresh].tolist(),
+                              graph.v[fresh].tolist()))
         self._kept.update(self._tree)
-        return replacements
+        return len(fresh)
 
     def _rerank(self, region: np.ndarray, inserted_pairs: set):
         """Re-rank off-tree edges inside the touched region.
 
         Scores every non-forest edge with an endpoint in *region* by
-        the leverage surrogate ``w_e * R_T(e)`` (tree resistance via
-        one Tarjan offline-LCA batch) and adjusts the kept set toward
+        the leverage surrogate ``w_e * R_T(e)`` (tree resistances from
+        one batched LCA query) and adjusts the kept set toward
         the off-tree budget of the last full build: top-up with the
         best unkept local edges, trim the worst kept local edges, and
         swap in inserted edges that beat a kept local edge.  Only
@@ -438,12 +446,7 @@ class EvolvingSparsifier:
         if len(region) == 0:
             return 0, [], [], [], {}
         graph = self.graph
-        lookup = graph.edge_lookup()
-        forest = RootedForest(
-            graph,
-            np.asarray(sorted(lookup[p] for p in self._tree),
-                       dtype=np.int64),
-        )
+        forest = RootedForest(graph, self._edge_ids(self._tree))
         self._forest = forest
         u_arr, v_arr, w_arr = graph.u, graph.v, graph.w
         tree_mask = np.zeros(graph.edge_count, dtype=bool)
@@ -583,12 +586,7 @@ class EvolvingSparsifier:
     def _tree_leverage(self, forest, u: int, v: int, w: float):
         """``w * R_T(u, v)`` in the current forest, or None across cuts."""
         if forest is None or forest.graph is not self.graph:
-            lookup = self.graph.edge_lookup()
-            forest = RootedForest(
-                self.graph,
-                np.asarray(sorted(lookup[p] for p in self._tree),
-                           dtype=np.int64),
-            )
+            forest = RootedForest(self.graph, self._edge_ids(self._tree))
             self._forest = forest
         if forest.component_labels[u] != forest.component_labels[v]:
             return None

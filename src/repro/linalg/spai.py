@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import FactorizationError
-from repro.utils.arrays import concat_ranges, unique_slots
+from repro.utils.arrays import concat_ranges, forest_depths, unique_slots
 from repro.utils.validation import check_square_sparse
 
 __all__ = ["sparse_approximate_inverse", "spai_nnz_profile"]
@@ -145,13 +145,7 @@ def dependency_levels(n, dep_col, dep_row):
     parent = np.full(n, -1, dtype=np.int64)
     first = np.flatnonzero(np.diff(dep_col, prepend=-1) != 0)
     parent[dep_col[first]] = dep_row[first]
-    level = (parent >= 0).astype(np.int64)
-    jump = parent
-    active = np.flatnonzero(jump >= 0)
-    while len(active):
-        level[active] += level[jump[active]]
-        jump[active] = jump[jump[active]]
-        active = active[jump[active] >= 0]
+    level, _ = forest_depths(parent)
     while True:
         late = level[dep_row] >= level[dep_col]
         if not late.any():

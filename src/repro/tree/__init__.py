@@ -1,6 +1,5 @@
-"""Spanning trees/forests, rooted structure, offline LCA and stretch."""
+"""Spanning trees/forests, rooted structure, LCA resistances and stretch."""
 
-from repro.tree.dsu import DisjointSetUnion
 from repro.tree.spanning import (
     maximum_spanning_forest,
     effective_weights,
@@ -8,17 +7,15 @@ from repro.tree.spanning import (
     bfs_spanning_forest,
 )
 from repro.tree.rooted import RootedForest
-from repro.tree.lca import tarjan_offline_lca, batch_tree_resistances
+from repro.tree.lca import batch_tree_resistances
 from repro.tree.stretch import edge_stretches, total_stretch, average_stretch
 
 __all__ = [
-    "DisjointSetUnion",
     "maximum_spanning_forest",
     "effective_weights",
     "mewst",
     "bfs_spanning_forest",
     "RootedForest",
-    "tarjan_offline_lca",
     "batch_tree_resistances",
     "edge_stretches",
     "total_stretch",

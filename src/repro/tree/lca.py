@@ -1,111 +1,87 @@
-"""Tarjan's offline lowest-common-ancestor algorithm.
+"""Tree effective resistances through lowest common ancestors.
 
 The paper (Sec. 3.2) computes tree effective resistances for *all*
-off-tree edges in one pass with Tarjan's offline LCA [9]: one DFS over
-the spanning forest plus near-constant-time DSU operations, answering
-every query ``lca(p, q)`` in overall ``O((n + q) alpha(n))`` time.
+off-tree edges in one pass over the spanning forest, citing Tarjan's
+offline LCA [9].  Here the pass is binary lifting over the forest's
+``2**k``-th ancestor tables: lift the deeper endpoint of every query to
+its partner's depth, then lift both while their ancestors differ, one
+array operation per table.  LCAs are unique, so any correct algorithm
+returns the same nodes, and the resistances
+``rdist[p] + rdist[q] - 2 rdist[lca]`` are the same floats.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import NotATreeError
-from repro.tree.dsu import DisjointSetUnion
+from repro.exceptions import GraphError, NotATreeError
 from repro.tree.rooted import RootedForest
 
-__all__ = ["tarjan_offline_lca", "batch_tree_resistances"]
+__all__ = ["batch_tree_resistances"]
 
 
-def tarjan_offline_lca(forest: RootedForest, qu, qv) -> np.ndarray:
-    """Answer a batch of LCA queries over a rooted forest.
+def batch_tree_resistances(forest: RootedForest, qu, qv):
+    """Tree effective resistances for many node pairs at once.
 
     Parameters
     ----------
     forest:
         The rooted spanning forest.
     qu, qv:
-        Query endpoint arrays (same length).  Both endpoints of each
-        query must lie in the same component.
+        Integer query endpoint arrays of the same shape.  Both
+        endpoints of each query must lie in the same component.
 
     Returns
     -------
-    numpy.ndarray
-        ``lca[k]`` for each query ``(qu[k], qv[k])``.
+    (resistances, lcas)
+        ``R_T(qu[k], qv[k])`` and ``lca(qu[k], qv[k])`` per query.
+
+    Raises
+    ------
+    GraphError
+        When a query node is not an integer in ``[0, n)``.
+    NotATreeError
+        When a query spans two components.
     """
-    qu = np.asarray(qu, dtype=np.int64)
-    qv = np.asarray(qv, dtype=np.int64)
+    qu, qv = _query_nodes(qu, forest.n), _query_nodes(qv, forest.n)
     if qu.shape != qv.shape:
         raise ValueError("query arrays must have the same shape")
-    n = forest.n
-    n_queries = len(qu)
-    if n_queries == 0:
-        return np.empty(0, dtype=np.int64)
     labels = forest.component_labels
     if np.any(labels[qu] != labels[qv]):
         raise NotATreeError("an LCA query spans two components")
-
-    # Bucket queries by endpoint (each query hangs off both endpoints).
-    heads = np.concatenate([qu, qv])
-    others = np.concatenate([qv, qu])
-    qids = np.concatenate([np.arange(n_queries), np.arange(n_queries)])
-    order = np.argsort(heads, kind="stable")
-    qother = others[order]
-    qid_sorted = qids[order]
-    counts = np.bincount(heads, minlength=n)
-    qptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=qptr[1:])
-
-    indptr, nbr, _ = forest.tree.adjacency()
-    parent = forest.parent
-    dsu = DisjointSetUnion(n)
-    ancestor = np.arange(n, dtype=np.int64)
-    black = np.zeros(n, dtype=bool)
-    answers = np.full(n_queries, -1, dtype=np.int64)
-
-    # Iterative DFS with an explicit (node, adjacency-cursor) stack.
-    stack_node = np.empty(n, dtype=np.int64)
-    stack_cursor = np.empty(n, dtype=np.int64)
-    for root in forest.roots:
-        top = 0
-        stack_node[0] = root
-        stack_cursor[0] = indptr[root]
-        while top >= 0:
-            node = stack_node[top]
-            cursor = stack_cursor[top]
-            if cursor < indptr[node + 1]:
-                stack_cursor[top] = cursor + 1
-                child = int(nbr[cursor])
-                if child == parent[node]:
-                    continue
-                top += 1
-                stack_node[top] = child
-                stack_cursor[top] = indptr[child]
-            else:
-                # All children of *node* are finished: color it black,
-                # answer its pending queries, then merge into its parent.
-                top -= 1
-                black[node] = True
-                for k in range(qptr[node], qptr[node + 1]):
-                    other = int(qother[k])
-                    if black[other]:
-                        answers[qid_sorted[k]] = ancestor[dsu.find(other)]
-                par = int(parent[node])
-                if par >= 0:
-                    dsu.union(par, node)
-                    ancestor[dsu.find(par)] = par
-    if np.any(answers < 0):  # pragma: no cover - defensive
-        raise NotATreeError("offline LCA left queries unanswered")
-    return answers
-
-
-def batch_tree_resistances(forest: RootedForest, qu, qv):
-    """Tree effective resistances for many node pairs at once.
-
-    Returns ``(resistances, lcas)``; uses Tarjan's offline LCA so the
-    whole batch costs one DFS.
-    """
-    lcas = tarjan_offline_lca(forest, qu, qv)
+    lcas = _lift(forest, qu, qv)
     rdist = forest.rdist
     resistances = rdist[qu] + rdist[qv] - 2.0 * rdist[lcas]
     return resistances, lcas
+
+
+def _query_nodes(nodes, n: int) -> np.ndarray:
+    """Query nodes as ``int64``, or GraphError when any is not a node."""
+    nodes = np.asarray(nodes)
+    if nodes.size == 0:
+        return nodes.astype(np.int64)
+    if nodes.dtype.kind not in "iu":
+        raise GraphError(
+            f"LCA query nodes must be integers, got dtype {nodes.dtype}"
+        )
+    if nodes.min() < 0 or nodes.max() >= n:
+        raise GraphError(f"LCA query node out of range for n={n}")
+    return nodes.astype(np.int64)
+
+
+def _lift(forest: RootedForest, qu, qv) -> np.ndarray:
+    """LCAs of same-component query pairs by binary lifting."""
+    depth = forest.depth
+    deeper = depth[qu] >= depth[qv]
+    a = np.where(deeper, qu, qv)
+    b = np.where(deeper, qv, qu)
+    gap = depth[a] - depth[b]
+    for k, up in enumerate(forest.ancestors):
+        lift = (gap >> k) & 1 == 1
+        a[lift] = up[a[lift]]
+    for up in reversed(forest.ancestors):
+        up_a, up_b = up[a], up[b]
+        differ = up_a != up_b
+        a[differ] = up_a[differ]
+        b[differ] = up_b[differ]
+    return np.where(a == b, a, forest.parent[a])

@@ -8,16 +8,26 @@ along the root path).  It provides tree effective resistances
 
 (Eq. 4 restricted to trees) and tree paths, both of which the tree phase
 of Algorithm 2 consumes.
+
+Everything is array code.  Rooting is one breadth-first search from all
+roots at once; depths and the ``2**k``-th ancestor tables (which answer
+LCA queries by binary lifting) come from pointer jumping; ``rdist``
+accumulates one BFS level at a time, so each node adds its edge term to
+its parent's finished value exactly as a per-node walk from the root
+would, and the floats match that walk bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import depth_first_order
 
 from repro.exceptions import NotATreeError
-from repro.graph.bfs import bfs_tree_order
+from repro.graph.bfs import bfs_forest
 from repro.graph.components import connected_components, component_roots
 from repro.graph.graph import Graph
+from repro.utils.arrays import forest_depths
 
 __all__ = ["RootedForest"]
 
@@ -30,8 +40,9 @@ class RootedForest:
     graph:
         The parent graph.
     tree_edge_ids:
-        Ids (into the parent graph's edge arrays) of the forest edges.
-        Must be acyclic and span every component of the induced node set.
+        Distinct integer ids (into the parent graph's edge arrays) of
+        the forest edges.  Must be acyclic and span every component of
+        the induced node set.
 
     Attributes
     ----------
@@ -43,10 +54,21 @@ class RootedForest:
         Hop distance from the component root.
     rdist : numpy.ndarray
         Resistive distance from the root: sum of ``1/w`` on the path.
+    ancestors : list of numpy.ndarray
+        ``ancestors[k][x]`` is the ``2**k``-th ancestor of ``x``
+        (``-1`` above the root); every depth is below
+        ``2**len(ancestors)``.
+
+    Raises
+    ------
+    NotATreeError
+        When the ids are not integers, fall outside ``[0, m)``, repeat,
+        close a cycle, or (with *validate_spanning*) leave a component
+        of the graph split.
     """
 
     def __init__(self, graph: Graph, tree_edge_ids, validate_spanning=True):
-        tree_edge_ids = np.sort(np.asarray(tree_edge_ids, dtype=np.int64))
+        tree_edge_ids = _checked_edge_ids(tree_edge_ids, graph.edge_count)
         self.graph = graph
         self.edge_ids = tree_edge_ids
         self.tree = graph.subgraph(tree_edge_ids)
@@ -67,33 +89,29 @@ class RootedForest:
         self.component_labels = labels
         self.roots = component_roots(labels)
 
-        indptr, nbr, local_eid = self.tree.adjacency()
-        order, pred = bfs_tree_order(indptr, nbr, self.roots, n=graph.n)
-        if len(order) != graph.n:
-            raise NotATreeError("forest does not reach every node")
-        self.order = order
-        self.parent = pred
+        indptr, nbr, _ = self.tree.adjacency()
+        order, parent = bfs_forest(indptr, nbr, self.roots)
+        self.parent = parent
+        self.depth, self.ancestors = forest_depths(parent)
 
-        # Map (parent, node) pairs back to global edge ids and accumulate
-        # depth / resistive distance in BFS order (parents come first).
-        local_lookup = self.tree.edge_lookup()
-        parent_edge = np.full(graph.n, -1, dtype=np.int64)
-        depth = np.zeros(graph.n, dtype=np.int64)
-        rdist = np.zeros(graph.n, dtype=np.float64)
-        weights = graph.w
-        for node in order:
-            par = pred[node]
-            if par < 0:
-                continue
-            a, b = (int(par), int(node)) if par < node else (int(node), int(par))
-            local = local_lookup[(a, b)]
-            global_id = tree_edge_ids[local]
-            parent_edge[node] = global_id
-            depth[node] = depth[par] + 1
-            rdist[node] = rdist[par] + 1.0 / weights[global_id]
-        self.parent_edge = parent_edge
-        self.depth = depth
-        self.rdist = rdist
+        # Each forest edge hangs its child below the other endpoint.
+        heads = graph.u[tree_edge_ids]
+        tails = graph.v[tree_edge_ids]
+        child = np.where(parent[tails] == heads, tails, heads)
+        self.parent_edge = np.full(graph.n, -1, dtype=np.int64)
+        self.parent_edge[child] = tree_edge_ids
+
+        # rdist one BFS level at a time.  The order is sorted by depth,
+        # so a node adds its term to its parent's finished sum, just as
+        # a walk down from the root would.
+        below = parent >= 0
+        step = np.zeros(graph.n)
+        step[below] = 1.0 / graph.w[self.parent_edge[below]]
+        self.rdist = np.zeros(graph.n)
+        starts = np.flatnonzero(np.diff(self.depth[order])) + 1
+        levels = np.split(order, starts)
+        for level in levels[1:]:
+            self.rdist[level] = self.rdist[parent[level]] + step[level]
         self._tin = None
         self._tout = None
 
@@ -120,40 +138,30 @@ class RootedForest:
         Node ``x`` lies in the subtree rooted at ``c`` iff
         ``tin[c] <= tin[x] < tout[c]``.  Used by the tree phase to test
         in O(1) whether a tree edge lies on the path between two nodes.
+        ``tin`` is the preorder of a DFS that takes the roots in
+        ascending order and each node's children in the order of its
+        row in ``tree.adjacency()``; ``tout = tin + subtree size``.
         """
         if self._tin is None:
-            n = self.graph.n
+            n = self.n
             indptr, nbr, _ = self.tree.adjacency()
-            tin = np.empty(n, dtype=np.int64)
-            tout = np.empty(n, dtype=np.int64)
-            parent = self.parent
-            clock = 0
-            stack_node = np.empty(n, dtype=np.int64)
-            stack_cursor = np.empty(n, dtype=np.int64)
-            for root in self.roots:
-                top = 0
-                stack_node[0] = root
-                stack_cursor[0] = indptr[root]
-                tin[root] = clock
-                clock += 1
-                while top >= 0:
-                    node = stack_node[top]
-                    cursor = stack_cursor[top]
-                    if cursor < indptr[node + 1]:
-                        stack_cursor[top] = cursor + 1
-                        child = int(nbr[cursor])
-                        if child == parent[node]:
-                            continue
-                        tin[child] = clock
-                        clock += 1
-                        top += 1
-                        stack_node[top] = child
-                        stack_cursor[top] = indptr[child]
-                    else:
-                        tout[node] = clock
-                        top -= 1
-            self._tin = tin
-            self._tout = tout
+            owner = np.repeat(np.arange(n), np.diff(indptr))
+            is_child = self.parent[nbr] == owner
+            # Children grouped by parent in row order; the super-root
+            # ``n`` has the roots as its children.
+            kids = np.concatenate([nbr[is_child], self.roots])
+            owner = np.concatenate([owner[is_child],
+                                    np.full(len(self.roots), n)])
+            # Preorder of the tree, and of its mirror image, whose
+            # preorder is the tree's postorder reversed.  A node comes
+            # after its ancestors and before its own subtree in
+            # preorder, after its subtree in postorder, so
+            # size = post - pre + 1 + (depth below the super-root).
+            pre = _preorder(kids, owner, n)
+            post = n - _preorder(kids[::-1], owner[::-1], n)
+            size = post - pre + self.depth + 2
+            self._tin = pre - 1
+            self._tout = self._tin + size
         return self._tin, self._tout
 
     def edge_on_path(self, child: int, p: int, q: int) -> bool:
@@ -224,3 +232,51 @@ class RootedForest:
             back.append(int(node))
             node = int(self.parent[node])
         return np.asarray(front + [int(lca)] + list(reversed(back)), dtype=np.int64)
+
+
+def _checked_edge_ids(tree_edge_ids, edge_count: int) -> np.ndarray:
+    """Sorted ``int64`` copy of forest edge ids, or NotATreeError."""
+    ids = np.asarray(tree_edge_ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise NotATreeError(
+            f"tree edge ids must be integers, got dtype {ids.dtype}"
+        )
+    ids = np.sort(ids.astype(np.int64).ravel())
+    if ids.size and (ids[0] < 0 or ids[-1] >= edge_count):
+        raise NotATreeError(
+            f"tree edge ids must lie in [0, {edge_count}), got "
+            f"{ids[0] if ids[0] < 0 else ids[-1]}"
+        )
+    if np.any(ids[1:] == ids[:-1]):
+        raise NotATreeError("tree edge ids repeat")
+    return ids
+
+
+def _preorder(kids, owner, n):
+    """Preorder position of nodes ``0..n-1`` below the super-root ``n``.
+
+    *kids* lists every node's children contiguously, in visiting order,
+    with ``owner`` their parents.  scipy's DFS scans a row from its
+    start each time it returns to a node, so it runs on the
+    first-child / next-sibling form of the tree, whose rows hold at
+    most two entries (first child, then next sibling) and whose
+    preorder is the tree's own.
+    """
+    size = n + 1
+    first = np.ones(len(kids), dtype=bool)
+    first[1:] = owner[1:] != owner[:-1]
+    first_child = np.full(size, -1, dtype=np.int64)
+    first_child[owner[first]] = kids[first]
+    next_sibling = np.full(size, -1, dtype=np.int64)
+    next_sibling[kids[:-1][~first[1:]]] = kids[1:][~first[1:]]
+    links = np.stack([first_child, next_sibling], axis=1)
+    present = links >= 0
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    lcrs = sp.csr_matrix((np.ones(int(indptr[-1])), links[present], indptr),
+                         shape=(size, size))
+    visit = depth_first_order(lcrs, n, directed=True,
+                              return_predecessors=False)
+    position = np.empty(size, dtype=np.int64)
+    position[visit] = np.arange(size)
+    return position[:n]

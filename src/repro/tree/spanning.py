@@ -14,11 +14,13 @@ edge storage, and operate per connected component (forests).
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import minimum_spanning_tree
 
-from repro.graph.bfs import bfs_tree_order
+from repro.exceptions import GraphError
+from repro.graph.bfs import bfs_forest
 from repro.graph.components import connected_components, component_roots
 from repro.graph.graph import Graph
-from repro.tree.dsu import DisjointSetUnion
 
 __all__ = [
     "maximum_spanning_forest",
@@ -29,32 +31,46 @@ __all__ = [
 
 
 def maximum_spanning_forest(graph: Graph, key=None) -> np.ndarray:
-    """Kruskal maximum spanning forest.
+    """Maximum spanning forest under a strict edge order.
+
+    Edges are ranked by descending key, ties by ascending edge id.  The
+    ranks are distinct, so the forest of minimum total rank is unique:
+    it is what Kruskal's algorithm picks walking the edges in that
+    order, and ``scipy.sparse.csgraph.minimum_spanning_tree`` finds it
+    with the ranks as weights.
 
     Parameters
     ----------
     graph:
         Input graph (may be disconnected).
     key:
-        Optional per-edge sort key (defaults to the edge weights); the
-        forest maximizes the total key.
+        Optional per-edge sort key, one value per edge (defaults to the
+        edge weights); the forest maximizes the total key.
 
     Returns
     -------
     numpy.ndarray
         Sorted ids of the selected edges (``n - #components`` of them).
+
+    Raises
+    ------
+    GraphError
+        When *key* does not hold exactly one value per edge.
     """
     if key is None:
         key = graph.w
     key = np.asarray(key, dtype=np.float64)
+    if key.shape != (graph.edge_count,):
+        raise GraphError(
+            f"key holds {key.size} values for {graph.edge_count} edges"
+        )
     order = np.argsort(-key, kind="stable")
-    dsu = DisjointSetUnion(graph.n)
-    picked = []
-    u, v = graph.u, graph.v
-    for edge in order:
-        if dsu.union(int(u[edge]), int(v[edge])):
-            picked.append(int(edge))
-    return np.sort(np.asarray(picked, dtype=np.int64))
+    rank = np.empty(len(order))
+    rank[order] = np.arange(1, len(order) + 1)
+    ranked = sp.csr_matrix((rank, (graph.u, graph.v)),
+                           shape=(graph.n, graph.n))
+    picked = minimum_spanning_tree(ranked).data.astype(np.int64) - 1
+    return np.sort(order[picked])
 
 
 def effective_weights(graph: Graph) -> np.ndarray:
@@ -81,19 +97,9 @@ def mewst(graph: Graph) -> np.ndarray:
 
 def bfs_spanning_forest(graph: Graph) -> np.ndarray:
     """BFS spanning forest from each component's smallest node id."""
-    count, labels = connected_components(graph)
-    roots = component_roots(labels)
-    indptr, nbr, eid = graph.adjacency()
-    order, pred = bfs_tree_order(indptr, nbr, roots, n=graph.n)
-    # Recover edge ids: for each non-root node, find the edge to pred.
-    lookup = graph.edge_lookup()
-    picked = []
-    for node in order:
-        parent = pred[node]
-        if parent < 0:
-            continue
-        a, b = (int(parent), int(node))
-        if a > b:
-            a, b = b, a
-        picked.append(lookup[(a, b)])
-    return np.sort(np.asarray(picked, dtype=np.int64))
+    _, labels = connected_components(graph)
+    indptr, nbr, _ = graph.adjacency()
+    _, parent = bfs_forest(indptr, nbr, component_roots(labels))
+    # An edge is in the forest iff one endpoint is the other's parent.
+    u, v = graph.u, graph.v
+    return np.flatnonzero((parent[v] == u) | (parent[u] == v))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["concat_ranges", "unique_slots"]
+__all__ = ["concat_ranges", "unique_slots", "forest_depths"]
 
 
 def concat_ranges(starts, lengths):
@@ -73,3 +73,38 @@ def unique_slots(keys):
     slot = np.empty(len(keys), dtype=np.int64)
     slot[order] = np.cumsum(fresh) - 1
     return ordered[fresh], slot, order[fresh]
+
+
+def forest_depths(parent):
+    """Depth of every node of a forest given by parent pointers.
+
+    Pointer jumping: each pass adds the depth gathered at a node's
+    current ancestor and then jumps to that ancestor's ancestor, so
+    ``log2(height) + 1`` array passes settle every node.
+
+    Parameters
+    ----------
+    parent : numpy.ndarray
+        ``int64`` parent of each node, ``-1`` at roots.
+
+    Returns
+    -------
+    depth : numpy.ndarray
+        ``int64`` hop count from each node up to its root.
+    ancestors : list of numpy.ndarray
+        ``ancestors[k][x]`` is the ``2**k``-th ancestor of ``x``, or
+        ``-1`` above its root; ``ancestors[0]`` is *parent* itself.
+        The list ends before the first power of two that no node has,
+        so every depth is below ``2**len(ancestors)``.
+    """
+    depth = (parent >= 0).astype(np.int64)
+    ancestors = [parent]
+    jump = parent.copy()
+    active = np.flatnonzero(jump >= 0)
+    while len(active):
+        depth[active] += depth[jump[active]]
+        jump[active] = jump[jump[active]]
+        active = active[jump[active] >= 0]
+        if len(active):
+            ancestors.append(jump.copy())
+    return depth, ancestors

@@ -1,11 +1,13 @@
-"""Tests for BFS kernels (BallFinder and bfs_tree_order)."""
+"""Tests for BFS kernels (BallFinder, bfs_forest) and the loop oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import BallFinder, Graph, bfs_tree_order, grid2d
+from oracles import bfs_tree_order
+from repro.graph import BallFinder, Graph, grid2d
+from repro.graph.bfs import bfs_forest
 
 # Big enough that a ball's frontier reaches BallFinder._VECTOR_FRONTIER
 # (the L1 diamond's layer k holds 4k nodes), so ball_nodes switches
@@ -142,3 +144,24 @@ def test_bfs_tree_order_unreachable(forest_graph):
     order, pred = bfs_tree_order(indptr, nbr, [0], n=forest_graph.n)
     assert set(order.tolist()) == {0, 1, 2}
     assert (pred[[3, 4, 5]] == -2).all()
+
+
+@pytest.mark.parametrize("roots", [[0], [0, 3], [3, 0]])
+def test_bfs_forest_matches_one_queue_per_root(forest_graph, roots):
+    indptr, nbr, _ = forest_graph.adjacency()
+    order, parent = bfs_forest(indptr, nbr, roots)
+    loop_order, loop_pred = bfs_tree_order(indptr, nbr, roots)
+    np.testing.assert_array_equal(parent, np.maximum(loop_pred, -1))
+    assert sorted(order.tolist()) == sorted(loop_order.tolist())
+
+
+def test_bfs_forest_visits_level_by_level(medium_grid):
+    indptr, nbr, _ = medium_grid.adjacency()
+    roots = [0, 210, 399]
+    order, parent = bfs_forest(indptr, nbr, roots)
+    assert order[:3].tolist() == roots
+    assert len(order) == medium_grid.n
+    hops = np.zeros(medium_grid.n, dtype=np.int64)
+    for node in order[3:]:
+        hops[node] = hops[parent[node]] + 1
+    assert (np.diff(hops[order]) >= 0).all()

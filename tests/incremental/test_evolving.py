@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import oracles
 import repro
+import repro.incremental.evolving as evolving_module
 from repro.api import sparsify as api_sparsify
 from repro.api.records import RunRecord
 from repro.core.metrics import evaluate_sparsifier
@@ -123,6 +125,48 @@ class TestForestMaintenance:
             evolving.apply_batch(deletes=[pair])
         assert _is_spanning_forest(medium_grid.n,
                                    evolving.forest_edges)
+
+    def test_delta_path_matches_the_loop_oracle(self, monkeypatch):
+        """A stream deleting forest edges, replayed on the old loops.
+
+        The oracle repairs the forest with a DSU, maps pairs through
+        ``edge_lookup`` dicts, roots one node at a time and answers
+        LCAs with Tarjan's DFS; every entry but ``seconds``, the forest
+        and the kept set must match after every batch.
+        """
+        graph = grid2d(10, 10, weights="uniform", seed=3)
+        kwargs = {**OPTIONS, "drift_budget": 1e4}
+        evolving = EvolvingSparsifier(graph, "proposed", **kwargs)
+        rng = np.random.default_rng(11)
+        stream, trail = [], []
+        for _ in range(14):
+            forest = evolving.forest_edges
+            deletes = sorted({forest[int(k)] for k in
+                              rng.integers(0, len(forest), size=2)})
+            inserts = []
+            while len(inserts) < 2:
+                u, v = sorted(int(x) for x in rng.integers(0, graph.n, 2))
+                if u != v and (u, v) not in evolving._edges and all(
+                        (u, v) != (a, b) for a, b, _ in inserts):
+                    inserts.append((u, v, float(rng.choice([0.5, 1.0]))))
+            stream.append((inserts, deletes))
+            entry = evolving.apply_batch(inserts=inserts, deletes=deletes)
+            trail.append(({k: x for k, x in entry.items() if k != "seconds"},
+                          evolving.forest_edges, set(evolving._kept)))
+        assert sum(entry["forest_replacements"] for entry, _, _ in trail) > 0
+        rebuilds = sum(entry["rebuild"] for entry, _, _ in trail)
+        assert 0 < rebuilds < len(trail)
+
+        monkeypatch.setattr(evolving_module, "RootedForest",
+                            oracles.RootedForest)
+        monkeypatch.setattr(evolving_module, "batch_tree_resistances",
+                            oracles.tree_resistances)
+        oracle = oracles.OracleEvolvingSparsifier(graph, "proposed", **kwargs)
+        for (inserts, deletes), (entry, forest, kept) in zip(stream, trail):
+            got = oracle.apply_batch(inserts=inserts, deletes=deletes)
+            assert {k: x for k, x in got.items() if k != "seconds"} == entry
+            assert oracle.forest_edges == forest
+            assert oracle._kept == kept
 
 
 class TestRebuildAndDrift:

@@ -9,6 +9,13 @@ only to check the segmented array implementations in
 with exact solves, checks the ball truncation on its own).  The oracle
 rankers plug the loops into the sparsifier driver through the
 :class:`~repro.core.ranking.EdgeRanker` protocol.
+
+The shared set-up (Sec. 3.2) has its loops here too: components by
+Python BFS, Kruskal over a disjoint-set union, per-node rooting, the
+Euler-tour DFS and Tarjan's offline LCA, plus the DSU forest repair of
+the incremental delta path.  ``repro.graph.components``,
+``repro.tree`` and ``repro.incremental.evolving`` must match them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -16,9 +23,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import FactorizationError
+from repro.exceptions import FactorizationError, NotATreeError
 from repro.graph.bfs import BallFinder
+from repro.incremental.evolving import EvolvingSparsifier
+from repro.tree import rooted
 from repro.tree.lca import batch_tree_resistances
+from repro.tree.spanning import effective_weights
 from repro.utils.arrays import concat_ranges
 from repro.utils.validation import check_square_sparse
 
@@ -295,3 +305,336 @@ def source_vector(netlist, t):
     for load in netlist.loads:
         u[load.node] += load.sign * pulse_value(load.pattern, t)
     return u
+
+
+# ----------------------------------------------------------------------
+# The shared set-up: components, spanning forests, rooting and LCAs.
+# ----------------------------------------------------------------------
+class DisjointSetUnion:
+    """Array-backed DSU over ``0..n-1`` (path compression, union by rank)."""
+
+    def __init__(self, n: int) -> None:
+        self.parent = np.arange(n, dtype=np.int64)
+        self.rank = np.zeros(n, dtype=np.int8)
+
+    def find(self, x: int) -> int:
+        """Representative of x's set (iterative, with path compression)."""
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return int(root)
+
+    def union(self, x: int, y: int) -> bool:
+        """Merge the sets of *x* and *y*; returns False if already merged."""
+        root_x, root_y = self.find(x), self.find(y)
+        if root_x == root_y:
+            return False
+        rank = self.rank
+        if rank[root_x] < rank[root_y]:
+            root_x, root_y = root_y, root_x
+        self.parent[root_y] = root_x
+        if rank[root_x] == rank[root_y]:
+            rank[root_x] += 1
+        return True
+
+    def connected(self, x: int, y: int) -> bool:
+        """True when *x* and *y* are in the same set."""
+        return self.find(x) == self.find(y)
+
+    def component_count(self) -> int:
+        """Number of disjoint sets."""
+        return int(np.sum(self.parent == np.arange(len(self.parent))))
+
+
+def connected_components(graph):
+    """``(count, labels)`` by one Python BFS per component."""
+    indptr, nbr, _ = graph.adjacency()
+    labels = np.full(graph.n, -1, dtype=np.int64)
+    count = 0
+    for start in range(graph.n):
+        if labels[start] != -1:
+            continue
+        labels[start] = count
+        queue = [start]
+        head = 0
+        while head < len(queue):
+            node = queue[head]
+            head += 1
+            for neighbor in nbr[indptr[node]:indptr[node + 1]]:
+                neighbor = int(neighbor)
+                if labels[neighbor] == -1:
+                    labels[neighbor] = count
+                    queue.append(neighbor)
+        count += 1
+    return count, labels
+
+
+def component_roots(labels):
+    """Smallest node id of each component."""
+    count = int(labels.max()) + 1 if len(labels) else 0
+    roots = np.full(count, -1, dtype=np.int64)
+    for node, label in enumerate(labels):
+        if roots[label] == -1:
+            roots[label] = node
+    return roots
+
+
+def bfs_tree_order(indptr, neighbors, roots, n=None):
+    """One queue per root: ``(order, pred)``, ``pred`` ``-2`` if unreached."""
+    if n is None:
+        n = len(indptr) - 1
+    pred = np.full(n, -2, dtype=np.int64)
+    order = []
+    for root in np.atleast_1d(np.asarray(roots, dtype=np.int64)):
+        root = int(root)
+        if pred[root] != -2:
+            continue
+        pred[root] = -1
+        queue = [root]
+        head = 0
+        while head < len(queue):
+            node = queue[head]
+            head += 1
+            order.append(node)
+            for nbr in neighbors[indptr[node]:indptr[node + 1]]:
+                nbr = int(nbr)
+                if pred[nbr] == -2:
+                    pred[nbr] = node
+                    queue.append(nbr)
+    return np.asarray(order, dtype=np.int64), pred
+
+
+def maximum_spanning_forest(graph, key=None):
+    """Kruskal over a DSU, edges by descending key then ascending id."""
+    if key is None:
+        key = graph.w
+    key = np.asarray(key, dtype=np.float64)
+    order = np.argsort(-key, kind="stable")
+    dsu = DisjointSetUnion(graph.n)
+    picked = []
+    u, v = graph.u, graph.v
+    for edge in order:
+        if dsu.union(int(u[edge]), int(v[edge])):
+            picked.append(int(edge))
+    return np.sort(np.asarray(picked, dtype=np.int64))
+
+
+def mewst(graph):
+    """Kruskal on the feGRASS effective weights."""
+    return maximum_spanning_forest(graph, key=effective_weights(graph))
+
+
+def bfs_spanning_forest(graph):
+    """BFS forest from each component's smallest node, edge by edge."""
+    _, labels = connected_components(graph)
+    indptr, nbr, _ = graph.adjacency()
+    order, pred = bfs_tree_order(indptr, nbr, component_roots(labels),
+                                 n=graph.n)
+    lookup = graph.edge_lookup()
+    picked = []
+    for node in order:
+        parent = pred[node]
+        if parent < 0:
+            continue
+        a, b = sorted((int(parent), int(node)))
+        picked.append(lookup[(a, b)])
+    return np.sort(np.asarray(picked, dtype=np.int64))
+
+
+class RootedForest(rooted.RootedForest):
+    """:class:`repro.tree.RootedForest`, rooted one node at a time.
+
+    Has every field but ``ancestors``; pair it with
+    :func:`tarjan_offline_lca` / :func:`tree_resistances`.
+    """
+
+    def __init__(self, graph, tree_edge_ids, validate_spanning=True):
+        tree_edge_ids = np.sort(np.asarray(tree_edge_ids, dtype=np.int64))
+        self.graph = graph
+        self.edge_ids = tree_edge_ids
+        self.tree = graph.subgraph(tree_edge_ids)
+        count, labels = connected_components(self.tree)
+        if len(tree_edge_ids) != graph.n - count:
+            raise NotATreeError("not a spanning forest")
+        if validate_spanning and count != connected_components(graph)[0]:
+            raise NotATreeError("the forest does not span every component")
+        self.component_count = count
+        self.component_labels = labels
+        self.roots = component_roots(labels)
+        indptr, nbr, _ = self.tree.adjacency()
+        order, pred = bfs_tree_order(indptr, nbr, self.roots, n=graph.n)
+        self.parent = pred
+        local_lookup = self.tree.edge_lookup()
+        parent_edge = np.full(graph.n, -1, dtype=np.int64)
+        depth = np.zeros(graph.n, dtype=np.int64)
+        rdist = np.zeros(graph.n, dtype=np.float64)
+        for node in order:
+            par = pred[node]
+            if par < 0:
+                continue
+            a, b = sorted((int(par), int(node)))
+            global_id = tree_edge_ids[local_lookup[(a, b)]]
+            parent_edge[node] = global_id
+            depth[node] = depth[par] + 1
+            rdist[node] = rdist[par] + 1.0 / graph.w[global_id]
+        self.parent_edge = parent_edge
+        self.depth = depth
+        self.rdist = rdist
+        self._tin = None
+        self._tout = None
+
+    def euler_intervals(self):
+        """``(tin, tout)`` from an explicit-stack DFS."""
+        if self._tin is None:
+            n = self.graph.n
+            indptr, nbr, _ = self.tree.adjacency()
+            tin = np.empty(n, dtype=np.int64)
+            tout = np.empty(n, dtype=np.int64)
+            parent = self.parent
+            clock = 0
+            stack_node = np.empty(n, dtype=np.int64)
+            stack_cursor = np.empty(n, dtype=np.int64)
+            for root in self.roots:
+                top = 0
+                stack_node[0] = root
+                stack_cursor[0] = indptr[root]
+                tin[root] = clock
+                clock += 1
+                while top >= 0:
+                    node = stack_node[top]
+                    cursor = stack_cursor[top]
+                    if cursor < indptr[node + 1]:
+                        stack_cursor[top] = cursor + 1
+                        child = int(nbr[cursor])
+                        if child == parent[node]:
+                            continue
+                        tin[child] = clock
+                        clock += 1
+                        top += 1
+                        stack_node[top] = child
+                        stack_cursor[top] = indptr[child]
+                    else:
+                        tout[node] = clock
+                        top -= 1
+            self._tin = tin
+            self._tout = tout
+        return self._tin, self._tout
+
+
+def tarjan_offline_lca(forest, qu, qv):
+    """Tarjan's offline LCA: one DFS plus DSU finds over all queries."""
+    qu = np.asarray(qu, dtype=np.int64)
+    qv = np.asarray(qv, dtype=np.int64)
+    if qu.shape != qv.shape:
+        raise ValueError("query arrays must have the same shape")
+    n = forest.n
+    n_queries = len(qu)
+    if n_queries == 0:
+        return np.empty(0, dtype=np.int64)
+    labels = forest.component_labels
+    if np.any(labels[qu] != labels[qv]):
+        raise NotATreeError("an LCA query spans two components")
+
+    # Bucket queries by endpoint (each query hangs off both endpoints).
+    heads = np.concatenate([qu, qv])
+    others = np.concatenate([qv, qu])
+    qids = np.concatenate([np.arange(n_queries), np.arange(n_queries)])
+    order = np.argsort(heads, kind="stable")
+    qother = others[order]
+    qid_sorted = qids[order]
+    counts = np.bincount(heads, minlength=n)
+    qptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=qptr[1:])
+
+    indptr, nbr, _ = forest.tree.adjacency()
+    parent = forest.parent
+    dsu = DisjointSetUnion(n)
+    ancestor = np.arange(n, dtype=np.int64)
+    black = np.zeros(n, dtype=bool)
+    answers = np.full(n_queries, -1, dtype=np.int64)
+
+    # Iterative DFS with an explicit (node, adjacency-cursor) stack.
+    stack_node = np.empty(n, dtype=np.int64)
+    stack_cursor = np.empty(n, dtype=np.int64)
+    for root in forest.roots:
+        top = 0
+        stack_node[0] = root
+        stack_cursor[0] = indptr[root]
+        while top >= 0:
+            node = stack_node[top]
+            cursor = stack_cursor[top]
+            if cursor < indptr[node + 1]:
+                stack_cursor[top] = cursor + 1
+                child = int(nbr[cursor])
+                if child == parent[node]:
+                    continue
+                top += 1
+                stack_node[top] = child
+                stack_cursor[top] = indptr[child]
+            else:
+                # All children of *node* are finished: color it black,
+                # answer its pending queries, then merge into its parent.
+                top -= 1
+                black[node] = True
+                for k in range(qptr[node], qptr[node + 1]):
+                    other = int(qother[k])
+                    if black[other]:
+                        answers[qid_sorted[k]] = ancestor[dsu.find(other)]
+                par = int(parent[node])
+                if par >= 0:
+                    dsu.union(par, node)
+                    ancestor[dsu.find(par)] = par
+    return answers
+
+
+def tree_resistances(forest, qu, qv):
+    """``(resistances, lcas)`` through :func:`tarjan_offline_lca`."""
+    lcas = tarjan_offline_lca(forest, qu, qv)
+    rdist = forest.rdist
+    qu = np.asarray(qu, dtype=np.int64)
+    qv = np.asarray(qv, dtype=np.int64)
+    return rdist[qu] + rdist[qv] - 2.0 * rdist[lcas], lcas
+
+
+class OracleEvolvingSparsifier(EvolvingSparsifier):
+    """The delta path with dict edge lookups and a DSU forest repair.
+
+    Swap :class:`RootedForest` and :func:`tree_resistances` into
+    ``repro.incremental.evolving`` while it runs to get the whole old
+    delta path.
+    """
+
+    def _edge_ids(self, pairs):
+        lookup = self.graph.edge_lookup()
+        return np.sort(np.asarray([lookup[pair] for pair in pairs],
+                                  dtype=np.int64))
+
+    def _repair_forest(self, region, tree_deleted):
+        graph = self.graph
+        dsu = DisjointSetUnion(self.n)
+        for u, v in self._tree:
+            dsu.union(u, v)
+        eff = effective_weights(graph)
+        u_arr, v_arr = graph.u, graph.v
+
+        def _absorb(edge_ids):
+            count = 0
+            order = sorted(
+                (int(e) for e in edge_ids),
+                key=lambda e: (-eff[e], int(u_arr[e]), int(v_arr[e])),
+            )
+            for e in order:
+                if dsu.union(int(u_arr[e]), int(v_arr[e])):
+                    self._tree.add((int(u_arr[e]), int(v_arr[e])))
+                    count += 1
+            return count
+
+        local_mask = np.isin(u_arr, region) | np.isin(v_arr, region)
+        replacements = _absorb(np.nonzero(local_mask)[0])
+        if tree_deleted:
+            replacements += _absorb(np.nonzero(~local_mask)[0])
+        self._kept.update(self._tree)
+        return replacements

@@ -1,10 +1,10 @@
-"""Tests for disjoint-set union."""
+"""Tests for the disjoint-set union of the Kruskal and Tarjan oracles."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tree import DisjointSetUnion
+from oracles import DisjointSetUnion
 
 
 def test_initially_disjoint():

@@ -105,3 +105,31 @@ def test_edge_on_path_matches_path_edges(small_grid_tree, small_grid):
                 continue
             on_path = forest.edge_on_path(node, int(p), int(q))
             assert on_path == (edge in path)
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([-1, 0, 1], "lie in"),              # -1 used to wrap to the last edge
+    ([0, 1, 4], "lie in"),               # past the last edge id
+    ([0, 1, 1, 2], "repeat"),
+    (np.array([0.0, 1.0, 2.0, 3.0]), "integers"),
+    (np.ones(4, dtype=bool), "integers"),
+])
+def test_rejects_bad_edge_ids(path_forest, ids, message):
+    g, _ = path_forest
+    with pytest.raises(NotATreeError, match=message):
+        RootedForest(g, ids)
+
+
+def test_accepts_any_integer_id_dtype(path_forest):
+    g, forest = path_forest
+    for ids in ([3, 2, 1, 0], np.arange(4, dtype=np.int32),
+                np.arange(4, dtype=np.uint16)):
+        other = RootedForest(g, ids)
+        np.testing.assert_array_equal(other.edge_ids, forest.edge_ids)
+        np.testing.assert_array_equal(other.parent_edge, forest.parent_edge)
+
+
+def test_single_node_accepts_empty_ids():
+    forest = RootedForest(Graph(1, [], [], []), [])
+    assert forest.parent.tolist() == [-1]
+    assert forest.rdist.tolist() == [0.0]

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.graph import Graph, connected_components
+from repro.exceptions import GraphError
+from repro.graph import Graph, connected_components, grid2d
 from repro.tree import (
     bfs_spanning_forest,
     maximum_spanning_forest,
@@ -78,3 +79,13 @@ def test_deterministic(small_mesh):
     a = mewst(small_mesh)
     b = mewst(small_mesh)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("length", [5, 23, 25])
+def test_key_length_must_match_edge_count(length):
+    """A short key used to drop edges silently; a long one hit IndexError."""
+    g = grid2d(4, 4, seed=0)
+    assert g.edge_count == 24
+    key = np.resize(g.w, length)
+    with pytest.raises(GraphError, match="24 edges"):
+        maximum_spanning_forest(g, key=key)
