@@ -12,27 +12,40 @@ arrays of *(candidate, node)* entries grouped by candidate:
   (:class:`LookupTable`), then drops the second orientation of edges
   that qualify both ways, leaving each candidate's edges in ascending
   edge-id order;
-* :func:`score_in_blocks` sizes the candidate blocks by the number of
-  entries they materialize, so temporaries stay at a few MB whether
-  balls hold fifteen nodes (meshes) or the whole graph (power-law
-  graphs).
+* :class:`JoinStore` keeps those joins from one densification round to
+  the next as ``int32`` edge ids, at most :data:`JOIN_IDS_PER_EDGE` per
+  edge of ``G``, and drops only the joins whose balls may have grown;
+* :func:`run_in_blocks` and :func:`score_in_blocks` cut the candidates
+  into blocks of about :data:`BLOCK_ENTRIES` materialized entries,
+  from per-candidate costs where those are known in advance (stored
+  joins), else from the previous block's rate; a block that grows
+  balls then joins them in spans that fit (:func:`block_spans`), once
+  the balls show how large each join will be.
 
 Every reduction a candidate takes part in reads only that candidate's
-entries, in an order fixed by the candidate alone, so scores do not
-depend on how candidates are blocked or chunked.
+entries, in an order fixed by the candidate alone, so scores depend
+neither on how candidates are blocked or chunked nor on whether a join
+came from the store.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.graph.bfs import ball_union
 from repro.utils.arrays import concat_ranges, unique_slots
 
 __all__ = ["ball_pair_edges", "score_in_blocks"]
 
 #: Target number of entries (ball members, incidences, SPAI gathers) one
 #: scoring block materializes.
-BLOCK_ENTRIES = 1 << 18
+BLOCK_ENTRIES = 1 << 17
+
+#: Most edge ids a :class:`JoinStore` holds per edge of ``G`` (6.1 MB of
+#: ``int32`` on full ``NLR``, whose joins take 0.7-0.9 M ids a round).
+#: On power-law graphs balls cover most of ``G``; the candidates past
+#: the cap keep having their joins grown inline.
+JOIN_IDS_PER_EDGE = 32
 
 #: Rows (candidates) one :class:`LookupTable` fills at a time: enough to
 #: amortize the per-fill numpy calls, and no more, so small graphs keep
@@ -164,13 +177,240 @@ def ball_pair_edges(adjacency, positions, p_owner, p_nodes, q_owner,
             src_in_q[hit].astype(np.int64), eids[first])
 
 
-def score_in_blocks(count: int, score_block, graph) -> np.ndarray:
-    """Score ``count`` candidates in blocks sized by their entry counts.
+class JoinStore:
+    """Each candidate's ball-pair join, kept from one round to the next.
 
-    The first block assumes the worst case, balls covering all of
-    *graph*; each later block holds about :data:`BLOCK_ENTRIES` entries
-    at the previous block's entries-per-candidate rate, growing at most
-    eightfold per block.
+    A join is the ascending ids of the edges of ``G`` between the
+    beta-balls of a candidate's two endpoints in a subgraph ``S``
+    (:func:`ball_pair_edges`).  It depends only on those two node sets,
+    and the rounds of Algorithm 2 only insert edges into ``S``, so most
+    joins outlive a round: :meth:`retain` moves the store to the next
+    ``S`` and drops every join whose balls may have grown.  Joins carry
+    no orientation: the Eq. 20 reduction reads ``(s_i - s_j)^2``, which
+    has the same bits either way round.
+
+    Joins are appended block by block (:meth:`append`) and become
+    readable at :meth:`commit`.  The store never holds more than
+    ``JOIN_IDS_PER_EDGE * graph.edge_count`` ids; a join that does not
+    fit is left out and sets :attr:`full`.
+
+    Parameters
+    ----------
+    graph : Graph
+        The original graph ``G``.
+
+    Attributes
+    ----------
+    adjacency : tuple of numpy.ndarray or None
+        ``(indptr, neighbors)`` of the subgraph the joins were grown in.
+    edge_ids : numpy.ndarray
+        The stored candidates, distinct, in store order.
+    ptr : numpy.ndarray
+        ``int64`` offsets: the join of ``edge_ids[k]`` is
+        ``ids[ptr[k]:ptr[k + 1]]``.
+    ids : numpy.ndarray
+        The joins' ``int32`` edge ids.
+    size : int
+        Ids held, appended ones included.
+    full : bool
+        True once a join was left out for want of room.
+    """
+
+    def __init__(self, graph) -> None:
+        self.graph = graph
+        self.capacity = JOIN_IDS_PER_EDGE * graph.edge_count
+        self.reset(None)
+
+    def reset(self, adjacency) -> None:
+        """Empty the store and point it at the subgraph *adjacency*."""
+        self.adjacency = adjacency
+        self._set(np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                  np.empty(0, dtype=np.int32))
+
+    def _set(self, edge_ids, ptr, ids) -> None:
+        self.edge_ids, self.ptr, self.ids = edge_ids, ptr, ids
+        self.size = len(ids)
+        self.full = False
+        self._where = None
+        self._pending = []
+
+    def retain(self, adjacency, edge_ids, beta: int) -> np.ndarray:
+        """Move the store to the subgraph *adjacency*; keep the exact joins.
+
+        *adjacency* must contain the subgraph the joins were grown in.
+        Balls only grow then, and the ball ``B(p, beta)`` can gain a node
+        only if ``p`` lies within ``beta - 1`` hops, in the previous
+        subgraph, of a node whose degree changed (``docs/architecture.md``,
+        "Join reuse across rounds").  One union BFS from those nodes finds
+        every such ``p``; a join survives when its candidate is among
+        *edge_ids* and neither endpoint was reached.
+
+        Parameters
+        ----------
+        adjacency : tuple of numpy.ndarray
+            ``(indptr, neighbors)`` of the new subgraph.
+        edge_ids : array_like of int
+            This round's candidates.
+        beta : int
+            Ball radius of the joins.
+
+        Returns
+        -------
+        numpy.ndarray
+            The candidates of *edge_ids* with no join in the store.
+        """
+        edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        self.commit()
+        members = np.zeros(self.graph.edge_count, dtype=bool)
+        members[edge_ids] = True
+        keep = members[self.edge_ids]
+        if self.adjacency is not None and keep.any():
+            indptr, neighbors = self.adjacency
+            touched = np.flatnonzero(np.diff(adjacency[0]) != np.diff(indptr))
+            stale = ball_union(indptr, neighbors, touched, beta - 1)
+            keep &= ~(stale[self.graph.u[self.edge_ids]]
+                      | stale[self.graph.v[self.edge_ids]])
+        # Compact before anything else is grown, so the dropped joins are
+        # released first.
+        lengths = np.diff(self.ptr)[keep]
+        ids = self.ids[np.repeat(keep, np.diff(self.ptr))]
+        ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=ptr[1:])
+        self.adjacency = adjacency
+        self._set(self.edge_ids[keep], ptr, ids)
+        members[edge_ids] = False
+        members[self.edge_ids] = True
+        return edge_ids[~members[edge_ids]]
+
+    def append(self, edge_ids, owner, eids) -> int:
+        """Add the joins of a block of candidates, as many as fit.
+
+        Parameters
+        ----------
+        edge_ids : numpy.ndarray
+            The block's candidates, none of them stored yet.
+        owner, eids : numpy.ndarray
+            Their joins as :func:`ball_pair_edges` returns them: the
+            index into *edge_ids* of each joined edge, ascending, and its
+            id, ascending per candidate.
+
+        Returns
+        -------
+        int
+            How many leading candidates of the block were stored.
+        """
+        lengths = np.bincount(owner, minlength=len(edge_ids))
+        ends = np.cumsum(lengths)
+        take = int(np.searchsorted(ends, self.capacity - self.size,
+                                   side="right"))
+        if take < len(edge_ids):
+            self.full = True
+        if take:
+            total = int(ends[take - 1])
+            self._pending.append((edge_ids[:take], lengths[:take],
+                                  eids[:total].astype(np.int32)))
+            self.size += total
+        return take
+
+    def commit(self) -> None:
+        """Make the appended joins readable."""
+        if not self._pending:
+            return
+        edge_ids, lengths, ids = zip(*self._pending)
+        self._pending = []
+        ptr = np.concatenate([self.ptr, self.ptr[-1] + np.cumsum(
+            np.concatenate(lengths))])
+        full = self.full
+        self._set(np.concatenate((self.edge_ids,) + edge_ids), ptr,
+                  np.concatenate((self.ids,) + ids))
+        self.full = full
+
+    def slots(self, edge_ids) -> np.ndarray:
+        """Store position of each of *edge_ids*, ``-1`` where none is held."""
+        if self._where is None:
+            self._where = np.full(self.graph.edge_count, -1, dtype=np.int64)
+            self._where[self.edge_ids] = np.arange(len(self.edge_ids))
+        return self._where[np.asarray(edge_ids, dtype=np.int64)]
+
+    def entries(self, slots):
+        """Entries ``(owner, eids)`` of the joins at store positions *slots*.
+
+        ``owner`` indexes *slots*, ascending; ``eids`` are ``int64``,
+        ascending per owner.
+        """
+        starts = self.ptr[slots]
+        lengths = self.ptr[slots + 1] - starts
+        return (np.repeat(np.arange(len(slots)), lengths),
+                self.ids[concat_ranges(starts, lengths)].astype(np.int64))
+
+
+def block_spans(costs) -> list:
+    """Cut candidates into spans of about :data:`BLOCK_ENTRIES` entries.
+
+    Parameters
+    ----------
+    costs : numpy.ndarray
+        Entries each candidate materializes.
+
+    Returns
+    -------
+    list of tuple
+        Consecutive ``(start, stop)`` spans covering all candidates, each
+        at least one candidate long.
+    """
+    bounds = np.cumsum(costs)
+    spans, start = [], 0
+    while start < len(bounds):
+        base = bounds[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(
+            bounds, base + BLOCK_ENTRIES, side="right")))
+        spans.append((start, stop))
+        start = stop
+    return spans
+
+
+def run_in_blocks(count: int, run_block, graph, costs=None) -> None:
+    """Run *run_block* over ``count`` candidates in entry-sized blocks.
+
+    With *costs*, the blocks are :func:`block_spans`.  Without, the
+    first block assumes the worst case, balls covering all of *graph*;
+    each later block holds about :data:`BLOCK_ENTRIES` entries at the
+    previous block's entries-per-candidate rate, growing at most
+    eightfold per block.  A block that grows balls can then cut its
+    joins into spans (:func:`block_spans`) before materializing them.
+
+    Parameters
+    ----------
+    count : int
+        Number of candidates.
+    run_block : callable
+        ``run_block(start, stop) -> (done, entries)``: handles candidates
+        ``start..start+done-1`` (``done <= stop - start``), having
+        materialized ``entries``; ``done == 0`` ends the run early.
+    graph : Graph
+        The graph ``G`` the balls live in.
+    costs : numpy.ndarray, optional
+        Entries each candidate materializes, when known in advance.
+    """
+    if costs is not None:
+        for start, stop in block_spans(costs):
+            if run_block(start, stop)[0] == 0:
+                return
+        return
+    start = 0
+    size = max(1, BLOCK_ENTRIES // (graph.n + 2 * graph.edge_count))
+    while start < count:
+        stop = min(count, start + size)
+        done, entries = run_block(start, stop)
+        if done == 0:
+            return
+        rate = max(entries / done, 1.0)
+        size = int(min(max(1.0, BLOCK_ENTRIES / rate), 8 * done))
+        start += done
+
+
+def score_in_blocks(count: int, score_block, graph, costs=None) -> np.ndarray:
+    """Score ``count`` candidates in blocks sized by their entry counts.
 
     Parameters
     ----------
@@ -182,6 +422,9 @@ def score_in_blocks(count: int, score_block, graph) -> np.ndarray:
         materialized.
     graph : Graph
         The graph ``G`` the balls live in.
+    costs : numpy.ndarray, optional
+        Entries each candidate materializes, when known in advance
+        (:func:`run_in_blocks`).
 
     Returns
     -------
@@ -189,12 +432,10 @@ def score_in_blocks(count: int, score_block, graph) -> np.ndarray:
         The concatenated scores.
     """
     out = np.empty(count)
-    start = 0
-    size = max(1, BLOCK_ENTRIES // (graph.n + 2 * graph.edge_count))
-    while start < count:
-        stop = min(count, start + size)
+
+    def run_block(start, stop):
         out[start:stop], entries = score_block(start, stop)
-        rate = max(entries / (stop - start), 1.0)
-        size = int(min(max(1.0, BLOCK_ENTRIES / rate), 8 * (stop - start)))
-        start = stop
+        return stop - start, entries
+
+    run_in_blocks(count, run_block, graph, costs)
     return out

@@ -22,8 +22,11 @@ modules can depend on it without cycles.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import threading
+import typing
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
@@ -82,7 +85,13 @@ class BaseSparsifierConfig:
     boundary_policy: str = "keep"
 
     def validate(self) -> None:
-        """Raise :class:`~repro.exceptions.GraphError` on bad knobs."""
+        """Raise :class:`~repro.exceptions.GraphError` on bad knobs.
+
+        Subclasses call this first: it also checks the type of every
+        integer and boolean field, theirs included, before any of them
+        is compared or used.
+        """
+        self._check_types()
         if not 0.0 <= self.edge_fraction < math.inf:
             raise GraphError(
                 "edge_fraction must be finite and nonnegative, "
@@ -95,6 +104,31 @@ class BaseSparsifierConfig:
                 f"unknown boundary_policy {self.boundary_policy!r}; "
                 f"choose from {sorted(BOUNDARY_POLICIES)}"
             )
+
+    def _check_types(self) -> None:
+        """Integer fields take integers, boolean fields ``True``/``False``.
+
+        An ``int`` field given a bool or any non-integer (a whole float
+        such as ``2.0`` included) and a ``bool`` field given anything but
+        a bool raise, instead of failing later with a bare ``TypeError``
+        or running silently as something else.  ``int | None`` fields
+        also take ``None``.
+        """
+        types = _field_types(type(self))
+        for f in fields(self):
+            kind, value = types[f.name], getattr(self, f.name)
+            if kind is bool and not isinstance(value, bool):
+                raise GraphError(
+                    f"{f.name} must be True or False, got {value!r}"
+                )
+            if kind in (int, int | None) and not (
+                    value is None and kind is not int) and (
+                    isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise GraphError(
+                    f"{f.name} must be an integer, got {value!r}; "
+                    "whole floats such as 2.0 are not accepted"
+                )
 
     def resolve_backend(self):
         """Compatibility stub: an object whose ``name`` is ``"scipy"``.
@@ -138,6 +172,12 @@ class BaseSparsifierConfig:
     def replace(self, **changes):
         """A copy of this config with *changes* applied."""
         return replace(self, **changes)
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Evaluated field annotations of a config class."""
+    return typing.get_type_hints(cls)
 
 
 class ArtifactStore:

@@ -18,10 +18,15 @@ operations over flat *(candidate, node)* entries
 (:mod:`repro.core.ball_join`): balls grow one BFS level at a time for
 every candidate at once, the edges of ``G`` between each candidate's two
 balls come from one join, and one ``bincount`` reduces the numerators.
-Each candidate's reduction reads only its own entries in a fixed order,
-so scores are independent of how candidates are chunked, which is what
-makes the worker-pool execution in :mod:`repro.core.parallel`
-deterministic.
+The joins also carry over from round to round in a
+:class:`~repro.core.ball_join.JoinStore`: the tree phase seeds it,
+:meth:`ApproxRanker.reuse_joins` drops only the joins whose balls may
+have grown, and the ranker regrows those in the parent process (in
+:meth:`ApproxRanker.prepare` before workers fork, else while scoring),
+so most candidates go straight to the s-value stage.  Each candidate's reduction reads only its own
+entries in a fixed order, so scores are independent of how candidates
+are chunked and of where their joins came from, which is what makes the
+worker-pool execution in :mod:`repro.core.parallel` deterministic.
 
 :class:`BallCache` keeps single BFS balls across edge mutations with
 touched-node invalidation; the incremental sparsifier
@@ -35,7 +40,13 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.utils.arrays import concat_ranges, unique_slots
-from repro.core.ball_join import LookupTable, ball_pair_edges, score_in_blocks
+from repro.core.ball_join import (
+    BLOCK_ENTRIES,
+    LookupTable,
+    ball_pair_edges,
+    block_spans,
+    run_in_blocks,
+)
 from repro.core.trace_reduction import exact_trace_reduction_batch
 from repro.core.tree_phase import tree_truncated_trace_reduction
 from repro.tree.lca import batch_tree_resistances
@@ -188,12 +199,21 @@ class TreePhaseRanker:
         Rooted spanning forest ``T`` (the initial subgraph).
     beta : int, optional
         BFS truncation depth (paper default 5).
+    joins : repro.core.ball_join.JoinStore, optional
+        Reset to the tree here; then every candidate this process scores
+        adds its ball-pair join, up to the store's cap, which seeds the
+        first :class:`ApproxRanker` round.  Joins grown in forked
+        workers are not returned, so that round then grows them anew.
     """
 
-    def __init__(self, graph: Graph, forest, beta: int = 5) -> None:
+    def __init__(self, graph: Graph, forest, beta: int = 5,
+                 joins=None) -> None:
         self.graph = graph
         self.forest = forest
         self.beta = int(beta)
+        self.joins = joins
+        if joins is not None:
+            joins.reset(forest.tree.adjacency()[:2])
         self._resistances: np.ndarray | None = None
 
     def prepare(self, edge_ids) -> None:
@@ -239,7 +259,7 @@ class TreePhaseRanker:
         self.prepare(edge_ids)
         crit, _, _ = tree_truncated_trace_reduction(
             self.graph, self.forest, edge_ids=edge_ids, beta=self.beta,
-            resistances=self._resistances[edge_ids],
+            resistances=self._resistances[edge_ids], joins=self.joins,
         )
         return crit
 
@@ -288,13 +308,17 @@ class ApproxRanker:
     of ``p`` and ``q`` in the current subgraph ``S``.  A block of
     candidates is scored at once:
 
-    1. the balls of the block's endpoints grow together, one BFS level
-       at a time (:func:`repro.graph.bfs.ball_sets`);
-    2. one join finds each candidate's ball-to-ball edges
-       (:func:`repro.core.ball_join.ball_pair_edges`);
-    3. ``s`` is evaluated only at those edges' endpoints, reading ``u``
-       through a dense per-candidate table;
-    4. one ``bincount`` reduces the numerators.
+    1. each candidate's join comes from the round's
+       :class:`~repro.core.ball_join.JoinStore` (:meth:`reuse_joins`)
+       or is grown; stored candidates go first, so only one block mixes
+       the two.  A block grows the balls of its other candidates'
+       endpoints together (:func:`repro.graph.bfs.ball_sets`), and is
+       joined (:func:`repro.core.ball_join.ball_pair_edges`) and scored
+       in spans cut from the stored join lengths and the grown balls'
+       exact counts; grown joins go into the store while it has room;
+    2. ``s`` is evaluated only at the joined edges' endpoints, reading
+       ``u`` through a dense per-candidate table;
+    3. one ``bincount`` per span reduces the numerators.
 
     Parameters
     ----------
@@ -315,7 +339,8 @@ class ApproxRanker:
     -----
     Scores are chunk-stable (independent of how candidates are split),
     so any sharding of the candidate list across worker processes
-    reproduces the serial result exactly.
+    reproduces the serial result exactly, and they are the same bits
+    with or without a join store.
     """
 
     def __init__(
@@ -331,14 +356,65 @@ class ApproxRanker:
         self._z_data = Z.data
         sub_indptr, sub_nbr, _ = subgraph.adjacency()
         self._sub_adjacency = (sub_indptr, sub_nbr)
+        self._joins = None
+        # Entries a joined edge costs the s-value stage: itself, and the
+        # Z columns of its endpoints, mostly shared with the candidate's
+        # other joined edges.
+        self._per_id = 1.0 + len(self._z_indices) / graph.n
 
     def prepare(self, edge_ids) -> None:
-        """Warm the graph adjacency every block reads (idempotent).
+        """Warm the adjacency; grow the joins the store lacks (idempotent).
 
-        The sparsifier driver calls this in the parent process before
-        forking workers so the arrays are shared read-only.
+        The parallel executor calls this in the parent process before
+        forking workers, so they share the adjacency and read the join
+        store (:meth:`reuse_joins`) copy-on-write.  The joins are grown
+        in blocks, in candidate order, until the store is full.
         """
-        self.graph.adjacency()
+        graph = self.graph
+        graph.adjacency()
+        joins = self._joins
+        if joins is None or joins.full:
+            return
+        edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        missing = edge_ids[joins.slots(edge_ids) < 0]
+        positions = LookupTable(graph.n, len(missing), np.int32, -1)
+
+        def grow_block(start, stop):
+            if joins.full:
+                return 0, 0
+            block = missing[start:stop]
+            work, join = self._grown_joins(graph.u[block], graph.v[block])
+            for lo, hi in block_spans(work):
+                owner, eids = join(lo, hi, positions)
+                if joins.append(block[lo:hi], owner, eids) < hi - lo:
+                    break
+            return len(block), work.sum()
+
+        run_in_blocks(len(missing), grow_block, graph)
+        del positions, grow_block  # free the table before the store merges
+        joins.commit()
+
+    def reuse_joins(self, joins, edge_ids) -> None:
+        """Score from *joins*, brought up to this ranker's subgraph.
+
+        The store drops the joins of departed candidates and those whose
+        balls may have grown since it was last used
+        (:meth:`~repro.core.ball_join.JoinStore.retain`).  Scoring in
+        this process then adds the joins it grows, until the store is
+        full; :meth:`prepare` grows them all up front instead, before
+        workers fork.  Call it in the parent process, before scoring.
+
+        Parameters
+        ----------
+        joins : repro.core.ball_join.JoinStore
+            The store carried over from the previous round (the tree
+            phase seeds it), or an empty one.  It must have been grown
+            in a subgraph of this ranker's.
+        edge_ids : array_like of int
+            This round's candidates.
+        """
+        joins.retain(self._sub_adjacency, edge_ids, self.beta)
+        self._joins = joins
 
     def score_batch(self, edge_ids) -> np.ndarray:
         """Approximate trace reduction (Eq. 20) per candidate edge.
@@ -357,50 +433,144 @@ class ApproxRanker:
         if len(edge_ids) == 0:
             return np.empty(0)
         graph = self.graph
+        joins = self._joins
+        held = (joins.slots(edge_ids) if joins is not None
+                else np.full(len(edge_ids), -1))
         heads = graph.u[edge_ids]
         tails = graph.v[edge_ids]
         w_cand = graph.w[edge_ids]
-        tables = (LookupTable(graph.n, len(edge_ids), np.int32, -1),
-                  LookupTable(graph.n, len(edge_ids), np.float64, 0.0))
-        return score_in_blocks(
-            len(edge_ids),
-            lambda start, stop: self._score_block(
-                heads[start:stop], tails[start:stop], w_cand[start:stop],
-                tables,
-            ),
-            graph,
-        )
+        # Stored candidates first, then those whose balls are grown.
+        order = np.concatenate([np.flatnonzero(held >= 0),
+                                np.flatnonzero(held < 0)])
+        stored = int(np.sum(held >= 0))
+        positions = LookupTable(graph.n, len(order) - stored, np.int32, -1)
+        u_table = LookupTable(graph.n, len(edge_ids), np.float64, 0.0)
+        out = np.empty(len(edge_ids))
 
-    def _score_block(self, p, q, w_pq, tables):
-        graph = self.graph
-        n = graph.n
-        adjacency = graph.adjacency()
-        positions, u_table = tables
+        def score_block(start, stop):
+            block = order[start:stop]
+            ns = max(0, min(stop, stored) - start)
+            slots = held[block[:ns]]
+            costs = (self._costs(joins.ptr[slots + 1] - joins.ptr[slots])
+                     if ns else np.empty(0))
+            if ns < len(block):
+                work, join = self._grown_joins(heads[block[ns:]],
+                                               tails[block[ns:]])
+                costs = np.concatenate([costs, work])
+            spans = block_spans(costs)
+            if ns == len(block):
+                # Nothing grown yet: stop at the first span that fits.
+                spans = spans[:1]
+
+            def span_joins(lo, hi):
+                parts = []
+                if lo < ns:
+                    parts.append(joins.entries(slots[lo:hi]))
+                if hi > ns:
+                    g_lo = max(lo, ns) - ns
+                    owner, eids = join(g_lo, hi - ns, positions)
+                    if joins is not None and not joins.full:
+                        joins.append(edge_ids[block[ns + g_lo:hi]], owner,
+                                     eids)
+                    parts.append((owner + max(ns - lo, 0), eids))
+                if len(parts) == 1:
+                    return parts[0]
+                return tuple(map(np.concatenate, zip(*parts)))
+
+            for lo, hi in spans:
+                pick = block[lo:hi]
+                out[pick] = self._reduce(heads[pick], tails[pick],
+                                         w_cand[pick], *span_joins(lo, hi),
+                                         u_table)
+            done = spans[-1][1]
+            return done, costs[:done].sum()
+
+        run_in_blocks(len(order), score_block, graph)
+        if joins is not None:
+            del positions, u_table  # free the tables before the store merges
+            joins.commit()
+        return out
+
+    def _grown_joins(self, p, q):
+        """Grow the balls of a block's endpoints in ``S``, to join later.
+
+        Counts the entries each candidate's join materializes (its ball
+        members and its p-ball's incidences in ``G``), so the joins can
+        be made in spans that each fit
+        :data:`~repro.core.ball_join.BLOCK_ENTRIES` however far the
+        block's size was guessed off; :meth:`_reduce` then bounds the
+        s-value stage by the joins' lengths.
+
+        Returns ``(work, join)``: the entry count per candidate and
+        ``join(lo, hi, positions)``, the joins of candidates ``lo..hi-1``
+        as :func:`ball_pair_edges` entries ``(owner, eids)``.
+        """
+        adjacency = self.graph.adjacency()
+        indptr = adjacency[0]
         count = len(p)
         ends, which, _ = unique_slots(np.concatenate([p, q]))
         ptr, members = ball_sets(*self._sub_adjacency, ends, self.beta)
-        p_owner, p_nodes = _ball_entries(ptr, members, which[:count])
-        q_owner, q_nodes = _ball_entries(ptr, members, which[count:])
-        src, nbr, _, eids = ball_pair_edges(
-            adjacency, positions, p_owner, p_nodes, q_owner, q_nodes
-        )
-        owner = p_owner[src]
+        sizes = np.diff(ptr)
+        incidences = np.add.reduceat(indptr[members + 1] - indptr[members],
+                                     ptr[:-1])
+        work = (sizes[which[:count]] + sizes[which[count:]]
+                + incidences[which[:count]])
+
+        def join(lo, hi, positions):
+            p_owner, p_nodes = _ball_entries(ptr, members, which[lo:hi])
+            q_owner, q_nodes = _ball_entries(
+                ptr, members, which[count + lo:count + hi])
+            src, _, _, eids = ball_pair_edges(
+                adjacency, positions, p_owner, p_nodes, q_owner, q_nodes
+            )
+            return p_owner[src], eids
+
+        return work, join
+
+    def _costs(self, lengths):
+        """Entries the s-value stage materializes per join length."""
+        return 1.0 + lengths * self._per_id
+
+    def _reduce(self, p, q, w_pq, owner, eids, u_table):
+        """Eq. 20 scores of a span from its candidates' joined edges.
+
+        *owner* and *eids* are the joins as entries grouped by candidate,
+        ascending edge ids within a candidate; the candidate's numerator
+        sums over them in that order.  Spans of grown joins are cut by
+        join-stage counts, so the s-value stage is cut again here, by
+        the joins' lengths.
+        """
+        if len(p) + len(eids) * self._per_id <= BLOCK_ENTRIES:
+            return self._reduce_span(p, q, w_pq, owner, eids, u_table)
+        lengths = np.bincount(owner, minlength=len(p))
+        spans = block_spans(self._costs(lengths))
+        bounds = np.concatenate([[0], np.cumsum(lengths)])
+        scores = np.empty(len(p))
+        for lo, hi in spans:
+            a, b = bounds[lo], bounds[hi]
+            scores[lo:hi] = self._reduce_span(
+                p[lo:hi], q[lo:hi], w_pq[lo:hi], owner[a:b] - lo, eids[a:b],
+                u_table)
+        return scores
+
+    def _reduce_span(self, p, q, w_pq, owner, eids, u_table):
+        """:meth:`_reduce` for a span whose s-value stage fits one block."""
+        graph = self.graph
+        n = graph.n
         u_owner, u_rows, u_values, resistance = self._differences(p, q)
         # s_a = z~_a . u at each joined edge's endpoints, once per
-        # (candidate, node).
-        keys, slot, _ = unique_slots(
-            np.concatenate([owner * n + p_nodes[src], owner * n + q_nodes[nbr]])
+        # (candidate, node).  (s_i - s_j)^2 has the same bits as
+        # (s_j - s_i)^2, so the endpoints need no orientation.
+        keys, slot, _ = unique_slots(np.concatenate(
+            [owner * n + graph.u[eids], owner * n + graph.v[eids]]))
+        s_values = self._inner_products(
+            *np.divmod(keys, n), u_table, u_owner, u_rows, u_values
         )
-        s_values, gathered = self._inner_products(
-            keys // n, keys % n, u_table, u_owner, u_rows, u_values
-        )
-        diffs = s_values[slot[: len(src)]] - s_values[slot[len(src):]]
+        diffs = s_values[slot[: len(eids)]] - s_values[slot[len(eids):]]
         numerator = np.bincount(
-            owner, weights=graph.w[eids] * diffs * diffs, minlength=count
+            owner, weights=graph.w[eids] * diffs * diffs, minlength=len(p)
         )
-        scores = w_pq * numerator / (1.0 + w_pq * resistance)
-        incidences = int(np.sum(adjacency[0][p_nodes + 1] - adjacency[0][p_nodes]))
-        return scores, len(members) + incidences + gathered
+        return w_pq * numerator / (1.0 + w_pq * resistance)
 
     def _differences(self, p, q):
         """``u = z~_p - z~_q`` per candidate and ``R_S(p, q) ~ u . u``.
@@ -434,9 +604,8 @@ class ApproxRanker:
             u_owner, u_rows, u_values,
             [(owner[entry], self._z_indices[flat])],
         )
-        s_values = np.bincount(entry, weights=self._z_data[flat] * u_at,
-                               minlength=len(nodes))
-        return s_values, len(flat)
+        return np.bincount(entry, weights=self._z_data[flat] * u_at,
+                           minlength=len(nodes))
 
     def _columns(self, nodes):
         """Storage positions of the ``Z`` columns of *nodes*.

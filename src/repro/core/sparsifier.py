@@ -24,6 +24,12 @@ pool (:mod:`repro.core.parallel`): rounds build a
 candidate list across ``config.workers`` processes.  Each ranker
 scores its candidates in blocks of segmented array operations, so a
 round issues a few hundred numpy calls rather than a few per candidate.
+One :class:`~repro.core.ball_join.JoinStore` per run carries each
+candidate's ball-pair join from round to round: the tree phase seeds
+it, and each general round regrows, in this process (before any
+worker forks), only the joins whose balls may have grown.  It never
+enters the session artifact store, so a run that restores the tree
+phase from a session simply starts round 2 with an empty store.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.ball_join import JoinStore
 from repro.core.base import BaseSparsifierConfig, shared_artifact
 from repro.core.parallel import score_edges
 from repro.core.ranking import ApproxRanker, TreePhaseRanker
@@ -282,6 +289,7 @@ def _run(graph: Graph, config: SparsifierConfig,
     marker = SimilarityMarker(graph, gamma=config.gamma)
     recovered: list = []
     rounds_log: list = []
+    joins = JoinStore(graph) if config.rounds > 1 else None
 
     if budget > 0:
         # Step 2: tree-phase ranking (Eqs. 13-15).
@@ -292,7 +300,8 @@ def _run(graph: Graph, config: SparsifierConfig,
                 # off-tree edges and scores are worker-count invariant,
                 # so a session can share them across fraction sweeps.
                 cand = np.flatnonzero(~edge_mask)
-                ranker = TreePhaseRanker(graph, forest, beta=config.beta)
+                ranker = TreePhaseRanker(graph, forest, beta=config.beta,
+                                         joins=joins)
                 scores = score_edges(
                     ranker, cand,
                     workers=config.workers, chunk_size=config.chunk_size,
@@ -339,6 +348,7 @@ def _run(graph: Graph, config: SparsifierConfig,
                 ranker = ApproxRanker(
                     graph, subgraph, factor, Z, beta=config.beta
                 )
+                ranker.reuse_joins(joins, candidates)
                 crit = score_edges(
                     ranker, candidates,
                     workers=config.workers, chunk_size=config.chunk_size,

@@ -14,7 +14,10 @@ drop by ``1/w_e`` across each path edge.  Concretely:
   tree edge keeps it (Eqs. 13-14).  Where the balls overlap, the
   q-side potential is used;
 * the truncated numerator is the usual restricted quadratic form over
-  original-graph edges joining the two balls (Eq. 15).
+  original-graph edges joining the two balls (Eq. 15).  Those joins are
+  what every later round needs too while the balls stay the same, so
+  a :class:`~repro.core.ball_join.JoinStore` passed in collects them
+  to seed round 2.
 
 The "is this tree edge on path(p, q)?" test uses Euler-tour subtree
 intervals, so every step is an array operation over all (candidate,
@@ -36,7 +39,7 @@ __all__ = ["tree_truncated_trace_reduction"]
 
 def tree_truncated_trace_reduction(
     graph: Graph, forest: RootedForest, edge_ids=None, beta: int = 5,
-    resistances=None,
+    resistances=None, joins=None,
 ):
     """Truncated trace reduction for off-tree edges (Eq. 15).
 
@@ -56,6 +59,9 @@ def tree_truncated_trace_reduction(
         engine), computing them once for the whole candidate set avoids
         repeating the LCA query per chunk; omitted, they are computed
         here.
+    joins : repro.core.ball_join.JoinStore, optional
+        A store reset to the tree: every candidate's ball-pair join is
+        appended to it, up to its cap, to seed the first general round.
 
     Returns
     -------
@@ -98,6 +104,8 @@ def tree_truncated_trace_reduction(
             tree, weights, q, np.zeros(len(q)), ends, +1.0, beta)
         src, nbr, src_in_q, eids = ball_pair_edges(
             adjacency, positions, p_owner, p_nodes, q_owner, q_nodes)
+        if joins is not None and not joins.full:
+            joins.append(edge_ids[start:stop], p_owner[src], eids)
         src_values = np.where(src_in_q >= 0, q_values[src_in_q],
                               p_values[src])
         diffs = src_values - q_values[nbr]

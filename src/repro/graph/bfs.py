@@ -13,7 +13,9 @@ Three query families:
 * :meth:`BallFinder.ball_nodes` — adaptive frontier expansion returning
   only the (sorted) node set of one ball (the incremental delta path);
 * :func:`ball_sets` — every ball around many sources at once, one array
-  operation per BFS level (the general-round scorer of Eq. 20).
+  operation per BFS level (the general-round scorer of Eq. 20);
+* :func:`ball_union` — the union of the balls around many sources, as a
+  node mask (which stored joins a new round must drop).
 
 :func:`bfs_forest` is the untruncated search from every component root
 at once that roots spanning forests.
@@ -206,6 +208,39 @@ def ball_sets(indptr, neighbors, sources, layers: int):
         visited = np.insert(visited, slots[fresh], frontier)
     owner, nodes = np.divmod(visited, n)
     return np.searchsorted(owner, np.arange(len(sources) + 1)), nodes
+
+
+def ball_union(indptr, neighbors, sources, layers: int) -> np.ndarray:
+    """Mask of the nodes within *layers* hops of any of *sources*.
+
+    One BFS from all sources at once: a boolean sparse mat-vec per
+    level.
+
+    Parameters
+    ----------
+    indptr, neighbors : numpy.ndarray
+        CSR adjacency of the graph to traverse.
+    sources : array_like of int
+        Start nodes.
+    layers : int
+        Hop bound; ``0`` (or less) marks the sources alone.
+
+    Returns
+    -------
+    numpy.ndarray
+        Boolean mask over the nodes.
+    """
+    n = len(indptr) - 1
+    inside = np.zeros(n, dtype=bool)
+    inside[np.asarray(sources, dtype=np.int64)] = True
+    if layers < 1 or not inside.any():
+        return inside
+    adjacency = sp.csr_matrix(
+        (np.ones(len(neighbors), dtype=bool), neighbors, indptr),
+        shape=(n, n))
+    for _ in range(layers):
+        inside |= adjacency @ inside
+    return inside
 
 
 def bfs_forest(indptr, neighbors, roots):

@@ -110,6 +110,41 @@ def test_non_finite_options_raise_graph_error(grid, method):
             sparsify(grid, method=method, **{option: value})
 
 
+@pytest.mark.parametrize("method, option, value", [
+    ("proposed", "rounds", 2.5), ("proposed", "rounds", 2.0),
+    ("proposed", "gamma", 1.5), ("fegrass", "gamma", 1.5),
+    ("proposed", "beta", 2.5), ("proposed", "beta", True),
+    ("proposed", "shards", 2.5), ("proposed", "workers", 1.5),
+    ("proposed", "chunk_size", 3.5), ("grass", "rounds", 1.5),
+    ("grass", "power_steps", 1.5), ("grass", "probe_vectors", 1.5),
+    ("er_sampling", "seed", 2.5), ("er_sampling", "sketch_size", 2.5),
+    ("er_sampling", "sketch_size", 2.0),
+])
+def test_non_integer_options_raise_graph_error(grid, method, option, value):
+    """Integer options take integers only: bools and floats, whole ones
+    too, are typed errors, never a TypeError or a silent truncation."""
+    with pytest.raises(GraphError,
+                       match=f"{option} must be an integer.*2.0 are not"):
+        sparsify(grid, method=method, **{option: value})
+
+
+@pytest.mark.parametrize("method, option", [
+    ("proposed", "use_similarity"), ("grass", "use_similarity"),
+    ("fegrass", "use_similarity"), ("er_sampling", "include_tree"),
+])
+def test_non_bool_flags_raise_graph_error(grid, method, option):
+    for value in ("no", 0, None):
+        with pytest.raises(GraphError, match=f"{option} must be True or"):
+            sparsify(grid, method=method, **{option: value})
+
+
+def test_integer_typed_options_accept_numpy_integers_and_none(grid):
+    expected = sparsify(grid, method="proposed", beta=3)
+    got = sparsify(grid, method="proposed", beta=np.int64(3))
+    assert np.array_equal(expected.edge_mask, got.edge_mask)
+    sparsify(grid, method="er_sampling", sketch_size=None)
+
+
 def test_all_methods_share_budget_convention(grid):
     """Equal edge budget is what makes the paper's comparison fair."""
     counts = {

@@ -255,7 +255,8 @@ def sparse_approximate_inverse(L, delta=0.1, keep_threshold=None):
 class OracleTreePhaseRanker:
     """:class:`~repro.core.ranking.TreePhaseRanker` on the Eq. 15 loop."""
 
-    def __init__(self, graph, forest, beta=5):
+    def __init__(self, graph, forest, beta=5, joins=None):
+        # The loop keeps no joins, so a store passed in stays empty.
         self.graph = graph
         self.forest = forest
         self.beta = beta
@@ -277,6 +278,9 @@ class OracleApproxRanker:
 
     def prepare(self, edge_ids):
         """Nothing to warm."""
+
+    def reuse_joins(self, joins, edge_ids):
+        """The loop grows every ball anew; the store is left alone."""
 
     def score_batch(self, edge_ids):
         return approximate_trace_reduction(*self.args, edge_ids,

@@ -184,6 +184,18 @@ class TestEndpoints:
         with pytest.raises(ServiceError, match="400"):
             client.submit(**dict(SUBMIT, **options))
 
+    @pytest.mark.parametrize("options", [
+        {"rounds": 2.5}, {"rounds": 2.0}, {"gamma": 1.5}, {"beta": True},
+        {"use_similarity": "no"},
+    ])
+    def test_mistyped_options_are_400(self, daemon, options):
+        client = ServiceClient(daemon.url)
+        with pytest.raises(ServiceError, match="400.*must be"):
+            client._request("POST", "/jobs", {
+                "graph": {"case": "ecology2", "scale": 0.02},
+                "method": "proposed", "options": options,
+            })
+
     def test_removed_backend_option_is_400(self, daemon):
         client = ServiceClient(daemon.url)
         with pytest.raises(ServiceError, match="400.*backend"):
