@@ -279,8 +279,8 @@ def test_setup_array_vs_loop_report(scale):
 # ----------------------------------------------------------------------
 
 #: Gate on the speedup of rounds 2-5 from carrying the join store over:
-#: about half the margin of the median 1.48x (five best-of-2 runs:
-#: 1.35x-1.61x) measured on full NLR at seed 0 on a 2-core x86 host.
+#: under half the margin of the median 1.53x (five best-of-2 runs:
+#: 1.40x-1.59x) measured on full NLR at seed 0 on a 2-core x86 host.
 _REUSE_SPEEDUP_GATE = 1.2
 
 #: Most candidates a round may regrow joins for; 15-27% were measured

@@ -15,10 +15,11 @@ arrays of *(candidate, node)* entries grouped by candidate:
 * :class:`JoinStore` keeps those joins from one densification round to
   the next as ``int32`` edge ids, at most :data:`JOIN_IDS_PER_EDGE` per
   edge of ``G``, and drops only the joins whose balls may have grown;
-* :func:`run_in_blocks` and :func:`score_in_blocks` cut the candidates
-  into blocks of about :data:`BLOCK_ENTRIES` materialized entries,
-  from per-candidate costs where those are known in advance (stored
-  joins), else from the previous block's rate; a block that grows
+* :func:`block_spans` cuts candidates into spans of about
+  :data:`BLOCK_ENTRIES` materialized entries from per-candidate costs,
+  such as the lengths of stored joins;
+* :func:`run_in_blocks` and :func:`score_in_blocks` size blocks whose
+  costs are unknown from the previous block's rate; a block that grows
   balls then joins them in spans that fit (:func:`block_spans`), once
   the balls show how large each join will be.
 
@@ -272,8 +273,9 @@ class JoinStore:
                       | stale[self.graph.v[self.edge_ids]])
         # Compact before anything else is grown, so the dropped joins are
         # released first.
-        lengths = np.diff(self.ptr)[keep]
-        ids = self.ids[np.repeat(keep, np.diff(self.ptr))]
+        lengths = np.diff(self.ptr)
+        ids = self.ids[np.repeat(keep, lengths)]
+        lengths = lengths[keep]
         ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=ptr[1:])
         self.adjacency = adjacency
@@ -359,6 +361,8 @@ def block_spans(costs) -> list:
         at least one candidate long.
     """
     bounds = np.cumsum(costs)
+    if len(bounds) and bounds[-1] <= BLOCK_ENTRIES:
+        return [(0, len(bounds))]
     spans, start = [], 0
     while start < len(bounds):
         base = bounds[start - 1] if start else 0
@@ -369,13 +373,12 @@ def block_spans(costs) -> list:
     return spans
 
 
-def run_in_blocks(count: int, run_block, graph, costs=None) -> None:
+def run_in_blocks(count: int, run_block, graph) -> None:
     """Run *run_block* over ``count`` candidates in entry-sized blocks.
 
-    With *costs*, the blocks are :func:`block_spans`.  Without, the
-    first block assumes the worst case, balls covering all of *graph*;
-    each later block holds about :data:`BLOCK_ENTRIES` entries at the
-    previous block's entries-per-candidate rate, growing at most
+    The first block assumes the worst case, balls covering all of
+    *graph*; each later block holds about :data:`BLOCK_ENTRIES` entries
+    at the previous block's entries-per-candidate rate, growing at most
     eightfold per block.  A block that grows balls can then cut its
     joins into spans (:func:`block_spans`) before materializing them.
 
@@ -384,32 +387,25 @@ def run_in_blocks(count: int, run_block, graph, costs=None) -> None:
     count : int
         Number of candidates.
     run_block : callable
-        ``run_block(start, stop) -> (done, entries)``: handles candidates
-        ``start..start+done-1`` (``done <= stop - start``), having
-        materialized ``entries``; ``done == 0`` ends the run early.
+        ``run_block(start, stop) -> entries``: handles candidates
+        ``start..stop-1`` and returns how many entries it materialized,
+        or ``None`` to end the run early.
     graph : Graph
         The graph ``G`` the balls live in.
-    costs : numpy.ndarray, optional
-        Entries each candidate materializes, when known in advance.
     """
-    if costs is not None:
-        for start, stop in block_spans(costs):
-            if run_block(start, stop)[0] == 0:
-                return
-        return
     start = 0
     size = max(1, BLOCK_ENTRIES // (graph.n + 2 * graph.edge_count))
     while start < count:
         stop = min(count, start + size)
-        done, entries = run_block(start, stop)
-        if done == 0:
+        entries = run_block(start, stop)
+        if entries is None:
             return
-        rate = max(entries / done, 1.0)
-        size = int(min(max(1.0, BLOCK_ENTRIES / rate), 8 * done))
-        start += done
+        rate = max(entries / (stop - start), 1.0)
+        size = int(min(max(1.0, BLOCK_ENTRIES / rate), 8 * (stop - start)))
+        start = stop
 
 
-def score_in_blocks(count: int, score_block, graph, costs=None) -> np.ndarray:
+def score_in_blocks(count: int, score_block, graph) -> np.ndarray:
     """Score ``count`` candidates in blocks sized by their entry counts.
 
     Parameters
@@ -422,9 +418,6 @@ def score_in_blocks(count: int, score_block, graph, costs=None) -> np.ndarray:
         materialized.
     graph : Graph
         The graph ``G`` the balls live in.
-    costs : numpy.ndarray, optional
-        Entries each candidate materializes, when known in advance
-        (:func:`run_in_blocks`).
 
     Returns
     -------
@@ -435,7 +428,7 @@ def score_in_blocks(count: int, score_block, graph, costs=None) -> np.ndarray:
 
     def run_block(start, stop):
         out[start:stop], entries = score_block(start, stop)
-        return stop - start, entries
+        return entries
 
-    run_in_blocks(count, run_block, graph, costs)
+    run_in_blocks(count, run_block, graph)
     return out

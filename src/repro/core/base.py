@@ -114,19 +114,21 @@ class BaseSparsifierConfig:
         or running silently as something else.  ``int | None`` fields
         also take ``None``.
         """
-        types = _field_types(type(self))
-        for f in fields(self):
-            kind, value = types[f.name], getattr(self, f.name)
-            if kind is bool and not isinstance(value, bool):
+        for name, kind in _typed_fields(type(self)):
+            value = getattr(self, name)
+            if kind is bool:
+                if not isinstance(value, bool):
+                    raise GraphError(
+                        f"{name} must be True or False, got {value!r}"
+                    )
+            # ``type(value) is int`` first: the ABC check costs a
+            # microsecond, and every run validates its config.
+            elif not (type(value) is int
+                      or (value is None and kind is not int)
+                      or (not isinstance(value, bool)
+                          and isinstance(value, numbers.Integral))):
                 raise GraphError(
-                    f"{f.name} must be True or False, got {value!r}"
-                )
-            if kind in (int, int | None) and not (
-                    value is None and kind is not int) and (
-                    isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)):
-                raise GraphError(
-                    f"{f.name} must be an integer, got {value!r}; "
+                    f"{name} must be an integer, got {value!r}; "
                     "whole floats such as 2.0 are not accepted"
                 )
 
@@ -175,9 +177,11 @@ class BaseSparsifierConfig:
 
 
 @functools.cache
-def _field_types(cls) -> dict:
-    """Evaluated field annotations of a config class."""
-    return typing.get_type_hints(cls)
+def _typed_fields(cls) -> tuple:
+    """``(name, type)`` of the ``int``, ``int | None`` and ``bool`` fields."""
+    types = typing.get_type_hints(cls)
+    return tuple((f.name, types[f.name]) for f in fields(cls)
+                 if types[f.name] in (int, int | None, bool))
 
 
 class ArtifactStore:

@@ -19,14 +19,14 @@ operations over flat *(candidate, node)* entries
 every candidate at once, the edges of ``G`` between each candidate's two
 balls come from one join, and one ``bincount`` reduces the numerators.
 The joins also carry over from round to round in a
-:class:`~repro.core.ball_join.JoinStore`: the tree phase seeds it,
+:class:`~repro.core.ball_join.JoinStore`: the tree phase seeds it, and
 :meth:`ApproxRanker.reuse_joins` drops only the joins whose balls may
-have grown, and the ranker regrows those in the parent process (in
-:meth:`ApproxRanker.prepare` before workers fork, else while scoring),
-so most candidates go straight to the s-value stage.  Each candidate's reduction reads only its own
-entries in a fixed order, so scores are independent of how candidates
-are chunked and of where their joins came from, which is what makes the
-worker-pool execution in :mod:`repro.core.parallel` deterministic.
+have grown and regrows those in the parent process, before scoring, so
+every stored candidate goes straight to the s-value stage.  Each
+candidate's reduction reads only its own entries in a fixed order, so
+scores are independent of how candidates are chunked and of where their
+joins came from, which is what makes the worker-pool execution in
+:mod:`repro.core.parallel` deterministic.
 
 :class:`BallCache` keeps single BFS balls across edge mutations with
 touched-node invalidation; the incremental sparsifier
@@ -309,13 +309,12 @@ class ApproxRanker:
     candidates is scored at once:
 
     1. each candidate's join comes from the round's
-       :class:`~repro.core.ball_join.JoinStore` (:meth:`reuse_joins`)
-       or is grown; stored candidates go first, so only one block mixes
-       the two.  A block grows the balls of its other candidates'
-       endpoints together (:func:`repro.graph.bfs.ball_sets`), and is
-       joined (:func:`repro.core.ball_join.ball_pair_edges`) and scored
-       in spans cut from the stored join lengths and the grown balls'
-       exact counts; grown joins go into the store while it has room;
+       :class:`~repro.core.ball_join.JoinStore` (:meth:`reuse_joins`),
+       in blocks cut from the stored join lengths.  Candidates past the
+       store's cap grow their endpoints' balls together
+       (:func:`repro.graph.bfs.ball_sets`) and are joined
+       (:func:`repro.core.ball_join.ball_pair_edges`) in spans cut from
+       the grown balls' exact counts, without being stored;
     2. ``s`` is evaluated only at the joined edges' endpoints, reading
        ``u`` through a dense per-candidate table;
     3. one ``bincount`` per span reduces the numerators.
@@ -363,46 +362,22 @@ class ApproxRanker:
         self._per_id = 1.0 + len(self._z_indices) / graph.n
 
     def prepare(self, edge_ids) -> None:
-        """Warm the adjacency; grow the joins the store lacks (idempotent).
+        """Warm the graph adjacency every block reads (idempotent).
 
         The parallel executor calls this in the parent process before
-        forking workers, so they share the adjacency and read the join
-        store (:meth:`reuse_joins`) copy-on-write.  The joins are grown
-        in blocks, in candidate order, until the store is full.
+        forking workers so the arrays are shared read-only.
         """
-        graph = self.graph
-        graph.adjacency()
-        joins = self._joins
-        if joins is None or joins.full:
-            return
-        edge_ids = np.asarray(edge_ids, dtype=np.int64)
-        missing = edge_ids[joins.slots(edge_ids) < 0]
-        positions = LookupTable(graph.n, len(missing), np.int32, -1)
-
-        def grow_block(start, stop):
-            if joins.full:
-                return 0, 0
-            block = missing[start:stop]
-            work, join = self._grown_joins(graph.u[block], graph.v[block])
-            for lo, hi in block_spans(work):
-                owner, eids = join(lo, hi, positions)
-                if joins.append(block[lo:hi], owner, eids) < hi - lo:
-                    break
-            return len(block), work.sum()
-
-        run_in_blocks(len(missing), grow_block, graph)
-        del positions, grow_block  # free the table before the store merges
-        joins.commit()
+        self.graph.adjacency()
 
     def reuse_joins(self, joins, edge_ids) -> None:
         """Score from *joins*, brought up to this ranker's subgraph.
 
         The store drops the joins of departed candidates and those whose
         balls may have grown since it was last used
-        (:meth:`~repro.core.ball_join.JoinStore.retain`).  Scoring in
-        this process then adds the joins it grows, until the store is
-        full; :meth:`prepare` grows them all up front instead, before
-        workers fork.  Call it in the parent process, before scoring.
+        (:meth:`~repro.core.ball_join.JoinStore.retain`); the joins it
+        lacks are then grown here, in blocks in candidate order, until
+        it is full.  Call it in the parent process before scoring, so
+        forked workers read the store copy-on-write.
 
         Parameters
         ----------
@@ -413,8 +388,23 @@ class ApproxRanker:
         edge_ids : array_like of int
             This round's candidates.
         """
-        joins.retain(self._sub_adjacency, edge_ids, self.beta)
+        graph = self.graph
+        missing = joins.retain(self._sub_adjacency, edge_ids, self.beta)
         self._joins = joins
+        positions = LookupTable(graph.n, len(missing), np.int32, -1)
+
+        def grow_block(start, stop):
+            block = missing[start:stop]
+            work, join = self._grown_joins(graph.u[block], graph.v[block])
+            for lo, hi in block_spans(work):
+                owner, eids = join(lo, hi, positions)
+                if joins.append(block[lo:hi], owner, eids) < hi - lo:
+                    return None  # the store is full
+            return work.sum()
+
+        run_in_blocks(len(missing), grow_block, graph)
+        del positions, grow_block  # free the table before the store merges
+        joins.commit()
 
     def score_batch(self, edge_ids) -> np.ndarray:
         """Approximate trace reduction (Eq. 20) per candidate edge.
@@ -434,61 +424,39 @@ class ApproxRanker:
             return np.empty(0)
         graph = self.graph
         joins = self._joins
-        held = (joins.slots(edge_ids) if joins is not None
-                else np.full(len(edge_ids), -1))
+        slots = (joins.slots(edge_ids) if joins is not None
+                 else np.full(len(edge_ids), -1))
         heads = graph.u[edge_ids]
         tails = graph.v[edge_ids]
         w_cand = graph.w[edge_ids]
-        # Stored candidates first, then those whose balls are grown.
-        order = np.concatenate([np.flatnonzero(held >= 0),
-                                np.flatnonzero(held < 0)])
-        stored = int(np.sum(held >= 0))
-        positions = LookupTable(graph.n, len(order) - stored, np.int32, -1)
         u_table = LookupTable(graph.n, len(edge_ids), np.float64, 0.0)
         out = np.empty(len(edge_ids))
 
+        def reduce(pick, owner, eids):
+            out[pick] = self._reduce(heads[pick], tails[pick], w_cand[pick],
+                                     owner, eids, u_table)
+
+        # Stored joins, in blocks cut from their lengths.
+        held = np.flatnonzero(slots >= 0)
+        if len(held):
+            lengths = joins.ptr[slots[held] + 1] - joins.ptr[slots[held]]
+            for lo, hi in block_spans(self._costs(lengths)):
+                reduce(held[lo:hi], *joins.entries(slots[held[lo:hi]]))
+        # Joins the store lacks (past its cap, or no store) are grown as
+        # they are scored, and not stored.
+        grown = np.flatnonzero(slots < 0)
+        if len(grown) == 0:
+            return out
+        positions = LookupTable(graph.n, len(grown), np.int32, -1)
+
         def score_block(start, stop):
-            block = order[start:stop]
-            ns = max(0, min(stop, stored) - start)
-            slots = held[block[:ns]]
-            costs = (self._costs(joins.ptr[slots + 1] - joins.ptr[slots])
-                     if ns else np.empty(0))
-            if ns < len(block):
-                work, join = self._grown_joins(heads[block[ns:]],
-                                               tails[block[ns:]])
-                costs = np.concatenate([costs, work])
-            spans = block_spans(costs)
-            if ns == len(block):
-                # Nothing grown yet: stop at the first span that fits.
-                spans = spans[:1]
+            block = grown[start:stop]
+            work, join = self._grown_joins(heads[block], tails[block])
+            for lo, hi in block_spans(work):
+                reduce(block[lo:hi], *join(lo, hi, positions))
+            return work.sum()
 
-            def span_joins(lo, hi):
-                parts = []
-                if lo < ns:
-                    parts.append(joins.entries(slots[lo:hi]))
-                if hi > ns:
-                    g_lo = max(lo, ns) - ns
-                    owner, eids = join(g_lo, hi - ns, positions)
-                    if joins is not None and not joins.full:
-                        joins.append(edge_ids[block[ns + g_lo:hi]], owner,
-                                     eids)
-                    parts.append((owner + max(ns - lo, 0), eids))
-                if len(parts) == 1:
-                    return parts[0]
-                return tuple(map(np.concatenate, zip(*parts)))
-
-            for lo, hi in spans:
-                pick = block[lo:hi]
-                out[pick] = self._reduce(heads[pick], tails[pick],
-                                         w_cand[pick], *span_joins(lo, hi),
-                                         u_table)
-            done = spans[-1][1]
-            return done, costs[:done].sum()
-
-        run_in_blocks(len(order), score_block, graph)
-        if joins is not None:
-            del positions, u_table  # free the tables before the store merges
-            joins.commit()
+        run_in_blocks(len(grown), score_block, graph)
         return out
 
     def _grown_joins(self, p, q):

@@ -199,13 +199,21 @@ def ball_sets(indptr, neighbors, sources, layers: int):
         lengths = indptr[node + 1] - starts
         flat = concat_ranges(starts, lengths)
         reached = np.sort(np.repeat(owner, lengths) * n + neighbors[flat])
-        reached = reached[np.diff(reached, prepend=-1) != 0]
         slots = np.searchsorted(visited, reached)
         fresh = visited[np.minimum(slots, len(visited) - 1)] != reached
+        fresh[1:] &= reached[1:] != reached[:-1]
         if not fresh.any():
             break
         frontier = reached[fresh]
-        visited = np.insert(visited, slots[fresh], frontier)
+        # np.insert(visited, slots[fresh], frontier), without its
+        # per-call overhead: the k-th new key lands k places further on.
+        at = slots[fresh] + np.arange(len(frontier))
+        merged = np.empty(len(visited) + len(frontier), dtype=np.int64)
+        merged[at] = frontier
+        old = np.ones(len(merged), dtype=bool)
+        old[at] = False
+        merged[old] = visited
+        visited = merged
     owner, nodes = np.divmod(visited, n)
     return np.searchsorted(owner, np.arange(len(sources) + 1)), nodes
 
@@ -213,8 +221,8 @@ def ball_sets(indptr, neighbors, sources, layers: int):
 def ball_union(indptr, neighbors, sources, layers: int) -> np.ndarray:
     """Mask of the nodes within *layers* hops of any of *sources*.
 
-    One BFS from all sources at once: a boolean sparse mat-vec per
-    level.
+    One BFS from all sources at once: each level marks the neighbors
+    of every marked node, in one pass over the adjacency.
 
     Parameters
     ----------
@@ -235,11 +243,9 @@ def ball_union(indptr, neighbors, sources, layers: int) -> np.ndarray:
     inside[np.asarray(sources, dtype=np.int64)] = True
     if layers < 1 or not inside.any():
         return inside
-    adjacency = sp.csr_matrix(
-        (np.ones(len(neighbors), dtype=bool), neighbors, indptr),
-        shape=(n, n))
+    rows = np.repeat(np.arange(n), np.diff(indptr))
     for _ in range(layers):
-        inside |= adjacency @ inside
+        inside[neighbors[inside[rows]]] = True
     return inside
 
 

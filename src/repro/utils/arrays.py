@@ -28,7 +28,9 @@ def concat_ranges(starts, lengths):
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     positive = lengths > 0
-    if not np.all(positive):
+    # Array methods rather than np.all/np.cumsum: this runs hundreds of
+    # times per sparsifier round, mostly on short arrays.
+    if not positive.all():
         # Non-positive lengths contribute nothing (empty CSR ranges).
         starts = starts[positive]
         lengths = lengths[positive]
@@ -36,12 +38,12 @@ def concat_ranges(starts, lengths):
         # Covers empty input and all-zero lengths; bail out before any
         # cum[-1] indexing can see an empty cumsum.
         return np.empty(0, dtype=np.int64)
-    cum = np.cumsum(lengths)
+    cum = lengths.cumsum()
     out = np.ones(cum[-1], dtype=np.int64)
     out[0] = starts[0]
     if len(starts) > 1:
         out[cum[:-1]] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
-    return np.cumsum(out)
+    return out.cumsum()
 
 
 def unique_slots(keys):

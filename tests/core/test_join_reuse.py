@@ -135,12 +135,13 @@ class TestCap:
         ranker = _ranker(graph, mask, shift, beta=3)
         capped = JoinStore(graph)
         ranker.reuse_joins(capped, candidates)
-        ranker.prepare(candidates)
         assert capped.full
         assert 0 < len(capped.edge_ids) < len(candidates)
         assert capped.size <= capped.capacity
+        held = capped.size
         scores = ranker.score_batch(candidates)
-        assert capped.size <= capped.capacity
+        # The joins past the cap are grown while scoring, not stored.
+        assert capped.size == held
 
         monkeypatch.setattr(ball_join, "JOIN_IDS_PER_EDGE", 10 ** 6)
         roomy = JoinStore(graph)
