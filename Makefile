@@ -16,11 +16,13 @@ test:
 # the shared tree set-up on full NLR (bit-identical to the loop oracles,
 # >= 5x faster), join reuse across rounds on full NLR (bit-identical
 # scores, <= 35% of joins regrown per round, rounds 2-5 >= 1.2x faster
-# than dropping the store), plus a sharded-pipeline smoke run, all
-# statistics-free.
+# than dropping the store), exact pruning of rounds 2+ on full NLR (the
+# same picks as scoring every candidate, <= 35% of the candidates
+# scored, rounds 2-5 >= 1.25x faster), plus a sharded-pipeline smoke
+# run, all statistics-free.
 bench-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_kernels.py \
-		-q -s -k "ranking or setup or reuse" --benchmark-disable
+		-q -s -k "ranking or setup or reuse or prune" --benchmark-disable
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_sharding.py \
 		-q -s --benchmark-disable
 

@@ -3,10 +3,11 @@
 Unlike the table benchmarks (one-shot pipeline timings), these use
 pytest-benchmark's statistical repetition to characterize the building
 blocks: Cholesky factorization, SPAI construction, the two criticality
-kernels, batch LCA, and a preconditioned PCG solve.  Three
+kernels, batch LCA, and a preconditioned PCG solve.  Four
 statistics-free gates: batched ranking and the shared tree set-up
-against their loop oracles (``tests/oracles.py``), and the join store's
-reuse across densification rounds against dropping it every round.
+against their loop oracles (``tests/oracles.py``), the join store's
+reuse across densification rounds against dropping it every round, and
+the exact pruning of rounds 2+ against scoring every candidate.
 """
 
 from __future__ import annotations
@@ -289,7 +290,11 @@ _REUSE_REBUILT_GATE = 0.35
 
 
 def _rounds_with_joins(graph, monkeypatch, drop):
-    """Run ``proposed``; return rounds 2-5's seconds, scores, rebuilt share."""
+    """Run ``proposed``; return rounds 2-5's seconds, scores, rebuilt share.
+
+    A pruned round scores its candidates in several ``score_edges``
+    calls; each round's scores are gathered in edge-id order.
+    """
     scores, rebuilt = [], []
     retain, score = JoinStore.retain, repro.core.sparsifier.score_edges
 
@@ -298,12 +303,13 @@ def _rounds_with_joins(graph, monkeypatch, drop):
             store.reset(None)
         missing = retain(store, adjacency, edge_ids, beta)
         rebuilt.append(len(missing) / max(len(edge_ids), 1))
+        scores.append([])  # one retain per general round
         return missing
 
     def tracked_score(ranker, edge_ids, **options):
         result = score(ranker, edge_ids, **options)
         if isinstance(ranker, ApproxRanker):
-            scores.append(result.view(np.int64))
+            scores[-1].append((edge_ids, result))
         return result
 
     with monkeypatch.context() as patch:
@@ -311,7 +317,12 @@ def _rounds_with_joins(graph, monkeypatch, drop):
         patch.setattr(repro.core.sparsifier, "score_edges", tracked_score)
         result = repro.sparsify(graph, "proposed")
     seconds = sum(entry["seconds"] for entry in result.rounds_log[1:])
-    return seconds, scores, rebuilt
+    by_round = []
+    for calls in scores:
+        edge_ids, values = (np.concatenate(part) for part in zip(*calls))
+        order = np.argsort(edge_ids)
+        by_round.append((edge_ids[order], values[order].view(np.int64)))
+    return seconds, by_round, rebuilt
 
 
 def test_join_reuse_report(scale, monkeypatch):
@@ -325,7 +336,9 @@ def test_join_reuse_report(scale, monkeypatch):
     (_, dropped_scores, _), (_, carried_scores, rebuilt) = (
         runs["store dropped"][0], runs["store carried"][0])
     assert len(carried_scores) == len(dropped_scores) == 4
-    for ours, theirs in zip(carried_scores, dropped_scores):
+    for (our_ids, ours), (their_ids, theirs) in zip(carried_scores,
+                                                    dropped_scores):
+        np.testing.assert_array_equal(our_ids, their_ids)
         np.testing.assert_array_equal(ours, theirs)
     best = {label: min(run[0] for run in r) for label, r in runs.items()}
     speedup = best["store dropped"] / best["store carried"]
@@ -346,6 +359,87 @@ def test_join_reuse_report(scale, monkeypatch):
     assert speedup >= _REUSE_SPEEDUP_GATE, (
         f"carrying the join store over made rounds 2-5 only "
         f"{speedup:.2f}x faster (gate {_REUSE_SPEEDUP_GATE:.1f}x)"
+    )
+
+
+# ----------------------------------------------------------------------
+# Exact pruning of rounds 2+: rounds 2-5 of `proposed` on full NLR,
+# once as shipped and once with every bound patched to +inf, which
+# scores every candidate as before pruning (a monkeypatch, not an
+# option).
+# ----------------------------------------------------------------------
+
+#: Gate on the speedup of rounds 2-5 from pruning: under half the margin
+#: of the median 1.59x (five best-of-2 runs: 1.33x-1.80x) measured on
+#: full NLR at seed 0 on a 2-core x86 host.
+_PRUNE_SPEEDUP_GATE = 1.25
+
+#: Most of rounds 2-5's candidates they may score together; 27.3% were
+#: measured at seed 0 and 25.8% at seeds 1 and 2.
+_PRUNE_SCORED_GATE = 0.35
+
+
+def _rounds_pruned(graph, monkeypatch, unbounded):
+    """Run ``proposed``; return it, rounds 2-5's seconds and scored counts."""
+    scored = []
+    reuse, score = ApproxRanker.reuse_joins, repro.core.sparsifier.score_edges
+
+    def tracked_reuse(ranker, joins, edge_ids):
+        scored.append(0)  # one reuse_joins per general round
+        return reuse(ranker, joins, edge_ids)
+
+    def tracked_score(ranker, edge_ids, **options):
+        if isinstance(ranker, ApproxRanker):
+            scored[-1] += len(edge_ids)
+        return score(ranker, edge_ids, **options)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ApproxRanker, "reuse_joins", tracked_reuse)
+        patch.setattr(repro.core.sparsifier, "score_edges", tracked_score)
+        if unbounded:
+            patch.setattr(ApproxRanker, "score_bounds",
+                          lambda ranker, edge_ids: np.full(len(edge_ids),
+                                                           np.inf))
+        result = repro.sparsify(graph, "proposed")
+    seconds = sum(entry["seconds"] for entry in result.rounds_log[1:])
+    return result, seconds, scored
+
+
+def test_pruned_scoring_report(scale, monkeypatch):
+    """Rounds 2-5 pruned and unpruned: same picks, gate share and speedup."""
+    graph, _ = make_case("NLR", scale=max(scale, 1.0), seed=0)
+    runs = {"every candidate": [], "pruned": []}
+    for _ in range(2):
+        for label in runs:
+            runs[label].append(_rounds_pruned(
+                graph, monkeypatch, unbounded=label == "every candidate"))
+    (full, _, _), (pruned, _, scored) = (runs["every candidate"][0],
+                                         runs["pruned"][0])
+    np.testing.assert_array_equal(pruned.recovered_edge_ids,
+                                  full.recovered_edge_ids)
+    assert ([entry["trace_reduction"] for entry in pruned.rounds_log]
+            == [entry["trace_reduction"] for entry in full.rounds_log])
+    candidates = [entry["candidates"] for entry in pruned.rounds_log[1:]]
+    share = sum(scored) / sum(candidates)
+    best = {label: min(run[1] for run in r) for label, r in runs.items()}
+    speedup = best["every candidate"] / best["pruned"]
+    table = Table(["rounds 2-5", "seconds (best of 2)", "scored per round"])
+    table.add_row(["every candidate", f"{best['every candidate']:.3f}",
+                   "100% each round"])
+    table.add_row(["pruned", f"{best['pruned']:.3f}", " / ".join(
+        f"{count}/{total}" for count, total in zip(scored, candidates))])
+    emit(
+        "kernels_pruned_scoring",
+        table.render() + f"\nn = {graph.n} nodes; {share:.1%} of the "
+        f"candidates scored; {speedup:.2f}x faster pruned, same picks",
+    )
+    assert share <= _PRUNE_SCORED_GATE, (
+        f"rounds 2-5 scored {share:.1%} of their candidates "
+        f"(gate {_PRUNE_SCORED_GATE:.0%})"
+    )
+    assert speedup >= _PRUNE_SPEEDUP_GATE, (
+        f"pruning made rounds 2-5 only {speedup:.2f}x faster "
+        f"(gate {_PRUNE_SPEEDUP_GATE:.2f}x)"
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.base import BaseSparsifierConfig, shared_artifact
 from repro.core.similarity import SimilarityMarker
-from repro.core.sparsifier import SparsifierResult, _pick_edges
+from repro.core.sparsifier import SparsifierResult, _pick_edges, _ranked
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
 from repro.tree.lca import batch_tree_resistances
@@ -90,14 +90,10 @@ def _run(graph: Graph, config: FegrassConfig,
             artifacts, "tree_stretch", ("mewst",), _stretch
         )
         crit = graph.w[candidates] * resistances
-        full_crit = np.zeros(graph.edge_count)
-        full_crit[candidates] = crit
-        order = candidates[np.argsort(-crit, kind="stable")]
         marker = SimilarityMarker(graph, gamma=config.gamma)
         marker.attach_subgraph(forest.tree)
-        recovered = _pick_edges(
-            order, full_crit, marker, budget, config.use_similarity
-        )
+        recovered, _ = _pick_edges(_ranked(candidates, crit), marker,
+                                   budget, config.use_similarity)
         edge_mask[recovered] = True
 
     return SparsifierResult(

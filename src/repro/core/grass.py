@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.base import BaseSparsifierConfig, shared_artifact
 from repro.core.similarity import SimilarityMarker
-from repro.core.sparsifier import SparsifierResult, _pick_edges
+from repro.core.sparsifier import SparsifierResult, _pick_edges, _ranked
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
 from repro.graph.laplacian import regularization_shift, regularized_laplacian
@@ -173,14 +173,10 @@ def _run(graph: Graph, config: GrassConfig,
                 probe_vectors=config.probe_vectors,
                 rng=rng,
             )
-            full_crit = np.zeros(m)
-            full_crit[candidates] = crit
-            order = candidates[np.argsort(-crit, kind="stable")]
             marker.attach_subgraph(subgraph)
             want = min(per_round, budget - len(recovered))
-            chosen = _pick_edges(
-                order, full_crit, marker, want, config.use_similarity
-            )
+            chosen, _ = _pick_edges(_ranked(candidates, crit), marker, want,
+                                    config.use_similarity)
             edge_mask[chosen] = True
             recovered.extend(chosen)
         rounds_log.append(

@@ -26,7 +26,10 @@ every stored candidate goes straight to the s-value stage.  Each
 candidate's reduction reads only its own entries in a fixed order, so
 scores are independent of how candidates are chunked and of where their
 joins came from, which is what makes the worker-pool execution in
-:mod:`repro.core.parallel` deterministic.
+:mod:`repro.core.parallel` deterministic.  From the same stored joins,
+:meth:`ApproxRanker.score_bounds` bounds every Eq. 20 score from above
+(Cauchy-Schwarz over the joined edges' approximate resistances), so
+the sparsifier scores only the candidates its picking walk can reach.
 
 :class:`BallCache` keeps single BFS balls across edge mutations with
 touched-node invalidation; the incremental sparsifier
@@ -319,6 +322,9 @@ class ApproxRanker:
        ``u`` through a dense per-candidate table;
     3. one ``bincount`` per span reduces the numerators.
 
+    :meth:`score_bounds` gives, for every candidate with a stored join,
+    an upper bound on its score that holds for the computed floats.
+
     Parameters
     ----------
     graph : Graph
@@ -350,6 +356,7 @@ class ApproxRanker:
         self.graph = graph
         self.beta = int(beta)
         self._iperm = np.asarray(factor.iperm, dtype=np.int64)
+        self._Z = Z
         self._z_indptr = np.asarray(Z.indptr, dtype=np.int64)
         self._z_indices = np.asarray(Z.indices, dtype=np.int64)
         self._z_data = Z.data
@@ -458,6 +465,91 @@ class ApproxRanker:
 
         run_in_blocks(len(grown), score_block, graph)
         return out
+
+    def score_bounds(self, edge_ids) -> np.ndarray:
+        """Upper bounds on the :meth:`score_batch` scores of *edge_ids*.
+
+        By Cauchy-Schwarz, ``(s_i - s_j)^2 <= R~_(i,j) R~_c`` for every
+        joined edge ``(i, j)`` of a candidate ``c``, where
+        ``R~ = |z~_i - z~_j|^2`` is an edge's approximate resistance, so
+        the score is at most ``w_c R~_c / (1 + w_c R~_c)`` times the sum
+        of ``w_e R~_e`` over the candidate's join.  The terms are
+        enlarged to cover the rounding of both computations
+        (``docs/architecture.md``, "Exact pruning of rounds 2+"), so
+        every score is at most its bound as computed floats.  Call this
+        after :meth:`reuse_joins`: the sums read the round's stored
+        joins.
+
+        Parameters
+        ----------
+        edge_ids : array_like of int
+            Candidate off-subgraph edge ids.
+
+        Returns
+        -------
+        numpy.ndarray
+            One bound per candidate, ``+inf`` where the store holds no
+            join (past its cap, or no store).
+        """
+        edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        bounds = np.full(len(edge_ids), np.inf)
+        joins = self._joins
+        slots = (joins.slots(edge_ids) if joins is not None
+                 else np.full(len(edge_ids), -1))
+        held = np.flatnonzero(slots >= 0)
+        if len(held) == 0:
+            return bounds
+        slots = slots[held]
+        resistance, leverage, margin = self._leverages()
+        sums = np.empty(len(held))
+        lengths = joins.ptr[slots + 1] - joins.ptr[slots]
+        for lo, hi in block_spans(1.0 + lengths):
+            owner, eids = joins.entries(slots[lo:hi])
+            sums[lo:hi] = np.bincount(owner, weights=leverage[eids],
+                                      minlength=hi - lo)
+        held_ids = edge_ids[held]
+        t = self.graph.w[held_ids] * resistance[held_ids]
+        with np.errstate(over="ignore", invalid="ignore"):
+            held_bounds = t / (1.0 + t) * sums * margin
+        # Overflow makes inf / inf: such a candidate is simply scored.
+        held_bounds[np.isnan(held_bounds)] = np.inf
+        bounds[held] = held_bounds
+        return bounds
+
+    def _leverages(self):
+        """Per-edge terms of :meth:`score_bounds`, over all of ``G``.
+
+        Returns ``(resistance, leverage, margin)``: ``R~_e`` and
+        ``w_e (R~_e^(1/2) + g (|z~_i| + |z~_j|))^2`` for every edge of
+        ``G``, and the relative margin of the bound, with ``g`` and the
+        margin derived from the longest ``Z`` column.  The differences
+        are taken in blocks of about
+        :data:`~repro.core.ball_join.BLOCK_ENTRIES` entries.
+        """
+        graph = self.graph
+        n, m = graph.n, graph.edge_count
+        lengths = np.diff(self._z_indptr)
+        longest = int(lengths.max()) if len(lengths) else 0
+        eps = np.finfo(np.float64).eps / 2  # unit roundoff
+        # An s-value sums at most `longest` products: its rounding error
+        # is at most gamma_K |z~_a| |u|, and gamma_K <= 2 K eps.
+        g = 2 * longest * eps
+        # The rounding of both computations, as one relative factor
+        # (1 - eps)^-M <= 1 + 2 M eps; a join has at most m edges.
+        margin = 1.0 + 4 * (6 * longest + 2 * m + 20) * eps
+        column_sq = np.bincount(np.repeat(np.arange(n), lengths),
+                                weights=self._z_data * self._z_data,
+                                minlength=n)
+        norms = np.sqrt(column_sq)[self._iperm]
+        cols_u, cols_v = self._iperm[graph.u], self._iperm[graph.v]
+        resistance = np.empty(m)
+        for lo, hi in block_spans(1.0 + lengths[cols_u] + lengths[cols_v]):
+            diff = self._Z[:, cols_u[lo:hi]] - self._Z[:, cols_v[lo:hi]]
+            resistance[lo:hi] = np.bincount(
+                np.repeat(np.arange(hi - lo), np.diff(diff.indptr)),
+                weights=diff.data * diff.data, minlength=hi - lo)
+        rho = np.sqrt(resistance) + g * (norms[graph.u] + norms[graph.v])
+        return resistance, graph.w * rho * rho, margin
 
     def _grown_joins(self, p, q):
         """Grow the balls of a block's endpoints in ``S``, to join later.

@@ -30,6 +30,15 @@ it, and each general round regrows, in this process (before any
 worker forks), only the joins whose balls may have grown.  It never
 enters the session artifact store, so a run that restores the tree
 phase from a session simply starts round 2 with an empty store.
+
+A general round recovers about 1% of its candidates, so it does not
+score them all.  One walk (:func:`_pick_edges`) visits candidates in
+exact score order; in rounds 2+ it reads them from a generator that
+scores, in batches, only the candidates whose Cauchy-Schwarz bound
+(:meth:`~repro.core.ranking.ApproxRanker.score_bounds`) can still
+reach the walk's frontier.  Picks, their order and every logged value
+are those of a walk over every score (``docs/architecture.md``,
+"Exact pruning of rounds 2+").
 """
 
 from __future__ import annotations
@@ -52,6 +61,13 @@ from repro.tree.spanning import bfs_spanning_forest, maximum_spanning_forest, me
 from repro.utils.timers import Timer
 
 __all__ = ["SparsifierConfig", "SparsifierResult", "trace_reduction_sparsify"]
+
+#: Fewest candidates the first batch of a general round scores; a round
+#: with no more candidates than its first batch computes no bounds.
+FIRST_BATCH = 2048
+
+#: Fewest candidates scored when the walk stalls on an unscored bound.
+STALL_BATCH = 256
 
 _TREE_METHODS = {
     "mewst": mewst,
@@ -186,30 +202,107 @@ class SparsifierResult:
         return int(self.edge_mask.sum())
 
 
-def _pick_edges(order, criticality, marker, per_round, use_similarity):
-    """Walk a criticality-sorted candidate list, skipping marked edges.
+def _ranked(candidates, scores):
+    """``(edge, score)`` pairs in walk order, from scores of every candidate.
 
-    Mirrors Algorithm 2's inner while loop (steps 4-10 / 16-22);
-    returns the list of recovered edge ids.
+    The walk order is descending score, ties in ascending edge id
+    (*candidates* ascending, a stable sort).
     """
-    chosen = []
+    order = np.argsort(-scores, kind="stable")
+    return zip(candidates[order], scores[order])
+
+
+def _ranked_on_demand(ranker, candidates, score, marked, first):
+    """The walk order of a general round, scoring candidates as needed.
+
+    Yields the pairs :func:`_ranked` would yield over all *candidates*
+    (ascending), but scores, through ``score(edge_ids)``, only the
+    candidates whose bound (:meth:`ApproxRanker.score_bounds`) can
+    still reach the walk's frontier.  A scored candidate is yielded only
+    once its score is strictly greater than the bound of every
+    candidate still unscored and unmarked, so none of those can sort
+    before it; an unscored candidate marked meanwhile was marked by a
+    pick that sorts before it, so the full walk skips it too
+    (``docs/architecture.md``, "Exact pruning of rounds 2+").
+
+    The first batch is the ``first`` candidates with the largest
+    bounds; when it holds every candidate, no bound is computed.  When
+    the walk stalls, every open candidate whose bound reaches the front
+    score is scored, at least :data:`STALL_BATCH`; when no scored
+    candidate with a positive score is left, a batch twice the last
+    such size.  Batches are scored in edge-id order.
+    """
+    if len(candidates) <= first:
+        yield from _ranked(candidates, score(candidates))
+        return
+    bound = ranker.score_bounds(candidates)
+    # Positions of the unscored candidates, by descending bound.
+    open_ = np.argsort(-bound, kind="stable")
+    batch, open_ = open_[:first], open_[first:]
+    size = first
+    # Scored candidates not yet yielded, in walk order from `head` on.
+    ids, scores, head = candidates[:0], np.empty(0), 0
+    while True:
+        batch = candidates[np.sort(batch)]
+        ids = np.concatenate([ids[head:], batch])
+        scores = np.concatenate([scores[head:], score(batch)])
+        order = np.lexsort((ids, -scores))
+        ids, scores, head = ids[order], scores[order], 0
+        open_ids = candidates[open_]
+        k = 0
+        while True:
+            # Marked candidates are never picked: pass them over.
+            while k < len(open_) and marked[open_ids[k]]:
+                k += 1
+            while head < len(ids) and marked[ids[head]]:
+                head += 1
+            if k == len(open_):
+                yield from zip(ids[head:], scores[head:])
+                return
+            if head == len(ids) or not scores[head] > bound[open_[k]]:
+                break
+            yield ids[head], scores[head]
+            head += 1
+        open_ = open_[k:][~marked[open_ids[k:]]]
+        if head < len(ids) and scores[head] > 0.0:
+            take = max(STALL_BATCH,
+                       np.count_nonzero(bound[open_] >= scores[head]))
+        else:
+            size *= 2
+            take = size
+        batch, open_ = open_[:take], open_[take:]
+
+
+def _pick_edges(ranked, marker, per_round, use_similarity):
+    """Walk candidates in descending score order, skipping marked edges.
+
+    Mirrors Algorithm 2's inner while loop (steps 4-10 / 16-22).
+    *ranked* yields ``(edge, score)`` pairs in walk order, ties in
+    ascending edge id: sorted arrays (:func:`_ranked`) in round 1 and
+    the baselines, a generator that scores on demand
+    (:func:`_ranked_on_demand`) in rounds 2+.  Picking marks edges, and
+    the generator reads those marks as the walk goes.  Returns the
+    recovered edge ids and their scores, in recovery order.
+    """
+    chosen, gains = [], []
     graph = marker.graph
-    for edge in order:
-        edge = int(edge)
-        if criticality is not None and criticality[edge] <= 0.0:
+    for edge, score in ranked:
+        if score <= 0.0:
             # A zero trace reduction means the edge adds nothing
             # (numerically disconnected balls); never recover those.
             continue
+        edge = int(edge)
         if marker.is_marked(edge):
             continue
         chosen.append(edge)
+        gains.append(score)
         if use_similarity:
             marker.mark_similar(int(graph.u[edge]), int(graph.v[edge]))
         else:
             marker.marked[edge] = True
         if len(chosen) >= per_round:
             break
-    return chosen
+    return chosen, gains
 
 
 def trace_reduction_sparsify(graph: Graph, config=None, *, artifacts=None,
@@ -312,13 +405,9 @@ def _run(graph: Graph, config: SparsifierConfig,
                 artifacts, "tree_phase",
                 (config.tree_method, config.beta), _tree_phase,
             )
-            full_crit = np.zeros(m)
-            full_crit[candidates] = crit
-            order = candidates[np.argsort(-crit, kind="stable")]
             marker.attach_subgraph(forest.tree)
-            chosen = _pick_edges(
-                order, full_crit, marker, per_round, config.use_similarity
-            )
+            chosen, gains = _pick_edges(_ranked(candidates, crit), marker,
+                                        per_round, config.use_similarity)
             edge_mask[chosen] = True
             recovered.extend(chosen)
         rounds_log.append(
@@ -327,12 +416,13 @@ def _run(graph: Graph, config: SparsifierConfig,
                 "phase": "tree",
                 "candidates": len(candidates),
                 "added": len(chosen),
-                "trace_reduction": float(full_crit[chosen].sum()),
+                "trace_reduction": float(np.sum(gains)),
                 "seconds": round_timer.elapsed,
             }
         )
 
         # Steps 11-23: iterative densification with Eq. (20).
+        scored = 0  # candidates the previous round scored
         for round_index in range(2, config.rounds + 1):
             if len(recovered) >= budget:
                 break
@@ -349,17 +439,26 @@ def _run(graph: Graph, config: SparsifierConfig,
                     graph, subgraph, factor, Z, beta=config.beta
                 )
                 ranker.reuse_joins(joins, candidates)
-                crit = score_edges(
-                    ranker, candidates,
-                    workers=config.workers, chunk_size=config.chunk_size,
-                )
-                full_crit = np.zeros(m)
-                full_crit[candidates] = crit
-                order = candidates[np.argsort(-crit, kind="stable")]
                 marker.attach_subgraph(subgraph)
                 want = min(per_round, budget - len(recovered))
-                chosen = _pick_edges(
-                    order, full_crit, marker, want, config.use_similarity
+                # Rounds score ever more of their candidates as the best
+                # ones are used up; a round bound to score more than half
+                # scores all at once, where bounds would not pay.
+                first = max(4 * want, FIRST_BATCH, 2 * scored)
+                scored = 0
+
+                def score(edge_ids):
+                    nonlocal scored
+                    scored += len(edge_ids)
+                    return score_edges(
+                        ranker, edge_ids,
+                        workers=config.workers, chunk_size=config.chunk_size,
+                    )
+
+                chosen, gains = _pick_edges(
+                    _ranked_on_demand(ranker, candidates, score,
+                                      marker.marked, first),
+                    marker, want, config.use_similarity,
                 )
                 edge_mask[chosen] = True
                 recovered.extend(chosen)
@@ -369,7 +468,7 @@ def _run(graph: Graph, config: SparsifierConfig,
                     "phase": "general",
                     "candidates": len(candidates),
                     "added": len(chosen),
-                    "trace_reduction": float(full_crit[chosen].sum()),
+                    "trace_reduction": float(np.sum(gains)),
                     "spai_nnz": int(Z.nnz),
                     "factor_nnz": int(factor.nnz),
                     "seconds": round_timer.elapsed,

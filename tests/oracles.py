@@ -282,6 +282,10 @@ class OracleApproxRanker:
     def reuse_joins(self, joins, edge_ids):
         """The loop grows every ball anew; the store is left alone."""
 
+    def score_bounds(self, edge_ids):
+        """No bound: the sparsifier scores every candidate."""
+        return np.full(len(edge_ids), np.inf)
+
     def score_batch(self, edge_ids):
         return approximate_trace_reduction(*self.args, edge_ids,
                                            beta=self.beta)
