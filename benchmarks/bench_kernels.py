@@ -24,8 +24,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 import repro
-import repro.core.sparsifier
-from repro.core import ApproxRanker, score_edges, tree_truncated_trace_reduction
+from repro.core import ApproxRanker, tree_truncated_trace_reduction
 from repro.core.ball_join import JoinStore
 from repro.graph import make_case, regularization_shift, regularized_laplacian
 from repro.linalg import cholesky, pcg, sparse_approximate_inverse
@@ -139,18 +138,24 @@ def _rank_reference_whole_batch(graph, tree, factor, Z, subset):
 
 
 def _rank_batched(graph, tree, factor, Z, subset):
-    ranker = ApproxRanker(graph, tree, factor, Z, beta=5)
-    return score_edges(ranker, subset, workers=1)
+    return ApproxRanker(graph, tree, factor, Z, beta=5).score_batch(subset)
+
+
+def _best_interleaved(fns, repeats):
+    """Results and best wall-clocks of *fns*, run in turn *repeats* times."""
+    best = [np.inf] * len(fns)
+    results = [None] * len(fns)
+    for _ in range(repeats):
+        for k, fn in enumerate(fns):
+            start = time.perf_counter()
+            results[k] = fn()
+            best[k] = min(best[k], time.perf_counter() - start)
+    return results, best
 
 
 def _best_of(fn, repeats=2):
     """Best wall-clock of *repeats* runs (dampens scheduler noise)."""
-    best = np.inf
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
+    (result,), (best,) = _best_interleaved([fn], repeats)
     return result, best
 
 
@@ -177,19 +182,24 @@ def test_ranking_batched(benchmark, ranking_setting):
 #: replaced measured 15.6x there.
 _RANKING_SPEEDUP_GATE = 20.0
 
+#: Timed runs of each side of the gate, alternating.  A batched run
+#: takes tens of milliseconds and reads up to 1.6x apart from run to
+#: run, the per-edge loop under a second and within 7%, so the gate
+#: takes the best of several runs that sample the same host state.
+_RANKING_REPEATS = 7
+
 
 def test_ranking_batched_vs_serial_report(ranking_setting):
     """Time the three paths, emit the comparison, gate the speedup."""
     graph, tree, factor, Z, subset = ranking_setting
 
-    serial_scores, serial_seconds = _best_of(
-        lambda: _rank_serial_per_edge(graph, tree, factor, Z, subset)
-    )
+    (serial_scores, batched_scores), (serial_seconds, batched_seconds) = (
+        _best_interleaved([
+            lambda: _rank_serial_per_edge(graph, tree, factor, Z, subset),
+            lambda: _rank_batched(graph, tree, factor, Z, subset),
+        ], _RANKING_REPEATS))
     reference_scores, reference_seconds = _best_of(
         lambda: _rank_reference_whole_batch(graph, tree, factor, Z, subset)
-    )
-    batched_scores, batched_seconds = _best_of(
-        lambda: _rank_batched(graph, tree, factor, Z, subset)
     )
 
     np.testing.assert_allclose(batched_scores, serial_scores, rtol=1e-10)
@@ -292,11 +302,11 @@ _REUSE_REBUILT_GATE = 0.35
 def _rounds_with_joins(graph, monkeypatch, drop):
     """Run ``proposed``; return rounds 2-5's seconds, scores, rebuilt share.
 
-    A pruned round scores its candidates in several ``score_edges``
+    A pruned round scores its candidates in several ``score_batch``
     calls; each round's scores are gathered in edge-id order.
     """
     scores, rebuilt = [], []
-    retain, score = JoinStore.retain, repro.core.sparsifier.score_edges
+    retain, score = JoinStore.retain, ApproxRanker.score_batch
 
     def tracked_retain(store, adjacency, edge_ids, beta):
         if drop:
@@ -306,15 +316,14 @@ def _rounds_with_joins(graph, monkeypatch, drop):
         scores.append([])  # one retain per general round
         return missing
 
-    def tracked_score(ranker, edge_ids, **options):
-        result = score(ranker, edge_ids, **options)
-        if isinstance(ranker, ApproxRanker):
-            scores[-1].append((edge_ids, result))
+    def tracked_score(ranker, edge_ids):
+        result = score(ranker, edge_ids)
+        scores[-1].append((edge_ids, result))
         return result
 
     with monkeypatch.context() as patch:
         patch.setattr(JoinStore, "retain", tracked_retain)
-        patch.setattr(repro.core.sparsifier, "score_edges", tracked_score)
+        patch.setattr(ApproxRanker, "score_batch", tracked_score)
         result = repro.sparsify(graph, "proposed")
     seconds = sum(entry["seconds"] for entry in result.rounds_log[1:])
     by_round = []
@@ -382,20 +391,19 @@ _PRUNE_SCORED_GATE = 0.35
 def _rounds_pruned(graph, monkeypatch, unbounded):
     """Run ``proposed``; return it, rounds 2-5's seconds and scored counts."""
     scored = []
-    reuse, score = ApproxRanker.reuse_joins, repro.core.sparsifier.score_edges
+    reuse, score = ApproxRanker.reuse_joins, ApproxRanker.score_batch
 
     def tracked_reuse(ranker, joins, edge_ids):
         scored.append(0)  # one reuse_joins per general round
         return reuse(ranker, joins, edge_ids)
 
-    def tracked_score(ranker, edge_ids, **options):
-        if isinstance(ranker, ApproxRanker):
-            scored[-1] += len(edge_ids)
-        return score(ranker, edge_ids, **options)
+    def tracked_score(ranker, edge_ids):
+        scored[-1] += len(edge_ids)
+        return score(ranker, edge_ids)
 
     with monkeypatch.context() as patch:
         patch.setattr(ApproxRanker, "reuse_joins", tracked_reuse)
-        patch.setattr(repro.core.sparsifier, "score_edges", tracked_score)
+        patch.setattr(ApproxRanker, "score_batch", tracked_score)
         if unbounded:
             patch.setattr(ApproxRanker, "score_bounds",
                           lambda ranker, edge_ids: np.full(len(edge_ids),

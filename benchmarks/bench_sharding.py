@@ -2,13 +2,16 @@
 
 ``test_sharded_smoke`` is part of ``make bench-smoke``: a quick
 sharded-vs-monolithic comparison on a ~14k-node generated grid that
-doubles as a functional gate (determinism, connectivity, cut
-accounting).  The full shard-scaling record set (1/2/4 shards into the
-BENCH trajectory) lives in ``bench_table1_sparsification.py``; the
-executable scaling guide is ``docs/scaling.md``.
+doubles as a functional gate (determinism across the shard worker
+pool, connectivity, cut accounting).  The full shard-scaling record
+set (1/2/4 shards into the BENCH trajectory) lives in
+``bench_table1_sparsification.py``; the executable scaling guide is
+``docs/scaling.md``.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -38,13 +41,18 @@ def test_sharded_smoke(benchmark):
         graph, method="proposed", edge_fraction=SMOKE_FRACTION,
         rounds=SMOKE_ROUNDS,
     )
-    repeat = sparsify(
-        graph, method="proposed", edge_fraction=SMOKE_FRACTION,
-        rounds=SMOKE_ROUNDS, shards=4,
-    )
+    # The repeat forks the shard pool; a silent serial fallback warns,
+    # and the warning fails the gate.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        repeat = sparsify(
+            graph, method="proposed", edge_fraction=SMOKE_FRACTION,
+            rounds=SMOKE_ROUNDS, shards=4, workers=2,
+        )
 
-    # Functional gate: fixed shards are bit-deterministic, the stitch
-    # preserves connectivity, and "keep" retains the whole cut.
+    # Functional gate: fixed shards are bit-deterministic for every
+    # worker count, the stitch preserves connectivity, and "keep"
+    # retains the whole cut.
     np.testing.assert_array_equal(sharded.edge_mask, repeat.edge_mask)
     assert is_connected(sharded.sparsifier)
     cut = sharded.sharding["cut"]

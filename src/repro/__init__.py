@@ -71,13 +71,10 @@ from repro.core import (
     ShardPlan,
     partition_shards,
     sharded_sparsify,
-    EdgeRanker,
     BallCache,
     TreePhaseRanker,
     ExactRanker,
     ApproxRanker,
-    score_edges,
-    parallel_map,
     grass_sparsify,
     GrassConfig,
     fegrass_sparsify,
@@ -153,13 +150,10 @@ __all__ = [
     "ShardPlan",
     "partition_shards",
     "sharded_sparsify",
-    "EdgeRanker",
     "BallCache",
     "TreePhaseRanker",
     "ExactRanker",
     "ApproxRanker",
-    "score_edges",
-    "parallel_map",
     "grass_sparsify",
     "GrassConfig",
     "fegrass_sparsify",

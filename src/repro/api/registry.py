@@ -70,8 +70,9 @@ class MethodSpec:
         randomized baselines qualify too: their streams are seeded by
         ``config.seed``).
     supports_rounds / supports_workers:
-        Whether the method iterates densification rounds / can shard
-        candidate scoring across worker processes.
+        Whether the method iterates densification rounds / has a
+        ``workers`` option, which sizes the worker pool of a sharded
+        run (one process per shard).
     supports_incremental:
         Whether the method's result carries the spanning forest and
         kept-edge structure :class:`repro.incremental.EvolvingSparsifier`

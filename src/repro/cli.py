@@ -28,14 +28,11 @@ once)::
     repro sweep --case ecology2 --methods proposed,grass \
         --fractions 0.05,0.10 --output sweep.json
 
-Candidate scoring can be sharded across worker processes; the result is
-bit-identical to the serial run (``--workers 0`` means one per CPU)::
-
-    repro sparsify --case ecology2 --workers 4 --chunk-size 2048
-
 Large graphs can be cut into shards that are sparsified independently
-(and concurrently, when ``--workers`` asks for it) and stitched back
-together with the cut edges — see ``docs/scaling.md``::
+(and concurrently, when ``--workers`` asks for it; ``--workers 0``
+means one per CPU) and stitched back together with the cut edges; the
+result is bit-identical for every worker count — see
+``docs/scaling.md``::
 
     repro sparsify --case ecology2 --shards 4 --workers 4
     repro sparsify --case ecology2 --shards 4 --boundary-policy sample

@@ -26,16 +26,8 @@ from repro.core.tree_phase import tree_truncated_trace_reduction
 from repro.core.ranking import (
     ApproxRanker,
     BallCache,
-    EdgeRanker,
     ExactRanker,
     TreePhaseRanker,
-)
-from repro.core.parallel import (
-    DEFAULT_CHUNK_SIZE,
-    chunk_spans,
-    parallel_map,
-    resolve_workers,
-    score_edges,
 )
 from repro.core.similarity import SimilarityMarker
 from repro.core.sparsifier import (
@@ -71,16 +63,10 @@ __all__ = [
     "exact_trace_reduction",
     "exact_trace_reduction_batch",
     "tree_truncated_trace_reduction",
-    "EdgeRanker",
     "BallCache",
     "TreePhaseRanker",
     "ExactRanker",
     "ApproxRanker",
-    "DEFAULT_CHUNK_SIZE",
-    "chunk_spans",
-    "parallel_map",
-    "resolve_workers",
-    "score_edges",
     "SimilarityMarker",
     "SparsifierConfig",
     "SparsifierResult",

@@ -1,24 +1,22 @@
-"""Chunked worker-pool execution of edge-ranking batches.
+"""The fork worker pool of the shard-parallel pipeline.
 
-The ranking engine's ``score_batch`` is chunk-stable (scores are
-independent of how the candidate list is split), so candidate scoring
-is embarrassingly parallel.  This module shards a candidate array into
-fixed-size chunks and maps them over a ``concurrent.futures`` process
-pool, falling back to a serial loop whenever a pool cannot help or
-cannot be created.
+:func:`parallel_map` maps independent tasks (one sparsification per
+shard, :mod:`repro.core.sharding`) over a ``concurrent.futures``
+process pool, falling back to a serial loop whenever a pool cannot
+help or cannot be created.  Candidate scoring does not use it: a round
+scores its candidates in a few small batches, each one direct
+``score_batch`` call in the calling process.
 
 Design points:
 
 * **Shared read-only state.**  Pools use the ``fork`` start method and
-  publish the ranker through a module-level slot, so workers inherit
-  the CSR adjacencies, SPAI arrays and warmed caches copy-on-write —
-  nothing of size ``O(n)`` is pickled per task.  The driver calls
-  ``ranker.prepare(...)`` *before* forking for exactly this reason.
-* **Determinism.**  Chunk boundaries depend only on ``chunk_size``
-  (never on the worker count), chunks are concatenated in submission
-  order, and each candidate's score is computed independently, so
-  ``workers=k`` is bit-identical to ``workers=1`` for every ``k``.
-* **Serial fallback.**  ``workers <= 1``, a single chunk, platforms
+  publish the task through a module-level slot, so workers inherit the
+  shard graphs and sessions copy-on-write; nothing of size ``O(n)`` is
+  pickled per task.
+* **Determinism.**  Results are consumed in task order and each task is
+  independent, so ``workers=k`` is bit-identical to ``workers=1`` for
+  every ``k``.
+* **Serial fallback.**  ``workers <= 1``, a single task, platforms
   without ``fork`` (e.g. Windows), calls from a multi-threaded process
   (forking one can deadlock the children), or a pool that fails to
   start or loses a worker all degrade to an in-process loop with
@@ -29,7 +27,7 @@ Design points:
   ``SystemExit`` raised by a SIGTERM handler such as the service
   daemon's) terminates and reaps every forked worker before the
   exception propagates — ``kill <driver-pid>`` never leaves detached
-  children burning CPU on half-finished chunks.
+  children burning CPU on half-finished tasks.
 """
 
 from __future__ import annotations
@@ -38,31 +36,16 @@ import os
 import threading
 import warnings
 
-import numpy as np
-
 __all__ = [
-    "DEFAULT_CHUNK_SIZE",
     "resolve_workers",
-    "chunk_spans",
-    "score_edges",
     "parallel_map",
     "terminate_pool",
     "worker_context",
 ]
 
-DEFAULT_CHUNK_SIZE = 1024
-"""Chunk size used when the caller passes ``chunk_size=0`` (auto).
-
-Fixed (not derived from the worker count) so that chunking — and with
-it the work sharding — is identical for every ``workers`` setting.
-"""
-
-# Ranker and candidate array handed to forked workers by inheritance;
-# guarded by _POOL_LOCK so concurrent score_edges callers (threads)
-# serialize on pool usage instead of clobbering each other's slot.
-# See score_edges().
-_ACTIVE_RANKER = None
-_ACTIVE_EDGE_IDS = None
+# Task handed to forked workers by inheritance; guarded by _POOL_LOCK
+# so concurrent parallel_map callers (threads) serialize on pool usage
+# instead of clobbering each other's slot.  See parallel_map().
 _ACTIVE_TASK = None
 _POOL_LOCK = threading.Lock()
 
@@ -93,38 +76,6 @@ def resolve_workers(workers: int) -> int:
     return workers
 
 
-def chunk_spans(total: int, chunk_size: int) -> list:
-    """Split ``range(total)`` into ``(start, stop)`` spans.
-
-    Parameters
-    ----------
-    total : int
-        Number of items to cover.
-    chunk_size : int
-        Span length (the last span may be shorter); ``0`` selects
-        :data:`DEFAULT_CHUNK_SIZE`.
-
-    Returns
-    -------
-    list of tuple
-        Consecutive half-open spans covering ``[0, total)``.
-    """
-    if chunk_size < 0:
-        raise ValueError(f"chunk_size must be >= 0, got {chunk_size}")
-    if chunk_size == 0:
-        chunk_size = DEFAULT_CHUNK_SIZE
-    return [
-        (start, min(start + chunk_size, total))
-        for start in range(0, total, chunk_size)
-    ]
-
-
-def _score_span(span) -> np.ndarray:
-    """Worker entry point: score one chunk of the active ranker."""
-    start, stop = span
-    return _ACTIVE_RANKER.score_batch(_ACTIVE_EDGE_IDS[start:stop])
-
-
 #: Modules the forkserver preloads so every service worker process
 #: forks with numpy/scipy/repro already imported (one import cost per
 #: daemon, not per worker or per respawn after a crash).
@@ -134,10 +85,10 @@ FORKSERVER_PRELOAD = ("repro.service.executors", "repro.api")
 def worker_context(prefer: tuple = ("forkserver", "spawn")):
     """A multiprocessing context safe to use from a *threaded* process.
 
-    The fork pools of :func:`score_edges` / :func:`parallel_map` refuse
-    to run under threads (forked children can inherit locks mid-flight
-    and deadlock), which rules ``fork`` out for the service scheduler —
-    its workers, HTTP handlers and signal plumbing are all threads.
+    The fork pool of :func:`parallel_map` refuses to run under threads
+    (forked children can inherit locks mid-flight and deadlock), which
+    rules ``fork`` out for the service scheduler — its workers, HTTP
+    handlers and signal plumbing are all threads.
     ``forkserver`` sidesteps the hazard: children fork from a dedicated
     single-threaded server process (started before it ever grows a
     thread), and :data:`FORKSERVER_PRELOAD` keeps their startup cheap.
@@ -187,96 +138,6 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def score_edges(ranker, edge_ids, workers: int = 1, chunk_size: int = 0):
-    """Score candidate edges with *ranker*, optionally across processes.
-
-    Parameters
-    ----------
-    ranker : EdgeRanker
-        Any :class:`repro.core.ranking.EdgeRanker`; its caches are
-        warmed in the calling process first so forked workers share
-        them read-only.
-    edge_ids : array_like of int
-        Candidate edge ids.
-    workers : int, optional
-        ``1`` serial (default), ``>1`` that many worker processes,
-        ``0`` one per CPU.
-    chunk_size : int, optional
-        Candidates per task; ``0`` (default) selects
-        :data:`DEFAULT_CHUNK_SIZE`.  Results do not depend on this
-        value.
-
-    Returns
-    -------
-    numpy.ndarray
-        One score per candidate, aligned with *edge_ids* — bit-identical
-        for every ``workers`` / ``chunk_size`` combination.
-    """
-    global _ACTIVE_RANKER, _ACTIVE_EDGE_IDS
-    edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    if len(edge_ids) == 0:
-        return np.empty(0)
-    spans = chunk_spans(len(edge_ids), chunk_size)
-    workers = resolve_workers(workers)
-
-    def _serial() -> np.ndarray:
-        # Chunk stability makes one whole-batch call bit-identical to
-        # the chunked pool result, and it skips any per-call setup the
-        # ranker repeats per score_batch invocation.  score_batch warms
-        # its own caches, so no separate prepare() pass is needed here.
-        return ranker.score_batch(edge_ids)
-
-    if workers <= 1 or len(spans) <= 1:
-        return _serial()
-    context = _fork_context()
-    if context is None:
-        warnings.warn(
-            "fork-based worker pool unavailable on this platform; "
-            "scoring serially (results are identical)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return _serial()
-    if threading.active_count() > 1:
-        # Forking a multi-threaded process can deadlock the children on
-        # locks held by the other threads at fork time.
-        warnings.warn(
-            "refusing to fork from a multi-threaded process; "
-            "scoring serially (results are identical)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return _serial()
-    # Warm caches in the parent so forked children inherit them.
-    ranker.prepare(edge_ids)
-
-    from concurrent.futures.process import BrokenProcessPool
-
-    with _POOL_LOCK:
-        # Save/restore, mirroring parallel_map: a pool worker whose
-        # task scores edges with its own pool must hand the slots back.
-        previous = (_ACTIVE_RANKER, _ACTIVE_EDGE_IDS)
-        _ACTIVE_RANKER = ranker
-        _ACTIVE_EDGE_IDS = edge_ids
-        try:
-            parts = _pool_map(
-                context, min(workers, len(spans)), _score_span, spans
-            )
-        except (OSError, BrokenProcessPool) as exc:
-            # Pool could not start (sandboxed hosts) or a worker died
-            # (OOM-killed, segfaulted); identical results, just slower.
-            warnings.warn(
-                f"worker pool failed ({exc!r}); rescoring serially "
-                "(results are identical)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return _serial()
-        finally:
-            _ACTIVE_RANKER, _ACTIVE_EDGE_IDS = previous
-    return np.concatenate(parts)
-
-
 def terminate_pool(pool) -> None:
     """Tear a running pool down *now*, leaving no orphaned children.
 
@@ -304,11 +165,10 @@ def terminate_pool(pool) -> None:
 def _pool_map(context, max_workers: int, fn, tasks) -> list:
     """``list(pool.map(fn, tasks))`` with interrupt-safe teardown.
 
-    The shared execution step of :func:`score_edges` and
-    :func:`parallel_map`.  ``OSError`` / ``BrokenProcessPool``
-    propagate to the caller (whose serial fallback handles them);
-    interrupts terminate the children first (:func:`terminate_pool`)
-    and then re-raise.
+    The execution step of :func:`parallel_map`.  ``OSError`` /
+    ``BrokenProcessPool`` propagate to the caller (whose serial
+    fallback handles them); interrupts terminate the children first
+    (:func:`terminate_pool`) and then re-raise.
     """
     from concurrent.futures import ProcessPoolExecutor
 
@@ -333,8 +193,7 @@ def _fresh_pool_state() -> None:
 
     A forked worker inherits ``_POOL_LOCK`` in the *locked* state (the
     parent holds it while the pool runs), so a task that itself calls
-    :func:`score_edges` / :func:`parallel_map` with ``workers > 1``
-    would deadlock on it.  A fresh lock restores re-entrancy from the
+    :func:`parallel_map` with ``workers > 1`` would deadlock on it.  A fresh lock restores re-entrancy from the
     worker's point of view — its nested calls simply fall back to
     their own (possibly serial) execution.
     """
@@ -354,8 +213,7 @@ def parallel_map(task, count: int, workers: int = 1) -> list:
     (:mod:`repro.core.sharding`) maps independent per-shard runs over
     this: each task is heavy (a full sparsification), tasks share no
     mutable state, and results are consumed in index order — so the
-    output is independent of the worker count, exactly like
-    :func:`score_edges`.
+    output is independent of the worker count.
 
     Parameters
     ----------
@@ -367,9 +225,9 @@ def parallel_map(task, count: int, workers: int = 1) -> list:
         Number of task indices.
     workers : int
         ``1`` serial (default), ``>1`` that many worker processes,
-        ``0`` one per CPU.  Every serial-fallback rule of
-        :func:`score_edges` applies (no ``fork``, multi-threaded
-        caller, pool failure) — with identical results.
+        ``0`` one per CPU.  Without ``fork``, from a multi-threaded
+        caller, or when the pool fails, the tasks run serially, with
+        identical results.
 
     Returns
     -------
@@ -378,8 +236,8 @@ def parallel_map(task, count: int, workers: int = 1) -> list:
 
     Notes
     -----
-    Tasks may themselves call :func:`score_edges` or
-    :func:`parallel_map`: pool workers start with fresh pool state
+    Tasks may themselves call :func:`parallel_map`: pool workers start
+    with fresh pool state
     (they are single-process from their own point of view), and the
     serial fallback runs outside the pool lock.
     """

@@ -3,11 +3,9 @@
 Every round of :func:`~repro.core.sparsifier.trace_reduction_sparsify`
 spends its time ranking off-subgraph candidate edges by (approximate)
 trace reduction.  This module turns that per-edge scoring into a staged
-engine with a uniform **batch API**:
+engine with a uniform **batch API**: every ranker's
+``score_batch(edge_ids)`` returns one criticality score per candidate.
 
-* :class:`EdgeRanker` — the protocol every ranker implements:
-  ``prepare(edge_ids)`` warms per-round state, ``score_batch(edge_ids)``
-  returns one criticality score per candidate;
 * :class:`TreePhaseRanker` — round 1, the solve-free tree-phase
   truncated trace reduction (Eqs. 13-15);
 * :class:`ExactRanker` — Eq. (11) through exact solves (validation);
@@ -21,12 +19,12 @@ balls come from one join, and one ``bincount`` reduces the numerators.
 The joins also carry over from round to round in a
 :class:`~repro.core.ball_join.JoinStore`: the tree phase seeds it, and
 :meth:`ApproxRanker.reuse_joins` drops only the joins whose balls may
-have grown and regrows those in the parent process, before scoring, so
-every stored candidate goes straight to the s-value stage.  Each
-candidate's reduction reads only its own entries in a fixed order, so
-scores are independent of how candidates are chunked and of where their
-joins came from, which is what makes the worker-pool execution in
-:mod:`repro.core.parallel` deterministic.  From the same stored joins,
+have grown and regrows those before scoring, so every stored candidate
+goes straight to the s-value stage.  Each candidate's reduction reads
+only its own entries in a fixed order, so scores are **chunk-stable**:
+independent of how candidates are split into batches and of where
+their joins came from, which is what lets the sparsifier score a round
+in batches of its own choosing.  From the same stored joins,
 :meth:`ApproxRanker.score_bounds` bounds every Eq. 20 score from above
 (Cauchy-Schwarz over the joined edges' approximate resistances), so
 the sparsifier scores only the candidates its picking walk can reach.
@@ -37,8 +35,6 @@ touched-node invalidation; the incremental sparsifier
 """
 
 from __future__ import annotations
-
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -52,38 +48,17 @@ from repro.core.ball_join import (
 )
 from repro.core.trace_reduction import exact_trace_reduction_batch
 from repro.core.tree_phase import tree_truncated_trace_reduction
-from repro.tree.lca import batch_tree_resistances
 from repro.graph.bfs import BallFinder, ball_sets
 from repro.graph.graph import Graph
 from repro.graph.laplacian import regularized_laplacian
 from repro.linalg.cholesky import cholesky
 
 __all__ = [
-    "EdgeRanker",
     "BallCache",
     "TreePhaseRanker",
     "ExactRanker",
     "ApproxRanker",
 ]
-
-
-@runtime_checkable
-class EdgeRanker(Protocol):
-    """Protocol of one ranking stage of Algorithm 2.
-
-    A ranker scores candidate edges of a fixed original graph against a
-    fixed current subgraph.  Implementations must be **chunk-stable**:
-    ``score_batch`` of a concatenation equals the concatenation of
-    ``score_batch`` of the pieces, bit for bit.  That property is what
-    lets :func:`repro.core.parallel.score_edges` shard candidates across
-    worker processes without changing the result.
-    """
-
-    def prepare(self, edge_ids) -> None:
-        """Warm any caches needed to score *edge_ids* (idempotent)."""
-
-    def score_batch(self, edge_ids) -> np.ndarray:
-        """Return one criticality score per candidate edge id."""
 
 
 class BallCache:
@@ -203,10 +178,9 @@ class TreePhaseRanker:
     beta : int, optional
         BFS truncation depth (paper default 5).
     joins : repro.core.ball_join.JoinStore, optional
-        Reset to the tree here; then every candidate this process scores
-        adds its ball-pair join, up to the store's cap, which seeds the
-        first :class:`ApproxRanker` round.  Joins grown in forked
-        workers are not returned, so that round then grows them anew.
+        Reset to the tree here; then every candidate scored adds its
+        ball-pair join, up to the store's cap, which seeds the first
+        :class:`ApproxRanker` round.
     """
 
     def __init__(self, graph: Graph, forest, beta: int = 5,
@@ -217,30 +191,6 @@ class TreePhaseRanker:
         self.joins = joins
         if joins is not None:
             joins.reset(forest.tree.adjacency()[:2])
-        self._resistances: np.ndarray | None = None
-
-    def prepare(self, edge_ids) -> None:
-        """Batch-compute tree resistances and warm shared structures.
-
-        One batched LCA query covers the whole candidate set, so
-        per-chunk ``score_batch`` calls (serial or in forked workers)
-        skip it; the Euler intervals and CSR adjacencies are
-        materialized here too so workers inherit them copy-on-write.
-        """
-        edge_ids = np.asarray(edge_ids, dtype=np.int64)
-        if len(edge_ids) == 0:
-            return
-        if self._resistances is None:
-            self._resistances = np.full(self.graph.edge_count, np.nan)
-        missing = edge_ids[np.isnan(self._resistances[edge_ids])]
-        if len(missing):
-            resist, _ = batch_tree_resistances(
-                self.forest, self.graph.u[missing], self.graph.v[missing]
-            )
-            self._resistances[missing] = resist
-        self.forest.euler_intervals()
-        self.forest.tree.adjacency()
-        self.graph.adjacency()
 
     def score_batch(self, edge_ids) -> np.ndarray:
         """Tree-phase truncated trace reduction per candidate edge.
@@ -256,13 +206,10 @@ class TreePhaseRanker:
             Truncated trace reduction (Eq. 15), aligned with
             *edge_ids*.
         """
-        edge_ids = np.asarray(edge_ids, dtype=np.int64)
-        if len(edge_ids) == 0:
-            return np.empty(0)
-        self.prepare(edge_ids)
         crit, _, _ = tree_truncated_trace_reduction(
-            self.graph, self.forest, edge_ids=edge_ids, beta=self.beta,
-            resistances=self._resistances[edge_ids], joins=self.joins,
+            self.graph, self.forest,
+            edge_ids=np.asarray(edge_ids, dtype=np.int64), beta=self.beta,
+            joins=self.joins,
         )
         return crit
 
@@ -290,9 +237,6 @@ class ExactRanker:
         """Factor ``L_S + shift I`` and build the ranker from it."""
         factor = cholesky(regularized_laplacian(subgraph, shift))
         return cls(graph, factor.solve)
-
-    def prepare(self, edge_ids) -> None:
-        """No per-round caches; nothing to warm."""
 
     def score_batch(self, edge_ids) -> np.ndarray:
         """Exact trace reduction per candidate edge (one solve each)."""
@@ -342,10 +286,9 @@ class ApproxRanker:
 
     Notes
     -----
-    Scores are chunk-stable (independent of how candidates are split),
-    so any sharding of the candidate list across worker processes
-    reproduces the serial result exactly, and they are the same bits
-    with or without a join store.
+    Scores are chunk-stable (independent of how candidates are split
+    into batches), and they are the same bits with or without a join
+    store.
     """
 
     def __init__(
@@ -368,14 +311,6 @@ class ApproxRanker:
         # other joined edges.
         self._per_id = 1.0 + len(self._z_indices) / graph.n
 
-    def prepare(self, edge_ids) -> None:
-        """Warm the graph adjacency every block reads (idempotent).
-
-        The parallel executor calls this in the parent process before
-        forking workers so the arrays are shared read-only.
-        """
-        self.graph.adjacency()
-
     def reuse_joins(self, joins, edge_ids) -> None:
         """Score from *joins*, brought up to this ranker's subgraph.
 
@@ -383,8 +318,7 @@ class ApproxRanker:
         balls may have grown since it was last used
         (:meth:`~repro.core.ball_join.JoinStore.retain`); the joins it
         lacks are then grown here, in blocks in candidate order, until
-        it is full.  Call it in the parent process before scoring, so
-        forked workers read the store copy-on-write.
+        it is full.  Call it before scoring the round.
 
         Parameters
         ----------

@@ -14,9 +14,9 @@ independently, and preserve the cut.  Concretely:
    induced subgraph through its own
    :class:`~repro.api.SparsifierSession`, so every shard hits the
    artifact/disk cache independently, and shards run concurrently on
-   the :func:`~repro.core.parallel.parallel_map` worker pool (the
-   ``workers`` knob moves from candidate scoring to the shard level —
-   results stay bit-identical for every worker count).
+   the :func:`~repro.core.parallel.parallel_map` worker pool, sized by
+   the ``workers`` knob (results stay bit-identical for every worker
+   count).
 3. **Stitch** — union the intra-shard sparsifiers with the boundary
    (cut) edges: ``boundary_policy="keep"`` retains every cut edge
    verbatim (spectrally safe; the stitched sparsifier of a connected
@@ -414,12 +414,9 @@ def sharded_sparsify(graph: Graph, method: str = "proposed", config=None, *,
                 graph, shards, seed=int(cfg.seed), artifacts=artifacts
             )
         # The shard runs are one-piece by construction; the worker
-        # budget moves to the shard level, so per-shard candidate
-        # scoring stays serial (results do not depend on either knob).
+        # budget sizes the shard pool (results do not depend on it).
         inner = cfg.replace(shards=1)
         workers = int(getattr(cfg, "workers", 1))
-        if hasattr(inner, "workers"):
-            inner = inner.replace(workers=1)
         disk = getattr(artifacts, "disk", None)
         cache_root = disk.root if disk is not None else None
         shard_inputs = [plan.shard_subgraph(s) for s in range(shards)]

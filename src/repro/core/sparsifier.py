@@ -17,19 +17,18 @@ subgraph instead of the initial tree) is the scheme of GRASS [7, 8]; the
 similarity exclusion is feGRASS's [13].
 
 Candidate scoring is delegated to the batched ranking engine
-(:mod:`repro.core.ranking`) and executed through the chunked worker
-pool (:mod:`repro.core.parallel`): rounds build a
+(:mod:`repro.core.ranking`): rounds build a
 :class:`~repro.core.ranking.TreePhaseRanker` (round 1) or
-:class:`~repro.core.ranking.ApproxRanker` (rounds 2+) and shard the
-candidate list across ``config.workers`` processes.  Each ranker
-scores its candidates in blocks of segmented array operations, so a
-round issues a few hundred numpy calls rather than a few per candidate.
-One :class:`~repro.core.ball_join.JoinStore` per run carries each
+:class:`~repro.core.ranking.ApproxRanker` (rounds 2+) and call its
+``score_batch`` directly.  Each ranker scores its candidates in blocks
+of segmented array operations, so a round issues a few hundred numpy
+calls rather than a few per candidate.  One
+:class:`~repro.core.ball_join.JoinStore` per run carries each
 candidate's ball-pair join from round to round: the tree phase seeds
-it, and each general round regrows, in this process (before any
-worker forks), only the joins whose balls may have grown.  It never
-enters the session artifact store, so a run that restores the tree
-phase from a session simply starts round 2 with an empty store.
+it, and each general round regrows only the joins whose balls may have
+grown.  It never enters the session artifact store, so a run that
+restores the tree phase from a session simply starts round 2 with an
+empty store.
 
 A general round recovers about 1% of its candidates, so it does not
 score them all.  One walk (:func:`_pick_edges`) visits candidates in
@@ -49,7 +48,6 @@ import numpy as np
 
 from repro.core.ball_join import JoinStore
 from repro.core.base import BaseSparsifierConfig, shared_artifact
-from repro.core.parallel import score_edges
 from repro.core.ranking import ApproxRanker, TreePhaseRanker
 from repro.core.similarity import SimilarityMarker
 from repro.exceptions import GraphError
@@ -105,13 +103,11 @@ class SparsifierConfig(BaseSparsifierConfig):
         Seed recorded for API symmetry with the randomized baselines
         (Algorithm 2 itself is deterministic).
     workers : int
-        Worker processes for candidate scoring: ``1`` serial (default),
-        ``>1`` that many processes, ``0`` one per CPU.  Results are
-        bit-identical for every setting.
-    chunk_size : int
-        Candidates per scoring task; ``0`` (default) picks
-        :data:`repro.core.parallel.DEFAULT_CHUNK_SIZE`.  Results do not
-        depend on this value.
+        Worker processes of a sharded run (``shards > 1``): ``1``
+        serial (default), ``>1`` that many processes, ``0`` one per
+        CPU.  Each shard is one task; candidate scoring always runs in
+        the calling process.  Results are bit-identical for every
+        setting.
     """
 
     rounds: int = 5               # N_r
@@ -121,8 +117,7 @@ class SparsifierConfig(BaseSparsifierConfig):
     tree_method: str = "mewst"    # "mewst" | "max_weight" | "bfs"
     use_similarity: bool = True   # mark similar edges for exclusion
     reg_rel: float = 1e-6         # footnote-1 diagonal shift, relative
-    workers: int = 1              # scoring processes (0 = one per CPU)
-    chunk_size: int = 0           # candidates per scoring task (0 = auto)
+    workers: int = 1              # shard processes (0 = one per CPU)
 
     def validate(self) -> None:
         """Raise :class:`~repro.exceptions.GraphError` on bad knobs."""
@@ -142,8 +137,6 @@ class SparsifierConfig(BaseSparsifierConfig):
             )
         if self.workers < 0:
             raise GraphError("workers must be >= 0 (0 = one per CPU)")
-        if self.chunk_size < 0:
-            raise GraphError("chunk_size must be >= 0 (0 = auto)")
 
 
 @dataclass
@@ -327,14 +320,13 @@ def trace_reduction_sparsify(graph: Graph, config=None, *, artifacts=None,
     **overrides
         :class:`SparsifierConfig` fields by keyword, e.g.
         ``trace_reduction_sparsify(g, edge_fraction=0.05, rounds=2,
-        workers=4)``.
+        beta=4)``.
 
     Returns
     -------
     SparsifierResult
         The sparsifier ``P`` (tree + recovered edges) with per-round
-        diagnostics.  Output is deterministic and independent of the
-        ``workers`` / ``chunk_size`` knobs.
+        diagnostics.  Output is deterministic.
 
     Raises
     ------
@@ -390,16 +382,12 @@ def _run(graph: Graph, config: SparsifierConfig,
         with round_timer:
             def _tree_phase():
                 # Depends only on (graph, tree, beta): candidates are the
-                # off-tree edges and scores are worker-count invariant,
-                # so a session can share them across fraction sweeps.
+                # off-tree edges, so a session can share the scores
+                # across fraction sweeps.
                 cand = np.flatnonzero(~edge_mask)
                 ranker = TreePhaseRanker(graph, forest, beta=config.beta,
                                          joins=joins)
-                scores = score_edges(
-                    ranker, cand,
-                    workers=config.workers, chunk_size=config.chunk_size,
-                )
-                return cand, scores
+                return cand, ranker.score_batch(cand)
 
             candidates, crit = shared_artifact(
                 artifacts, "tree_phase",
@@ -450,10 +438,7 @@ def _run(graph: Graph, config: SparsifierConfig,
                 def score(edge_ids):
                     nonlocal scored
                     scored += len(edge_ids)
-                    return score_edges(
-                        ranker, edge_ids,
-                        workers=config.workers, chunk_size=config.chunk_size,
-                    )
+                    return ranker.score_batch(edge_ids)
 
                 chosen, gains = _pick_edges(
                     _ranked_on_demand(ranker, candidates, score,

@@ -39,7 +39,7 @@ __all__ = ["tree_truncated_trace_reduction"]
 
 def tree_truncated_trace_reduction(
     graph: Graph, forest: RootedForest, edge_ids=None, beta: int = 5,
-    resistances=None, joins=None,
+    joins=None,
 ):
     """Truncated trace reduction for off-tree edges (Eq. 15).
 
@@ -53,12 +53,6 @@ def tree_truncated_trace_reduction(
         Candidate off-tree edge ids; defaults to every non-tree edge.
     beta : int, optional
         BFS truncation depth (paper default 5).
-    resistances : array_like of float, optional
-        Precomputed tree effective resistances aligned with
-        *edge_ids*.  When scoring in chunks (the batched ranking
-        engine), computing them once for the whole candidate set avoids
-        repeating the LCA query per chunk; omitted, they are computed
-        here.
     joins : repro.core.ball_join.JoinStore, optional
         A store reset to the tree: every candidate's ball-pair join is
         appended to it, up to its cap, to seed the first general round.
@@ -78,12 +72,7 @@ def tree_truncated_trace_reduction(
 
     heads = graph.u[edge_ids]
     tails = graph.v[edge_ids]
-    if resistances is None:
-        resistances, _ = batch_tree_resistances(forest, heads, tails)
-    else:
-        resistances = np.asarray(resistances, dtype=np.float64)
-        if len(resistances) != len(edge_ids):
-            raise ValueError("resistances/edge_ids length mismatch")
+    resistances, _ = batch_tree_resistances(forest, heads, tails)
     tin, tout = forest.euler_intervals()
     tree_indptr, tree_nbr, tree_local_eid = forest.tree.adjacency()
     tree = (tree_indptr, tree_nbr, forest.edge_ids[tree_local_eid],

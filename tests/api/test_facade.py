@@ -115,8 +115,8 @@ def test_non_finite_options_raise_graph_error(grid, method):
     ("proposed", "gamma", 1.5), ("fegrass", "gamma", 1.5),
     ("proposed", "beta", 2.5), ("proposed", "beta", True),
     ("proposed", "shards", 2.5), ("proposed", "workers", 1.5),
-    ("proposed", "chunk_size", 3.5), ("grass", "rounds", 1.5),
-    ("grass", "power_steps", 1.5), ("grass", "probe_vectors", 1.5),
+    ("grass", "rounds", 1.5), ("grass", "power_steps", 1.5),
+    ("grass", "probe_vectors", 1.5),
     ("er_sampling", "seed", 2.5), ("er_sampling", "sketch_size", 2.5),
     ("er_sampling", "sketch_size", 2.0),
 ])

@@ -81,15 +81,14 @@ def _trace_reductions(result):
 def _scored_share(monkeypatch, graph, **options):
     """Run ``proposed``; return it and the share of rounds 2+ it scored."""
     scored = []
-    score = sparsifier.score_edges
+    score = ApproxRanker.score_batch
 
-    def counting(ranker, edge_ids, **kwargs):
-        if isinstance(ranker, ApproxRanker):
-            scored.append(len(edge_ids))
-        return score(ranker, edge_ids, **kwargs)
+    def counting(ranker, edge_ids):
+        scored.append(len(edge_ids))
+        return score(ranker, edge_ids)
 
     with monkeypatch.context() as patch:
-        patch.setattr(sparsifier, "score_edges", counting)
+        patch.setattr(ApproxRanker, "score_batch", counting)
         result = repro.sparsify(graph, "proposed", **options)
     candidates = sum(entry["candidates"] for entry in result.rounds_log[1:])
     return result, sum(scored) / candidates
@@ -114,17 +113,16 @@ class TestSparsifierRuns:
         def fingerprint(result):
             data = RunRecord.from_result(result, method="proposed",
                                          label="g").fingerprint()
-            for option in ("workers", "chunk_size"):
-                data["config"].pop(option)
+            data["config"].pop("workers")
             return data
 
         serial = repro.sparsify(grid, "proposed")
-        forked = repro.sparsify(grid, "proposed", workers=2, chunk_size=64)
+        two_workers = repro.sparsify(grid, "proposed", workers=2)
         session = SparsifierSession(grid)
         session.sparsify("proposed")
         second = session.sparsify("proposed")
         assert session.stats()["hits"].get("tree_phase", 0) == 1
-        for result in (forked, second):
+        for result in (two_workers, second):
             assert fingerprint(result) == fingerprint(serial)
 
 

@@ -9,7 +9,6 @@ import oracles
 from repro.core import (
     ApproxRanker,
     BallCache,
-    EdgeRanker,
     ExactRanker,
     TreePhaseRanker,
     exact_trace_reduction_batch,
@@ -38,18 +37,6 @@ def _setting(graph, extra_edges=0, beta=5, delta=0.1):
     factor = cholesky(regularized_laplacian(subgraph, shift))
     Z = sparse_approximate_inverse(factor.L, delta=delta)
     return forest, subgraph, factor, Z, off, shift
-
-
-class TestProtocol:
-    def test_rankers_satisfy_protocol(self, small_grid):
-        forest, subgraph, factor, Z, off, shift = _setting(small_grid)
-        assert isinstance(TreePhaseRanker(small_grid, forest), EdgeRanker)
-        assert isinstance(
-            ApproxRanker(small_grid, subgraph, factor, Z), EdgeRanker
-        )
-        assert isinstance(
-            ExactRanker(small_grid, factor.solve), EdgeRanker
-        )
 
 
 class TestTreePhaseRanker:
@@ -119,19 +106,6 @@ class TestApproxRanker:
         forest, subgraph, factor, Z, off, _ = _setting(small_grid)
         ranker = ApproxRanker(small_grid, subgraph, factor, Z)
         assert len(ranker.score_batch(np.empty(0, dtype=np.int64))) == 0
-
-    def test_prepare_is_idempotent(self, small_grid):
-        forest, subgraph, factor, Z, off, _ = _setting(small_grid)
-        cold = ApproxRanker(small_grid, subgraph, factor, Z).score_batch(off)
-        ranker = ApproxRanker(small_grid, subgraph, factor, Z)
-        ranker.prepare(off)
-        ranker.prepare(off)
-        got = ranker.score_batch(off)
-        assert np.array_equal(got, cold)
-        expected = oracles.approximate_trace_reduction(
-            small_grid, subgraph, factor, Z, off, beta=5
-        )
-        np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     def test_bad_beta_rejected(self, small_grid):
         forest, subgraph, factor, Z, off, _ = _setting(small_grid)

@@ -8,12 +8,12 @@ from repro.core import (
     ShardPlan,
     evaluate_sparsifier,
     induced_subgraph,
-    parallel_map,
     partition_shards,
     select_boundary_edges,
     sharded_sparsify,
     trace_reduction_sparsify,
 )
+from repro.core.parallel import parallel_map
 from repro.exceptions import GraphError
 from repro.graph import Graph, grid2d, is_connected, make_case
 

@@ -7,8 +7,8 @@ only to check the segmented array implementations in
 ``repro.core.tree_phase``, ``repro.core.ranking.ApproxRanker``,
 ``repro.linalg.spai`` and ``repro.powergrid.netlist`` against (Eq. 12,
 with exact solves, checks the ball truncation on its own).  The oracle
-rankers plug the loops into the sparsifier driver through the
-:class:`~repro.core.ranking.EdgeRanker` protocol.
+rankers plug the loops into the sparsifier driver through the rankers'
+``score_batch`` methods.
 
 The shared set-up (Sec. 3.2) has its loops here too: components by
 Python BFS, Kruskal over a disjoint-set union, per-node rooting, the
@@ -261,9 +261,6 @@ class OracleTreePhaseRanker:
         self.forest = forest
         self.beta = beta
 
-    def prepare(self, edge_ids):
-        """Nothing to warm."""
-
     def score_batch(self, edge_ids):
         return tree_truncated_trace_reduction(self.graph, self.forest,
                                               edge_ids, self.beta)
@@ -275,9 +272,6 @@ class OracleApproxRanker:
     def __init__(self, graph, subgraph, factor, Z, beta=5):
         self.args = (graph, subgraph, factor, Z)
         self.beta = beta
-
-    def prepare(self, edge_ids):
-        """Nothing to warm."""
 
     def reuse_joins(self, joins, edge_ids):
         """The loop grows every ball anew; the store is left alone."""

@@ -48,7 +48,7 @@ def test_sparsify_single_pass_baselines(capsys, method):
         ("fegrass", "--rounds", "2"),
         ("er_sampling", "--rounds", "2"),
         ("grass", "--workers", "2"),
-        ("fegrass", "--chunk-size", "64"),
+        ("fegrass", "--delta", "0.2"),
         ("er_sampling", "--beta", "3"),
     ],
 )
