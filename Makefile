@@ -18,11 +18,14 @@ test:
 # scores, <= 35% of joins regrown per round, rounds 2-5 >= 1.2x faster
 # than dropping the store), exact pruning of rounds 2+ on full NLR (the
 # same picks as scoring every candidate, <= 35% of the candidates
-# scored, rounds 2-5 >= 1.25x faster), plus a sharded-pipeline smoke
-# run, all statistics-free.
+# scored, rounds 2-5 >= 1.25x faster), SPAI on the four factors of a
+# full thupg1t run (bit-identical to the column-loop oracle, >= 7.5x
+# faster; prints the columns under the log n floor and their ties),
+# plus a sharded-pipeline smoke run, all statistics-free.
 bench-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_kernels.py \
-		-q -s -k "ranking or setup or reuse or prune" --benchmark-disable
+		-q -s -k "ranking or setup or reuse or prune or spai" \
+		--benchmark-disable
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_sharding.py \
 		-q -s --benchmark-disable
 

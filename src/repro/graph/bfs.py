@@ -6,7 +6,7 @@ Because this runs once per off-subgraph edge, the :class:`BallFinder`
 keeps reusable "stamp" work arrays so a ball query allocates nothing of
 size ``n``.
 
-Three query families:
+Four query families:
 
 * :meth:`BallFinder.ball` — per-node Python BFS that also reports
   predecessors;

@@ -533,6 +533,9 @@ class EvolvingSparsifier:
             charges.append((u, v, self._edges[(u, v)], scores[(u, v)]))
         for (u, v), w in deleted_kept:
             charges.append((u, v, w, None))
+        if not charges:
+            return
+        adjacency = self._kept_adjacency()
         for u, v, w, score in charges:
             leverage = score
             if leverage is None:
@@ -541,7 +544,7 @@ class EvolvingSparsifier:
             # resistance, and the best detour is usually far shorter
             # than the forest path (local off-tree kept edges bypass
             # the change), so take the tighter of the two bounds.
-            detour = self._kept_detour_resistance(u, v)
+            detour = _detour_resistance(adjacency, u, v)
             if detour is not None:
                 leverage = (
                     w * detour if leverage is None
@@ -554,34 +557,16 @@ class EvolvingSparsifier:
                 return
             self._log_drift += math.log1p(leverage)
 
-    def _kept_detour_resistance(self, u: int, v: int):
-        """Resistance of the best u-v path in the kept subgraph.
-
-        Dijkstra with ``1/w`` edge lengths over the maintained
-        sparsifier; series resistance of any path upper-bounds the
-        effective resistance between its endpoints.  Returns ``None``
-        when no path exists.
-        """
+    def _kept_adjacency(self) -> dict:
+        """Neighbours of each node in the kept subgraph, with ``1/w``
+        edge lengths, in the edge map's order."""
         adjacency: dict = {}
         for (a, b), w in self._edges.items():
             if (a, b) not in self._kept:
                 continue
             adjacency.setdefault(a, []).append((b, 1.0 / w))
             adjacency.setdefault(b, []).append((a, 1.0 / w))
-        dist = {u: 0.0}
-        heap = [(0.0, u)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node == v:
-                return d
-            if d > dist.get(node, math.inf):
-                continue
-            for nbr, length in adjacency.get(node, ()):
-                nd = d + length
-                if nd < dist.get(nbr, math.inf):
-                    dist[nbr] = nd
-                    heapq.heappush(heap, (nd, nbr))
-        return None
+        return adjacency
 
     def _tree_leverage(self, forest, u: int, v: int, w: float):
         """``w * R_T(u, v)`` in the current forest, or None across cuts."""
@@ -594,6 +579,30 @@ class EvolvingSparsifier:
             forest, np.asarray([u]), np.asarray([v])
         )
         return float(w * resist[0])
+
+
+def _detour_resistance(adjacency: dict, u: int, v: int):
+    """Resistance of the best u-v path in a kept-subgraph adjacency.
+
+    Dijkstra with the ``1/w`` edge lengths of
+    :meth:`EvolvingSparsifier._kept_adjacency`; series resistance of any
+    path upper-bounds the effective resistance between its endpoints.
+    Returns ``None`` when no path exists.
+    """
+    dist = {u: 0.0}
+    heap = [(0.0, u)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node == v:
+            return d
+        if d > dist.get(node, math.inf):
+            continue
+        for nbr, length in adjacency.get(node, ()):
+            nd = d + length
+            if nd < dist.get(nbr, math.inf):
+                dist[nbr] = nd
+                heapq.heappush(heap, (nd, nbr))
+    return None
 
 
 def sparsify_delta(graph: Graph, batches=(), method: str = "proposed",

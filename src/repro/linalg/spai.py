@@ -28,7 +28,7 @@ from repro.exceptions import FactorizationError
 from repro.utils.arrays import concat_ranges, forest_depths, unique_slots
 from repro.utils.validation import check_square_sparse
 
-__all__ = ["sparse_approximate_inverse", "spai_nnz_profile"]
+__all__ = ["sparse_approximate_inverse"]
 
 
 def sparse_approximate_inverse(L, delta=0.1, keep_threshold=None):
@@ -225,27 +225,36 @@ def _prune(sums, owner, count, delta, keep_threshold):
     """Algorithm 1's pruning mask over the merged entries of a level.
 
     Columns with more than *keep_threshold* entries drop entries below
-    ``delta * max``, but keep at least their *keep_threshold* largest.
+    ``delta * max``, but keep at least their *keep_threshold* largest:
+    the entries above the ``k``-th largest value, then the lowest rows
+    among the entries equal to it, until ``k = keep_threshold`` are
+    kept.
     """
     sizes = np.bincount(owner, minlength=count)
     starts = np.cumsum(sizes) - sizes
     big = sizes > keep_threshold
     column_max = np.maximum.reduceat(sums, starts)
     keep = ~big[owner] | (sums >= delta * column_max[owner])
-    short = big & (np.bincount(owner[keep], minlength=count) < keep_threshold)
-    for col in np.flatnonzero(short):
-        # Proposition 1 makes every entry a sum of nonnegative terms;
-        # the floor reproduces the paper's nnz(Z~) ~ n log n and keeps
-        # the column error bounded on near-singular factors.
-        segment = slice(starts[col], starts[col] + sizes[col])
-        top = np.argpartition(-sums[segment], keep_threshold - 1)
-        keep[segment] = False
-        keep[starts[col] + top[:keep_threshold]] = True
+    short = np.flatnonzero(
+        big & (np.bincount(owner[keep], minlength=count) < keep_threshold))
+    if len(short) == 0:
+        return keep
+    # Proposition 1 makes every entry a sum of nonnegative terms; the
+    # floor reproduces the paper's nnz(Z~) ~ n log n and keeps the
+    # column error bounded on near-singular factors.  The short columns
+    # are the rows of one table padded with -inf, each in row order.  A
+    # column of a Cholesky factor's Z~ lies on its elimination-tree path
+    # to the root, so no row of the table is wider than the level's
+    # depth + 1.
+    widths = sizes[short]
+    at = concat_ranges(starts[short], widths)
+    filled = np.arange(widths.max()) < widths[:, None]
+    table = np.full(filled.shape, -np.inf)
+    table[filled] = sums[at]
+    kth = np.partition(table, -keep_threshold, axis=1)[:, [-keep_threshold]]
+    above = table > kth
+    tied = table == kth
+    room = keep_threshold - np.count_nonzero(above, axis=1)
+    tied &= np.cumsum(tied, axis=1) <= room[:, None]
+    keep[at] = (above | tied)[filled]
     return keep
-
-
-def spai_nnz_profile(L, deltas):
-    """nnz(Z~) for each pruning threshold (used by the delta ablation)."""
-    return [
-        int(sparse_approximate_inverse(L, delta=float(d)).nnz) for d in deltas
-    ]

@@ -118,13 +118,14 @@ def test_spai_matches_column_loop(graph, zeros, delta, keep):
 
 
 @given(n=st.integers(1, 12), density=st.floats(0.0, 0.8),
-       seed=st.integers(0, 999), delta=st.sampled_from([0.0, 0.2]),
+       seed=st.integers(0, 999), delta=st.sampled_from([0.0, 0.2, 0.9]),
        keep=st.sampled_from([1, 2, 4]))
 @settings(max_examples=60, deadline=None)
 def test_spai_matches_column_loop_on_arbitrary_lower_triangles(
         n, density, seed, delta, keep):
     """Patterns that are no Cholesky factor's: dependencies outside the
-    elimination-tree ancestry, integer values that tie in the floor."""
+    elimination-tree ancestry, integer values that tie in the floor
+    (``delta = 0.9`` sends most pruned columns there)."""
     rng = np.random.default_rng(seed)
     dense = np.tril(-rng.integers(0, 3, size=(n, n)).astype(float), k=-1)
     dense[rng.random((n, n)) > density] = 0.0

@@ -1,7 +1,11 @@
 """Tests for the evolving sparsifier (repro.incremental.evolving)."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 import oracles
 import repro
@@ -169,6 +173,48 @@ class TestForestMaintenance:
             assert oracle._kept == kept
 
 
+class _PerChargeDrift(EvolvingSparsifier):
+    """The drift monitor with a fresh kept-subgraph search per charge.
+
+    Each charge's detour is a scipy Dijkstra over a CSR matrix of the
+    kept edges built for that charge alone; ``charges`` counts the
+    charges of every batch.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.charges = []
+        super().__init__(*args, **kwargs)
+
+    def _accumulate_drift(self, eb, deleted_kept, dropped, scores):
+        inserted = {(u, v) for u, v, _ in eb.inserts}
+        charges = [(u, v, w, scores.get((u, v))) for u, v, w in eb.inserts
+                   if (u, v) not in self._kept]
+        charges += [(u, v, self._edges[(u, v)], scores[(u, v)])
+                    for u, v in dropped if (u, v) not in inserted]
+        charges += [(u, v, w, None) for (u, v), w in deleted_kept]
+        self.charges.append(len(charges))
+        for u, v, w, leverage in charges:
+            if leverage is None:
+                leverage = self._tree_leverage(
+                    getattr(self, "_forest", None), u, v, w)
+            detour = self._detour(u, v)
+            if detour is not None:
+                leverage = (w * detour if leverage is None
+                            else min(leverage, w * detour))
+            if leverage is None:
+                self._log_drift = math.inf
+                return
+            self._log_drift += math.log1p(leverage)
+
+    def _detour(self, u, v):
+        kept = [(a, b, 1.0 / w) for (a, b), w in self._edges.items()
+                if (a, b) in self._kept]
+        a, b, length = (np.asarray(x) for x in zip(*kept))
+        lengths = sp.csr_matrix((length, (a, b)), shape=(self.n, self.n))
+        distance = dijkstra(lengths, directed=False, indices=u)[v]
+        return None if math.isinf(distance) else float(distance)
+
+
 class TestRebuildAndDrift:
     def test_forced_rebuild_is_fingerprint_identical(self, small_grid):
         evolving = _evolving(small_grid)
@@ -203,6 +249,43 @@ class TestRebuildAndDrift:
             evolving.apply_batch(inserts=[(pair[0], pair[1], 1.0)])
             assert evolving.drift_estimate >= last
             last = evolving.drift_estimate
+
+    def test_drift_matches_a_per_charge_reference(self, monkeypatch):
+        """Batches of several charges each: uncompensated insertions and
+        deleted kept edges.  Every entry's ``drift_estimate`` equals the
+        per-charge reference's, and the kept-subgraph adjacency is built
+        once per batch."""
+        graph = grid2d(12, 12, weights="uniform", seed=5)
+        kwargs = {**OPTIONS, "drift_budget": 1e6}
+        built = []
+        adjacency = EvolvingSparsifier._kept_adjacency
+        monkeypatch.setattr(
+            EvolvingSparsifier, "_kept_adjacency",
+            lambda self: built.append(1) or adjacency(self))
+        evolving = EvolvingSparsifier(graph, "proposed", **kwargs)
+        reference = _PerChargeDrift(graph, "proposed", **kwargs)
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            offtree = sorted(evolving._kept - set(evolving.forest_edges))
+            forest = evolving.forest_edges
+            deletes = sorted(
+                {offtree[int(k)] for k in rng.integers(0, len(offtree), 2)}
+                | {forest[int(rng.integers(0, len(forest)))]})
+            inserts = []
+            while len(inserts) < 3:
+                u, v = sorted(int(x) for x in rng.integers(0, graph.n, 2))
+                if u != v and (u, v) not in evolving._edges and all(
+                        (u, v) != (a, b) for a, b, _ in inserts):
+                    inserts.append((u, v, 0.05))
+            built.clear()
+            got = evolving.apply_batch(inserts=inserts, deletes=deletes)
+            assert len(built) == 1
+            expected = reference.apply_batch(inserts=inserts,
+                                             deletes=deletes)
+            assert got["drift_estimate"] == expected["drift_estimate"]
+            assert evolving._kept == reference._kept
+        assert min(reference.charges) >= 3
+        assert evolving.drift_estimate > 1.0
 
     def test_kappa_stays_within_drift_budget_of_scratch(self,
                                                         medium_grid):

@@ -6,10 +6,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from repro.exceptions import FactorizationError
 from repro.graph import grid2d, regularization_shift, regularized_laplacian
 from repro.linalg import cholesky, sparse_approximate_inverse
-from repro.linalg.spai import spai_nnz_profile
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,13 @@ def test_pruning_reduces_nnz(factor):
     full = sparse_approximate_inverse(factor.L, delta=0.0, keep_threshold=10**9)
     pruned = sparse_approximate_inverse(factor.L, delta=0.1)
     assert pruned.nnz < full.nnz
+
+
+def spai_nnz_profile(L, deltas):
+    """nnz(Z~) for each pruning threshold."""
+    return [
+        int(sparse_approximate_inverse(L, delta=float(d)).nnz) for d in deltas
+    ]
 
 
 def test_monotone_in_delta(factor):
@@ -67,6 +74,48 @@ def test_small_columns_kept_exactly(factor):
             np.testing.assert_allclose(col, col_exact, atol=1e-10)
         else:
             break  # earlier columns depend on pruned later ones
+
+
+def _star_column(values):
+    """A lower triangle whose column 0 of ``L^{-1}`` is ``[1, *values]``.
+
+    ``L_00 = 1`` and ``L_i0 = -values[i - 1]``; every other column is
+    the identity's, so ``z_0 = e_0 + sum_i values[i - 1] e_i``.
+    """
+    n = len(values) + 1
+    dense = np.eye(n)
+    dense[1:, 0] = -np.asarray(values, dtype=float)
+    return sp.csc_matrix(dense)
+
+
+def _kept_rows(L, delta, keep_threshold):
+    """Column 0's rows in production and in the column-loop oracle."""
+    got = sparse_approximate_inverse(L, delta=delta,
+                                     keep_threshold=keep_threshold)
+    expected = oracles.sparse_approximate_inverse(
+        L, delta=delta, keep_threshold=keep_threshold)
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name),
+                                      getattr(expected, name), err_msg=name)
+    return got.indices[got.indptr[0]:got.indptr[1]].tolist()
+
+
+def test_floor_keeps_the_lowest_rows_among_ties():
+    """Three entries tie at the k-th largest value and two places are
+    left: the floor keeps the entries above it and the two lowest tied
+    rows (``np.argpartition`` keeps rows 1 and 3 here)."""
+    L = _star_column([0.5, 0.5, 0.5, 0.7, 0.1, 0.7])
+    # delta keeps row 0 alone; k = 5 keeps rows 0, 4 and 6 (above the
+    # 5th largest value, 0.5) and rows 1 and 2 of the tied rows 1-3.
+    assert _kept_rows(L, delta=0.9, keep_threshold=5) == [0, 1, 2, 4, 6]
+
+
+def test_floor_among_entries_that_all_tie():
+    """Every entry below the maximum is equal and delta keeps only the
+    maximum: the floor fills its places with the lowest rows."""
+    L = _star_column([0.05] * 6)
+    assert _kept_rows(L, delta=0.1, keep_threshold=3) == [0, 1, 2]
+    assert _kept_rows(L, delta=0.1, keep_threshold=6) == [0, 1, 2, 3, 4, 5]
 
 
 def test_error_bound_eq19(factor):

@@ -234,9 +234,10 @@ def sparse_approximate_inverse(L, delta=0.1, keep_threshold=None):
         if len(uniq) > keep_threshold:
             keep = sums >= delta * sums.max()
             if np.count_nonzero(keep) < keep_threshold:
-                top = np.argpartition(-sums, keep_threshold - 1)
+                # The k largest; among ties at the k-th, the lowest rows.
+                top = np.argsort(-sums, kind="stable")[:keep_threshold]
                 keep = np.zeros(len(sums), dtype=bool)
-                keep[top[:keep_threshold]] = True
+                keep[top] = True
             uniq = uniq[keep]
             sums = sums[keep]
         col_idx[j] = uniq
