@@ -21,10 +21,12 @@ test:
 # scored, rounds 2-5 >= 1.25x faster), SPAI on the four factors of a
 # full thupg1t run (bit-identical to the column-loop oracle, >= 7.5x
 # faster; prints the columns under the log n floor and their ties),
-# plus a sharded-pipeline smoke run, all statistics-free.
+# similarity marking in batches over feGRASS's walk on full NLR (the
+# same picks and marks as marking per pick, >= 2.5x faster), plus a
+# sharded-pipeline smoke run, all statistics-free.
 bench-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_kernels.py \
-		-q -s -k "ranking or setup or reuse or prune or spai" \
+		-q -s -k "ranking or setup or reuse or prune or spai or marking" \
 		--benchmark-disable
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_sharding.py \
 		-q -s --benchmark-disable

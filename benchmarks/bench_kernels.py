@@ -3,11 +3,12 @@
 Unlike the table benchmarks (one-shot pipeline timings), these use
 pytest-benchmark's statistical repetition to characterize the building
 blocks: Cholesky factorization, SPAI construction, the two criticality
-kernels, batch LCA, and a preconditioned PCG solve.  Five
-statistics-free gates: batched ranking, the shared tree set-up and SPAI
-against their loop oracles (``tests/oracles.py``), the join store's
-reuse across densification rounds against dropping it every round, and
-the exact pruning of rounds 2+ against scoring every candidate.
+kernels, batch LCA, and a preconditioned PCG solve.  Six
+statistics-free gates: batched ranking, the shared tree set-up, SPAI
+and similarity marking in batches against their loop oracles
+(``tests/oracles.py``), the join store's reuse across densification
+rounds against dropping it every round, and the exact pruning of
+rounds 2+ against scoring every candidate.
 """
 
 from __future__ import annotations
@@ -26,7 +27,11 @@ import pytest  # noqa: E402
 import repro
 import repro.core.sparsifier as sparsifier_module
 import repro.linalg.spai as spai_module
-from repro.core import ApproxRanker, tree_truncated_trace_reduction
+from repro.core import (
+    ApproxRanker,
+    SimilarityMarker,
+    tree_truncated_trace_reduction,
+)
 from repro.core.ball_join import JoinStore
 from repro.graph import make_case, regularization_shift, regularized_laplacian
 from repro.linalg import cholesky, pcg, sparse_approximate_inverse
@@ -542,6 +547,72 @@ def test_spai_report(scale, monkeypatch):
     assert speedup >= _SPAI_SPEEDUP_GATE, (
         f"level-scheduled SPAI only {speedup:.1f}x faster than the column "
         f"loop (gate {_SPAI_SPEEDUP_GATE:.1f}x)"
+    )
+
+
+# ----------------------------------------------------------------------
+# Similarity marking in batches: feGRASS's single walk on full NLR, its
+# stretch scores over the MEWST, once through the production walk and
+# once through the per-pick oracle (two Python BFS balls per pick).
+# ----------------------------------------------------------------------
+
+#: Gate on the batched walk's speedup over the per-pick walk: about
+#: three quarters of the median 3.4x (four runs: 3.2x-3.9x) measured on
+#: full NLR at seed 0 on a 2-core x86 host.
+_MARKING_SPEEDUP_GATE = 2.5
+
+#: Timed runs of each side of the gate, alternating.
+_MARKING_REPEATS = 5
+
+
+def _walk(graph, forest, candidates, scores, budget, marker_cls, pick):
+    """One picking walk; returns the picks, their gains and the marks."""
+    marker = marker_cls(graph, gamma=repro.FegrassConfig().gamma)
+    marker.attach_subgraph(forest.tree)
+    chosen, gains = pick(sparsifier_module._ranked(candidates, scores),
+                         marker, budget, True)
+    return chosen, gains, marker.marked
+
+
+def test_marking_report(scale):
+    """Both walks over feGRASS's scores: same picks and marks, gate the
+    speedup."""
+    graph, _ = make_case("NLR", scale=max(scale, 1.0), seed=0)
+    forest = RootedForest(graph, mewst(graph))
+    candidates = np.flatnonzero(~forest.tree_edge_mask())
+    resistances, _ = batch_tree_resistances(
+        forest, graph.u[candidates], graph.v[candidates])
+    scores = graph.w[candidates] * resistances
+    budget = int(round(repro.FegrassConfig().edge_fraction * graph.n))
+    graph.adjacency(), forest.tree.adjacency()  # both walks read the CSRs
+    (ours, theirs), (batched_seconds, per_pick_seconds) = _best_interleaved([
+        lambda: _walk(graph, forest, candidates, scores, budget,
+                      SimilarityMarker, sparsifier_module._pick_edges),
+        lambda: _walk(graph, forest, candidates, scores, budget,
+                      oracles.PerPickMarker, oracles.pick_edges),
+    ], _MARKING_REPEATS)
+    chosen, gains, marked = ours
+    assert chosen == theirs[0] and len(chosen) == budget
+    assert gains == theirs[1]
+    np.testing.assert_array_equal(marked, theirs[2])
+    # Both walks stop at their last pick.
+    walked = 1 + int(np.flatnonzero(
+        candidates[np.argsort(-scores, kind="stable")] == chosen[-1])[0])
+    speedup = per_pick_seconds / batched_seconds
+    table = Table(["walk", "picks", "walked", "marked", "seconds"])
+    for label, (picks, _, marks), seconds in (
+            ("per pick (oracle)", theirs, per_pick_seconds),
+            ("batched", ours, batched_seconds)):
+        table.add_row([label, len(picks), walked, int(marks.sum()),
+                       f"{seconds:.4f}"])
+    emit(
+        "kernels_marking_batched_vs_per_pick",
+        table.render() + f"\nn = {graph.n} nodes; best of "
+        f"{_MARKING_REPEATS}; {speedup:.1f}x faster, same picks and marks",
+    )
+    assert speedup >= _MARKING_SPEEDUP_GATE, (
+        f"batched marking only {speedup:.1f}x faster than marking per pick "
+        f"(gate {_MARKING_SPEEDUP_GATE:.1f}x)"
     )
 
 

@@ -71,7 +71,6 @@ from repro.core import (
     ShardPlan,
     partition_shards,
     sharded_sparsify,
-    BallCache,
     TreePhaseRanker,
     ExactRanker,
     ApproxRanker,
@@ -150,7 +149,6 @@ __all__ = [
     "ShardPlan",
     "partition_shards",
     "sharded_sparsify",
-    "BallCache",
     "TreePhaseRanker",
     "ExactRanker",
     "ApproxRanker",

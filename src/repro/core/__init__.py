@@ -25,7 +25,6 @@ from repro.core.trace_reduction import (
 from repro.core.tree_phase import tree_truncated_trace_reduction
 from repro.core.ranking import (
     ApproxRanker,
-    BallCache,
     ExactRanker,
     TreePhaseRanker,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "exact_trace_reduction",
     "exact_trace_reduction_batch",
     "tree_truncated_trace_reduction",
-    "BallCache",
     "TreePhaseRanker",
     "ExactRanker",
     "ApproxRanker",

@@ -12,6 +12,10 @@ arrays of *(candidate, node)* entries grouped by candidate:
   (:class:`LookupTable`), then drops the second orientation of edges
   that qualify both ways, leaving each candidate's edges in ascending
   edge-id order;
+* :func:`grown_joins` grows a block of candidates' balls in ``S`` at
+  any radius and joins them span by span: at ``beta`` for the Eq. 20
+  scorer, at ``gamma`` for similarity marking
+  (:mod:`repro.core.similarity`);
 * :class:`JoinStore` keeps those joins from one densification round to
   the next as ``int32`` edge ids, at most :data:`JOIN_IDS_PER_EDGE` per
   edge of ``G``, and drops only the joins whose balls may have grown;
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.bfs import ball_union
+from repro.graph.bfs import ball_sets, ball_union
 from repro.utils.arrays import concat_ranges, unique_slots
 
 __all__ = ["ball_pair_edges", "score_in_blocks"]
@@ -176,6 +180,69 @@ def ball_pair_edges(adjacency, positions, p_owner, p_nodes, q_owner,
     hit = hit[first]
     return (src_entry[hit], nbr_entry[hit].astype(np.int64),
             src_in_q[hit].astype(np.int64), eids[first])
+
+
+def grown_joins(graph, adjacency, p, q, radius: int):
+    """Grow the balls of a block's endpoints in ``S``, to join later.
+
+    Grows the *radius*-balls around every endpoint of the candidates
+    ``(p[k], q[k])`` at once (:func:`~repro.graph.bfs.ball_sets`) and
+    counts the entries each candidate's join materializes (its ball
+    members and its p-ball's incidences in ``G``), so the joins can be
+    made in spans that each fit :data:`BLOCK_ENTRIES`
+    (:func:`block_spans`) however many candidates the block holds.
+
+    Parameters
+    ----------
+    graph : Graph
+        The original graph ``G``.
+    adjacency : tuple of numpy.ndarray
+        ``(indptr, neighbors)`` of the subgraph ``S`` the balls grow in.
+    p, q : numpy.ndarray
+        The candidates' endpoints.
+    radius : int
+        Ball radius in hops: ``beta`` for Eq. 20, ``gamma`` for
+        similarity marking.
+
+    Returns
+    -------
+    work : numpy.ndarray
+        Entries per candidate.
+    join : callable
+        ``join(lo, hi, positions)``: the joins of candidates
+        ``lo..hi-1`` as :func:`ball_pair_edges` entries ``(owner,
+        eids)``, *owner* counted from ``lo``, given an ``int32``
+        :class:`LookupTable` with fill ``-1`` as *positions*.
+    """
+    g_adjacency = graph.adjacency()
+    indptr = g_adjacency[0]
+    count = len(p)
+    ends, which, _ = unique_slots(np.concatenate([p, q]))
+    ptr, members = ball_sets(*adjacency, ends, radius)
+    sizes = np.diff(ptr)
+    incidences = np.add.reduceat(indptr[members + 1] - indptr[members],
+                                 ptr[:-1])
+    work = (sizes[which[:count]] + sizes[which[count:]]
+            + incidences[which[:count]])
+
+    def join(lo, hi, positions):
+        p_owner, p_nodes = _ball_entries(ptr, members, which[lo:hi])
+        q_owner, q_nodes = _ball_entries(
+            ptr, members, which[count + lo:count + hi])
+        src, _, _, eids = ball_pair_edges(
+            g_adjacency, positions, p_owner, p_nodes, q_owner, q_nodes
+        )
+        return p_owner[src], eids
+
+    return work, join
+
+
+def _ball_entries(ptr, members, which):
+    """Entries ``(owner, node)`` of ball ``which[k]`` for every owner ``k``."""
+    starts = ptr[which]
+    lengths = ptr[which + 1] - starts
+    owner = np.repeat(np.arange(len(which)), lengths)
+    return owner, members[concat_ranges(starts, lengths)]
 
 
 class JoinStore:

@@ -22,23 +22,21 @@ import numpy as np
 
 from repro.core.base import BaseSparsifierConfig, shared_artifact
 from repro.core.similarity import SimilarityMarker
-from repro.core.sparsifier import SparsifierResult, _pick_edges, _ranked
+from repro.core.sparsifier import (
+    _TREE_METHODS,
+    SparsifierResult,
+    _pick_edges,
+    _ranked,
+)
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
 from repro.graph.laplacian import regularization_shift, regularized_laplacian
 from repro.linalg.cholesky import cholesky
 from repro.tree.rooted import RootedForest
-from repro.tree.spanning import bfs_spanning_forest, maximum_spanning_forest, mewst
 from repro.utils.rng import as_rng
 from repro.utils.timers import Timer
 
 __all__ = ["GrassConfig", "grass_sparsify", "perturbation_criticality"]
-
-_TREE_METHODS = {
-    "mewst": mewst,
-    "max_weight": maximum_spanning_forest,
-    "bfs": bfs_spanning_forest,
-}
 
 
 @dataclass(kw_only=True)
@@ -64,7 +62,10 @@ class GrassConfig(BaseSparsifierConfig):
         if self.gamma < 0:
             raise GraphError(f"gamma must be >= 0, got {self.gamma!r}")
         if self.tree_method not in _TREE_METHODS:
-            raise GraphError(f"unknown tree_method {self.tree_method!r}")
+            raise GraphError(
+                f"unknown tree_method {self.tree_method!r}; "
+                f"choose from {sorted(_TREE_METHODS)}"
+            )
 
 
 def perturbation_criticality(

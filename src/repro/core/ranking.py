@@ -28,10 +28,8 @@ in batches of its own choosing.  From the same stored joins,
 :meth:`ApproxRanker.score_bounds` bounds every Eq. 20 score from above
 (Cauchy-Schwarz over the joined edges' approximate resistances), so
 the sparsifier scores only the candidates its picking walk can reach.
-
-:class:`BallCache` keeps single BFS balls across edge mutations with
-touched-node invalidation; the incremental sparsifier
-(:mod:`repro.incremental`) uses it as its locality engine.
+Similarity marking grows the same joins at radius ``gamma``
+(:func:`~repro.core.ball_join.grown_joins`).
 """
 
 from __future__ import annotations
@@ -42,128 +40,21 @@ from repro.utils.arrays import concat_ranges, unique_slots
 from repro.core.ball_join import (
     BLOCK_ENTRIES,
     LookupTable,
-    ball_pair_edges,
     block_spans,
+    grown_joins,
     run_in_blocks,
 )
 from repro.core.trace_reduction import exact_trace_reduction_batch
 from repro.core.tree_phase import tree_truncated_trace_reduction
-from repro.graph.bfs import BallFinder, ball_sets
 from repro.graph.graph import Graph
 from repro.graph.laplacian import regularized_laplacian
 from repro.linalg.cholesky import cholesky
 
 __all__ = [
-    "BallCache",
     "TreePhaseRanker",
     "ExactRanker",
     "ApproxRanker",
 ]
-
-
-class BallCache:
-    """BFS balls around single nodes, kept across adjacency changes.
-
-    A ball around ``a`` computed on one adjacency is still correct on
-    the next unless some endpoint of an inserted or deleted edge lies
-    within ``beta`` hops of ``a`` in the old or the new adjacency.  The
-    cache therefore persists across changes and only drops entries
-    inside the balls of touched endpoints (the exact rule — and why it
-    is safe — is spelled out in ``docs/architecture.md``).
-
-    Parameters
-    ----------
-    beta : int
-        BFS truncation depth; all cached balls use this radius.
-
-    Notes
-    -----
-    Call :meth:`attach_subgraph` whenever the adjacency changes,
-    passing ``invalidate=<touched nodes>`` (every node whose incident
-    edge set changed since the previous attach).
-    """
-
-    def __init__(self, beta: int) -> None:
-        if beta < 1:
-            raise ValueError(f"beta must be >= 1, got {beta}")
-        self.beta = int(beta)
-        self._balls: dict = {}
-        self._finder: BallFinder | None = None
-        self._sub_indptr = None
-        self._sub_nbr = None
-
-    def __len__(self) -> int:
-        return len(self._balls)
-
-    def attach_subgraph(self, indptr, neighbors, invalidate=None) -> None:
-        """Point ball queries at a (possibly new) subgraph adjacency.
-
-        Parameters
-        ----------
-        indptr, neighbors : numpy.ndarray
-            CSR adjacency of the current subgraph ``S``.
-        invalidate : array_like of int, optional
-            Nodes whose incident edge set changed since the previous
-            attach (the endpoints of inserted or deleted edges).  Omit
-            only on the first attach or when the adjacency is
-            unchanged; re-attaching a *changed* adjacency with cached
-            entries and no touched set raises ``ValueError`` — silently
-            serving stale balls would yield wrong results.
-
-        Raises
-        ------
-        ValueError
-            When the adjacency differs from the previously attached one,
-            entries are cached, and ``invalidate`` was not given.
-        """
-        old_finder = self._finder
-        changed = (
-            old_finder is not None
-            and not (
-                np.array_equal(self._sub_indptr, indptr)
-                and np.array_equal(self._sub_nbr, neighbors)
-            )
-        )
-        if changed and invalidate is None and self._balls:
-            raise ValueError(
-                "attach_subgraph: the adjacency changed but invalidate= "
-                "was not given; cached balls would silently go stale. "
-                "Pass the touched nodes (endpoints of every inserted or "
-                "deleted edge), or an empty array if the change truly "
-                "touches no cached entry."
-            )
-        self._finder = BallFinder(indptr, neighbors)
-        self._sub_indptr = indptr
-        self._sub_nbr = neighbors
-        if invalidate is None:
-            return
-        invalidate = np.asarray(invalidate, dtype=np.int64)
-        stale: set = set()
-        for node in invalidate:
-            # A cached entry for ``a`` is stale iff a touched node is
-            # within beta hops of ``a`` in the OLD or the NEW adjacency
-            # (the adjacency is symmetric, so that is the union of the
-            # touched node's balls in both).  Insertions only shrink
-            # distances (old ball subset of new); deletions *grow*
-            # distances, and only the old ball reaches the entries whose
-            # routes ran through the removed edges.
-            stale.update(self._finder.ball_nodes(int(node), self.beta).tolist())
-            if changed and old_finder is not None:
-                stale.update(
-                    old_finder.ball_nodes(int(node), self.beta).tolist()
-                )
-        for node in stale:
-            self._balls.pop(node, None)
-
-    def ball(self, node: int) -> np.ndarray:
-        """Sorted beta-ball around *node* in the current subgraph."""
-        nodes = self._balls.get(node)
-        if nodes is None:
-            if self._finder is None:
-                raise RuntimeError("attach_subgraph() before ball()")
-            nodes = self._finder.ball_nodes(node, self.beta)
-            self._balls[node] = nodes
-        return nodes
 
 
 class TreePhaseRanker:
@@ -258,10 +149,9 @@ class ApproxRanker:
     1. each candidate's join comes from the round's
        :class:`~repro.core.ball_join.JoinStore` (:meth:`reuse_joins`),
        in blocks cut from the stored join lengths.  Candidates past the
-       store's cap grow their endpoints' balls together
-       (:func:`repro.graph.bfs.ball_sets`) and are joined
-       (:func:`repro.core.ball_join.ball_pair_edges`) in spans cut from
-       the grown balls' exact counts, without being stored;
+       store's cap grow their endpoints' balls together and are joined
+       in spans cut from the grown balls' exact counts
+       (:func:`repro.core.ball_join.grown_joins`), without being stored;
     2. ``s`` is evaluated only at the joined edges' endpoints, reading
        ``u`` through a dense per-candidate table;
     3. one ``bincount`` per span reduces the numerators.
@@ -336,7 +226,9 @@ class ApproxRanker:
 
         def grow_block(start, stop):
             block = missing[start:stop]
-            work, join = self._grown_joins(graph.u[block], graph.v[block])
+            work, join = grown_joins(graph, self._sub_adjacency,
+                                     graph.u[block], graph.v[block],
+                                     self.beta)
             for lo, hi in block_spans(work):
                 owner, eids = join(lo, hi, positions)
                 if joins.append(block[lo:hi], owner, eids) < hi - lo:
@@ -392,7 +284,8 @@ class ApproxRanker:
 
         def score_block(start, stop):
             block = grown[start:stop]
-            work, join = self._grown_joins(heads[block], tails[block])
+            work, join = grown_joins(graph, self._sub_adjacency,
+                                     heads[block], tails[block], self.beta)
             for lo, hi in block_spans(work):
                 reduce(block[lo:hi], *join(lo, hi, positions))
             return work.sum()
@@ -484,42 +377,6 @@ class ApproxRanker:
                 weights=diff.data * diff.data, minlength=hi - lo)
         rho = np.sqrt(resistance) + g * (norms[graph.u] + norms[graph.v])
         return resistance, graph.w * rho * rho, margin
-
-    def _grown_joins(self, p, q):
-        """Grow the balls of a block's endpoints in ``S``, to join later.
-
-        Counts the entries each candidate's join materializes (its ball
-        members and its p-ball's incidences in ``G``), so the joins can
-        be made in spans that each fit
-        :data:`~repro.core.ball_join.BLOCK_ENTRIES` however far the
-        block's size was guessed off; :meth:`_reduce` then bounds the
-        s-value stage by the joins' lengths.
-
-        Returns ``(work, join)``: the entry count per candidate and
-        ``join(lo, hi, positions)``, the joins of candidates ``lo..hi-1``
-        as :func:`ball_pair_edges` entries ``(owner, eids)``.
-        """
-        adjacency = self.graph.adjacency()
-        indptr = adjacency[0]
-        count = len(p)
-        ends, which, _ = unique_slots(np.concatenate([p, q]))
-        ptr, members = ball_sets(*self._sub_adjacency, ends, self.beta)
-        sizes = np.diff(ptr)
-        incidences = np.add.reduceat(indptr[members + 1] - indptr[members],
-                                     ptr[:-1])
-        work = (sizes[which[:count]] + sizes[which[count:]]
-                + incidences[which[:count]])
-
-        def join(lo, hi, positions):
-            p_owner, p_nodes = _ball_entries(ptr, members, which[lo:hi])
-            q_owner, q_nodes = _ball_entries(
-                ptr, members, which[count + lo:count + hi])
-            src, _, _, eids = ball_pair_edges(
-                adjacency, positions, p_owner, p_nodes, q_owner, q_nodes
-            )
-            return p_owner[src], eids
-
-        return work, join
 
     def _costs(self, lengths):
         """Entries the s-value stage materializes per join length."""
@@ -614,10 +471,3 @@ class ApproxRanker:
         return (np.repeat(np.arange(len(nodes)), lengths),
                 concat_ranges(starts, lengths))
 
-
-def _ball_entries(ptr, members, which):
-    """Entries ``(owner, node)`` of ball ``which[k]`` for every owner ``k``."""
-    starts = ptr[which]
-    lengths = ptr[which + 1] - starts
-    owner = np.repeat(np.arange(len(which)), lengths)
-    return owner, members[concat_ranges(starts, lengths)]

@@ -7,14 +7,20 @@ skipped for the rest of the recovery (feGRASS's similarity strategy
 [13]; see DESIGN.md, substitution 5).  Physically: after ``(p, q)`` is
 added, the potential difference its neighbors see collapses, so a
 parallel edge nearby has little additional trace reduction.
+
+Those edges are the ball-pair join of the Eq. 20 scorer at radius
+``gamma``, so :meth:`SimilarityMarker.similar_edges` grows them with
+the scorer's engine (:func:`~repro.core.ball_join.grown_joins`), for a
+whole batch of candidates at once; the picking walk
+(:func:`~repro.core.sparsifier._pick_edges`) then marks them one pick at
+a time through :meth:`SimilarityMarker.mark_similar`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.arrays import concat_ranges
-from repro.graph.bfs import BallFinder
+from repro.core.ball_join import LookupTable, block_spans, grown_joins
 from repro.graph.graph import Graph
 
 __all__ = ["SimilarityMarker"]
@@ -40,13 +46,7 @@ class SimilarityMarker:
         self.graph = graph
         self.gamma = gamma
         self.marked = np.zeros(graph.edge_count, dtype=bool)
-        self._finder = None
-        self._stamp = np.zeros(graph.n, dtype=np.int64)
-        self._clock = 0
-        g_indptr, g_nbr, g_eid = graph.adjacency()
-        self._g_indptr = g_indptr
-        self._g_nbr = g_nbr
-        self._g_eid = g_eid
+        self._adjacency = None
 
     def attach_subgraph(self, subgraph: Graph) -> None:
         """Point the similarity balls at the current subgraph ``S``.
@@ -54,33 +54,65 @@ class SimilarityMarker:
         Called once per densification round; balls use the round-start
         subgraph (adding edges mid-round does not regrow adjacency).
         """
-        indptr, nbr, _ = subgraph.adjacency()
-        self._finder = BallFinder(indptr, nbr)
+        self._adjacency = subgraph.adjacency()[:2]
 
     def is_marked(self, edge_id: int) -> bool:
         """True when the edge has been excluded."""
         return bool(self.marked[edge_id])
 
-    def mark_similar(self, p: int, q: int) -> int:
-        """Mark all edges joining ``ball(p, gamma)`` to ``ball(q, gamma)``.
+    def similar_edges(self, edge_ids):
+        """The edges each candidate would mark if it were picked.
 
-        Returns the number of newly marked edges.
+        For a candidate ``(p, q)``, every edge of ``G`` joining
+        ``ball(p, gamma)`` to ``ball(q, gamma)`` in ``S``, the candidate
+        itself included.  The balls of all candidates grow together and
+        are joined in spans (:func:`~repro.core.ball_join.grown_joins`).
+
+        Parameters
+        ----------
+        edge_ids : array_like of int
+            Candidate edge ids.
+
+        Returns
+        -------
+        ptr : numpy.ndarray
+            ``int64`` offsets: the edges of ``edge_ids[k]`` are
+            ``eids[ptr[k]:ptr[k + 1]]``.
+        eids : numpy.ndarray
+            Edge ids, ascending and distinct per candidate.
         """
-        if self._finder is None:
-            raise RuntimeError("call attach_subgraph() before mark_similar()")
-        nodes_p, _, _ = self._finder.ball(p, self.gamma)
-        nodes_q, _, _ = self._finder.ball(q, self.gamma)
-        self._clock += 1
-        clock = self._clock
-        self._stamp[nodes_q] = clock
-        starts = self._g_indptr[nodes_p]
-        lengths = self._g_indptr[nodes_p + 1] - starts
-        flat = concat_ranges(starts, lengths)
-        if len(flat) == 0:
-            return 0
-        nbrs = self._g_nbr[flat]
-        eids = self._g_eid[flat]
-        hits = np.unique(eids[self._stamp[nbrs] == clock])
-        newly = int(np.count_nonzero(~self.marked[hits]))
-        self.marked[hits] = True
+        if self._adjacency is None:
+            raise RuntimeError("call attach_subgraph() before similar_edges()")
+        edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        graph = self.graph
+        ptr = np.zeros(len(edge_ids) + 1, dtype=np.int64)
+        if len(edge_ids) == 0:
+            return ptr, np.empty(0, dtype=np.int64)
+        work, join = grown_joins(graph, self._adjacency, graph.u[edge_ids],
+                                 graph.v[edge_ids], self.gamma)
+        positions = LookupTable(graph.n, len(edge_ids), np.int32, -1)
+        lengths, parts = [], []
+        for lo, hi in block_spans(work):
+            owner, eids = join(lo, hi, positions)
+            lengths.append(np.bincount(owner, minlength=hi - lo))
+            parts.append(eids)
+        np.cumsum(np.concatenate(lengths), out=ptr[1:])
+        return ptr, np.concatenate(parts)
+
+    def mark_similar(self, edge_ids) -> int:
+        """Mark a pick's similar edges (:meth:`similar_edges`).
+
+        Parameters
+        ----------
+        edge_ids : array_like of int
+            Distinct edge ids.
+
+        Returns
+        -------
+        int
+            The number of newly marked edges.
+        """
+        edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        newly = len(edge_ids) - int(np.count_nonzero(self.marked[edge_ids]))
+        self.marked[edge_ids] = True
         return newly

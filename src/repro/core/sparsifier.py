@@ -273,28 +273,45 @@ def _pick_edges(ranked, marker, per_round, use_similarity):
     *ranked* yields ``(edge, score)`` pairs in walk order, ties in
     ascending edge id: sorted arrays (:func:`_ranked`) in round 1 and
     the baselines, a generator that scores on demand
-    (:func:`_ranked_on_demand`) in rounds 2+.  Picking marks edges, and
-    the generator reads those marks as the walk goes.  Returns the
-    recovered edge ids and their scores, in recovery order.
+    (:func:`_ranked_on_demand`) in rounds 2+, which reads the marks as
+    the walk goes.
+
+    The walk takes the next ``per_round - len(chosen)`` unmarked pairs
+    with a positive score, finds their similar edges in one call
+    (:meth:`~repro.core.similarity.SimilarityMarker.similar_edges`) and
+    resolves them in walk order: a candidate is picked unless an earlier
+    pick marked it, and a pick marks its similar edges (only itself
+    when *use_similarity* is off).  Picks, their order and the marks
+    are those of a walk that marks after every pick
+    (``docs/architecture.md``, "Similarity marking in batches").
+    Returns the recovered edge ids and their scores, in recovery order.
     """
     chosen, gains = [], []
-    graph = marker.graph
-    for edge, score in ranked:
-        if score <= 0.0:
+    marked = marker.marked
+    pairs = iter(ranked)
+    while len(chosen) < per_round:
+        batch, scores = [], []
+        for edge, score in pairs:
             # A zero trace reduction means the edge adds nothing
             # (numerically disconnected balls); never recover those.
-            continue
-        edge = int(edge)
-        if marker.is_marked(edge):
-            continue
-        chosen.append(edge)
-        gains.append(score)
-        if use_similarity:
-            marker.mark_similar(int(graph.u[edge]), int(graph.v[edge]))
-        else:
-            marker.marked[edge] = True
-        if len(chosen) >= per_round:
+            if score <= 0.0 or marked[edge]:
+                continue
+            batch.append(int(edge))
+            scores.append(score)
+            if len(chosen) + len(batch) == per_round:
+                break
+        if not batch:
             break
+        if use_similarity:
+            ptr, similar = marker.similar_edges(batch)
+            ptr = ptr.tolist()
+        for k, edge in enumerate(batch):
+            if marked[edge]:
+                continue  # an earlier pick of this batch marked it
+            chosen.append(edge)
+            gains.append(scores[k])
+            marker.mark_similar(similar[ptr[k]:ptr[k + 1]]
+                                if use_similarity else [edge])
     return chosen, gains
 
 

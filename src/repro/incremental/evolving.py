@@ -3,20 +3,20 @@
 A production service absorbing edge-stream traffic sees *mutations* of
 a graph it already sparsified, not fresh graphs.  Rebuilding from
 scratch on every batch discards exactly the state the trace-reduction
-loop spent its time on: the spanning forest, the BFS balls, and the
-effective-resistance estimates.  All three admit local updates
-under small edge batches — leverage scores ``w_e * R_eff(e)`` change
-materially only near the mutated endpoints (Spielman & Srivastava,
+loop spent its time on: the spanning forest and the
+effective-resistance estimates.  Both admit local updates under small
+edge batches — leverage scores ``w_e * R_eff(e)`` change materially
+only near the mutated endpoints (Spielman & Srivastava,
 arXiv:0803.0929) — so :class:`EvolvingSparsifier` keeps them alive:
 
 * the spanning forest is repaired by one maximum spanning forest over
   a strict edge order — surviving forest edges first, then edges near
   the mutations, then (only after a forest-edge deletion) the rest — so
   deleted tree edges get a local-first replacement search;
-* the :class:`~repro.core.ranking.BallCache` touched-node invalidation
-  is the locality engine — only nodes whose beta-ball
-  overlaps a mutated endpoint (in the old *or* new adjacency) are
-  considered changed;
+* the touched region is the locality engine — only nodes within
+  ``locality_beta`` hops of a mutated endpoint, in the old *or* new
+  adjacency, are considered changed; one union BFS over the new
+  adjacency finds them all (:func:`~repro.graph.bfs.ball_union`);
 * off-tree kept edges are re-ranked only inside that touched
   neighborhood, by the tree-resistance leverage surrogate
   ``w_e * R_T(e)`` (one batched LCA query per mutation batch).
@@ -40,9 +40,8 @@ import numpy as np
 from repro.api.records import RunRecord
 from repro.api.registry import get_method, sparsifier_methods
 from repro.api.session import SparsifierSession
-from repro.core.ranking import BallCache
 from repro.exceptions import IncrementalError
-from repro.graph.bfs import BallFinder
+from repro.graph.bfs import ball_union
 from repro.graph.graph import Graph
 from repro.incremental.delta import DeltaRecord, EdgeBatch, normalize_batch
 from repro.tree.lca import batch_tree_resistances
@@ -58,8 +57,7 @@ class EvolvingSparsifier:
 
     Owns a base :class:`~repro.api.session.SparsifierSession` (the full
     trace-reduction build) plus delta state: the current edge map, the
-    maintained spanning forest, the kept-edge set and a
-    :class:`~repro.core.ranking.BallCache` over the current adjacency.
+    maintained spanning forest and the kept-edge set.
     :meth:`apply_batch` folds one batch of insertions/deletions into
     all of them locally; :meth:`rebuild` (or the drift monitor) falls
     back to the full pipeline.
@@ -87,7 +85,7 @@ class EvolvingSparsifier:
     locality_beta : int
         Radius of the touched neighborhood: a node is re-examined when
         a mutated endpoint lies within this many hops in the old or new
-        adjacency.  Matches the :class:`BallCache` invalidation rule.
+        adjacency.
     label : str
         Graph label stamped into emitted records.
     persistent, cache_dir :
@@ -153,7 +151,6 @@ class EvolvingSparsifier:
         self._tree: set = set()
         self._offtree_target = 0
         self._log_drift = 0.0
-        self._cache = BallCache(self.locality_beta)
         self.base_record = self._full_build()
 
     # ------------------------------------------------------------------
@@ -215,8 +212,8 @@ class EvolvingSparsifier:
     def _full_build(self) -> RunRecord:
         """Run the registered method from scratch on the current graph.
 
-        Resets the forest, the kept set, the off-tree budget, the ball
-        cache and the drift estimate.  The emitted
+        Resets the forest, the kept set, the off-tree budget and the
+        drift estimate.  The emitted
         :class:`~repro.api.records.RunRecord` is fingerprint-identical
         to a direct :func:`repro.sparsify` of the current graph.
         """
@@ -238,9 +235,6 @@ class EvolvingSparsifier:
         }
         self._offtree_target = len(self._kept) - len(self._tree)
         self._log_drift = 0.0
-        self._cache = BallCache(self.locality_beta)
-        indptr, nbr, _ = self.graph.adjacency()
-        self._cache.attach_subgraph(indptr, nbr)
         return record
 
     def rebuild(self) -> RunRecord:
@@ -297,7 +291,6 @@ class EvolvingSparsifier:
 
     def _apply(self, eb: EdgeBatch) -> dict:
         self._check_batch(eb)
-        old_graph = self.graph
         deleted_kept = [
             (pair, self._edges[pair])
             for pair in eb.deletes if pair in self._kept
@@ -312,7 +305,7 @@ class EvolvingSparsifier:
         self.graph = self._materialize()
 
         touched = np.asarray(eb.touched_nodes, dtype=np.int64)
-        region = self._touched_region(old_graph, touched)
+        region = self._touched_region(touched)
         replacements = self._repair_forest(region, tree_deleted)
         inserted_pairs = {(u, v) for u, v, _ in eb.inserts}
         reranked, added, dropped, displaced, scores = self._rerank(
@@ -361,29 +354,20 @@ class EvolvingSparsifier:
                     "re-weight"
                 )
 
-    def _touched_region(self, old_graph: Graph,
-                        touched: np.ndarray) -> np.ndarray:
+    def _touched_region(self, touched: np.ndarray) -> np.ndarray:
         """Nodes whose local state a batch may have changed.
 
-        The :class:`BallCache` invalidation rule, applied symmetrically:
-        a node is affected iff a mutated endpoint is within
-        ``locality_beta`` hops in the old **or** new adjacency (deleted
-        edges only show up in the old one).  Also rolls the cache onto
-        the new adjacency, dropping exactly these entries.
+        A node is affected iff a mutated endpoint lies within
+        ``locality_beta`` hops of it in the old **or** the new adjacency.
+        *touched* holds both endpoints of every deleted edge, so the old
+        adjacency adds no node (``docs/architecture.md``, "Touched
+        region of the delta path"): one union BFS from the touched nodes
+        in the new adjacency finds them all.  Returns the sorted node
+        ids.
         """
-        indptr, nbr, _ = self.graph.adjacency()
-        self._cache.attach_subgraph(indptr, nbr, invalidate=touched)
-        if len(touched) == 0:
-            return touched
-        old_indptr, old_nbr, _ = old_graph.adjacency()
-        old_finder = BallFinder(old_indptr, old_nbr)
-        region: set = set()
-        for node in touched:
-            region.update(self._cache.ball(int(node)).tolist())
-            region.update(
-                old_finder.ball_nodes(int(node), self.locality_beta).tolist()
-            )
-        return np.asarray(sorted(region), dtype=np.int64)
+        indptr, neighbors, _ = self.graph.adjacency()
+        return np.flatnonzero(
+            ball_union(indptr, neighbors, touched, self.locality_beta))
 
     def _repair_forest(self, region: np.ndarray, tree_deleted: bool) -> int:
         """Restore the spanning forest after a batch, local-first.

@@ -9,6 +9,7 @@ from repro.core import (
     fegrass_sparsify,
     grass_sparsify,
     perturbation_criticality,
+    trace_reduction_sparsify,
 )
 from repro.exceptions import GraphError
 from repro.graph import (
@@ -84,8 +85,19 @@ class TestGrass:
             GrassConfig(power_steps=0).validate()
         with pytest.raises(GraphError):
             GrassConfig(probe_vectors=0).validate()
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"choose from \['bfs', "
+                           r"'max_weight', 'mewst'\]"):
             GrassConfig(tree_method="x").validate()
+
+    @pytest.mark.parametrize("tree_method", ["mewst", "max_weight", "bfs"])
+    def test_tree_methods_are_the_proposed_ones(self, grid, tree_method):
+        """GRASS starts from the tree the proposed method would build."""
+        ours = grass_sparsify(grid, edge_fraction=0.05, rounds=1,
+                              tree_method=tree_method)
+        proposed = trace_reduction_sparsify(grid, edge_fraction=0.05,
+                                            rounds=1, tree_method=tree_method)
+        np.testing.assert_array_equal(ours.tree_edge_ids,
+                                      proposed.tree_edge_ids)
 
     def test_deterministic(self, grid):
         a = grass_sparsify(grid, edge_fraction=0.05, rounds=2, seed=9)

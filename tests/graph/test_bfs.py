@@ -1,17 +1,17 @@
-"""Tests for BFS kernels (BallFinder, bfs_forest) and the loop oracle."""
+"""Tests for the BFS kernels (ball_sets, ball_union, bfs_forest) against
+the loop oracles (BallFinder.ball, bfs_tree_order)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfs_tree_order
-from repro.graph import BallFinder, Graph, grid2d
-from repro.graph.bfs import bfs_forest
+from oracles import BallFinder, bfs_tree_order
+from repro.graph import Graph, grid2d
+from repro.graph.bfs import ball_sets, ball_union, bfs_forest
 
-# Big enough that a ball's frontier reaches BallFinder._VECTOR_FRONTIER
-# (the L1 diamond's layer k holds 4k nodes), so ball_nodes switches
-# from its Python loop to whole-layer array expansion.
+# Big enough that rings of 32 and more nodes (the L1 diamond's layer k
+# holds 4k nodes) expand as one array operation per level.
 _GRID_30 = grid2d(30, 30, weights="uniform", seed=14)
 
 
@@ -78,20 +78,28 @@ def test_ball_reuse_is_clean(path_graph):
     assert set(second.tolist()) == {3, 4}
 
 
-def _assert_ball_nodes_match_ball(finder, source, layers):
-    nodes = finder.ball_nodes(source, layers)
-    assert nodes.dtype == np.int64
-    np.testing.assert_array_equal(
-        nodes, np.sort(finder.ball(source, layers)[0])
-    )
+def _assert_balls_match_the_oracle(graph, sources, layers):
+    """Each ball of :func:`ball_sets` is the sorted oracle ball, and
+    :func:`ball_union` marks their union."""
+    indptr, nbr, _ = graph.adjacency()
+    ptr, nodes = ball_sets(indptr, nbr, sources, layers)
+    assert ptr.dtype == nodes.dtype == np.int64
+    assert len(ptr) == len(sources) + 1 and ptr[0] == 0
+    finder = BallFinder(indptr, nbr)
+    union = np.zeros(graph.n, dtype=bool)
+    for k, source in enumerate(sources):
+        ball = np.sort(finder.ball(int(source), layers)[0])
+        np.testing.assert_array_equal(nodes[ptr[k]:ptr[k + 1]], ball)
+        union[ball] = True
+    np.testing.assert_array_equal(ball_union(indptr, nbr, sources, layers),
+                                  union)
 
 
 @pytest.mark.parametrize("layers", [8, 9, 12, 20])
 def test_ball_nodes_vector_layers_match_ball(layers):
     """From the grid center, depths >= 9 expand the 32-node ring at
-    distance 8 (and every later ring) as whole-layer array operations."""
-    assert 4 * 8 >= BallFinder._VECTOR_FRONTIER
-    _assert_ball_nodes_match_ball(_finder(_GRID_30), 15 * 30 + 15, layers)
+    distance 8 (and every later ring) in one array operation each."""
+    _assert_balls_match_the_oracle(_GRID_30, [15 * 30 + 15], layers)
 
 
 @given(queries=st.lists(
@@ -100,28 +108,55 @@ def test_ball_nodes_vector_layers_match_ball(layers):
 ))
 @settings(max_examples=40, deadline=None)
 def test_ball_nodes_matches_sorted_ball_property(queries):
-    """ball_nodes == sorted ball() for any source and depth, on one
-    reused finder (stamps from earlier queries must not leak)."""
-    finder = _finder(_GRID_30)
+    """ball_sets == sorted ball() for any source and depth up to 20 on
+    a 30x30 grid, whose balls outgrow 400 nodes."""
     for source, layers in queries:
-        _assert_ball_nodes_match_ball(finder, source, layers)
+        _assert_balls_match_the_oracle(_GRID_30, [source], layers)
 
 
 def test_ball_nodes_on_forest_star_and_isolated_node(forest_graph):
-    finder = _finder(forest_graph)
-    for source in range(forest_graph.n):
-        for layers in (0, 1, 3):
-            _assert_ball_nodes_match_ball(finder, source, layers)
-    # From a leaf, layer 3 expands the other 39 leaves as one array
-    # operation and finds nothing new.
+    for layers in (0, 1, 3):
+        _assert_balls_match_the_oracle(forest_graph,
+                                       range(forest_graph.n), layers)
+    # From a leaf, layer 3 reaches the other 39 leaves in one level and
+    # finds nothing new.
     star = Graph.from_edges(41, [(0, k, 1.0) for k in range(1, 41)])
-    finder = _finder(star)
-    for source in (0, 1):
-        _assert_ball_nodes_match_ball(finder, source, 3)
+    _assert_balls_match_the_oracle(star, [0, 1], 3)
     isolated = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 2.0)])
-    finder = _finder(isolated)
-    assert finder.ball_nodes(3, 20).tolist() == [3]
-    _assert_ball_nodes_match_ball(finder, 3, 20)
+    indptr, nbr, _ = isolated.adjacency()
+    ptr, nodes = ball_sets(indptr, nbr, [3], 20)
+    assert nodes[ptr[0]:ptr[1]].tolist() == [3]
+    _assert_balls_match_the_oracle(isolated, [3], 20)
+
+
+@st.composite
+def _graphs_and_sources(draw):
+    """A graph on up to 30 nodes (isolated nodes and several components
+    at low densities) and up to 12 ball centers, repeats allowed."""
+    n = draw(st.integers(1, 30))
+    density = draw(st.floats(0.0, 0.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    u, v = np.nonzero(np.triu(rng.random((n, n)) < density, k=1))
+    graph = Graph(n, u, v, np.ones(len(u)))
+    sources = draw(st.lists(st.integers(0, n - 1), max_size=12))
+    return graph, sources
+
+
+@given(case=_graphs_and_sources(), layers=st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_ball_sets_and_ball_union_match_the_loop_oracle(case, layers):
+    """Every source's ball and the union of all, against one Python BFS
+    per source: a repeated source gets a ball of its own each time, and
+    no source gives no ball and an empty union."""
+    graph, sources = case
+    _assert_balls_match_the_oracle(graph, sources, layers)
+
+
+def test_ball_sets_and_ball_union_of_no_source(medium_grid):
+    indptr, nbr, _ = medium_grid.adjacency()
+    ptr, nodes = ball_sets(indptr, nbr, [], 3)
+    assert ptr.tolist() == [0] and len(nodes) == 0
+    assert not ball_union(indptr, nbr, [], 3).any()
 
 
 def test_bfs_tree_order_visits_all(medium_grid):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
 import oracles
@@ -171,6 +173,49 @@ class TestForestMaintenance:
             assert {k: x for k, x in got.items() if k != "seconds"} == entry
             assert oracle.forest_edges == forest
             assert oracle._kept == kept
+
+
+class _RegionSpy(EvolvingSparsifier):
+    """Checks every touched region against the balls of the touched nodes
+    in the old and the new graph, one loop-oracle BFS each."""
+
+    def _apply(self, eb):
+        self.old_graph = self.graph
+        return super()._apply(eb)
+
+    def _touched_region(self, touched):
+        region = super()._touched_region(touched)
+        np.testing.assert_array_equal(region, oracles.touched_region(
+            [self.old_graph, self.graph], touched, self.locality_beta))
+        self.sizes.append(len(region))
+        return region
+
+
+class TestTouchedRegion:
+    @settings(deadline=None, max_examples=15)
+    @given(seed=st.integers(0, 2**16), beta=st.integers(1, 3))
+    def test_region_is_the_union_of_old_and_new_balls(self, seed, beta):
+        """Random batches of deletions (forest edges among them) and
+        insertions: the region is every node within ``beta`` hops of a
+        mutated endpoint in the old or the new graph."""
+        graph = grid2d(7, 7, weights="uniform", seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        evolving = _RegionSpy(graph, "proposed", locality_beta=beta,
+                              drift_budget=1e6, **OPTIONS)
+        evolving.sizes = []
+        for _ in range(4):
+            edges = sorted(evolving._edges)
+            deletes = sorted({edges[int(k)] for k in rng.integers(
+                0, len(edges), size=rng.integers(0, 4))})
+            inserts, count = [], rng.integers(1, 4)
+            while len(inserts) < count:
+                u, v = sorted(int(x) for x in rng.integers(0, graph.n, 2))
+                if (u != v and ((u, v) not in evolving._edges
+                                or (u, v) in deletes)
+                        and all((u, v) != (a, b) for a, b, _ in inserts)):
+                    inserts.append((u, v, 1.0))
+            evolving.apply_batch(inserts=inserts, deletes=deletes)
+        assert len(evolving.sizes) == 4 and min(evolving.sizes) > 0
 
 
 class _PerChargeDrift(EvolvingSparsifier):

@@ -12,10 +12,15 @@ rankers plug the loops into the sparsifier driver through the rankers'
 
 The shared set-up (Sec. 3.2) has its loops here too: components by
 Python BFS, Kruskal over a disjoint-set union, per-node rooting, the
-Euler-tour DFS and Tarjan's offline LCA, plus the DSU forest repair of
-the incremental delta path.  ``repro.graph.components``,
-``repro.tree`` and ``repro.incremental.evolving`` must match them bit
-for bit.
+Euler-tour DFS and Tarjan's offline LCA, plus the DSU forest repair and
+the per-node touched region of the incremental delta path.
+``repro.graph.components``, ``repro.tree`` and
+``repro.incremental.evolving`` must match them bit for bit.
+
+:class:`BallFinder` grows one BFS ball per call, the oracle of
+``repro.graph.bfs``'s multi-source searches; :class:`PerPickMarker` and
+:func:`pick_edges` mark similar edges one pick at a time, the oracle of
+the batched marking walk (``repro.core.sparsifier._pick_edges``).
 """
 
 from __future__ import annotations
@@ -24,13 +29,89 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import FactorizationError, NotATreeError
-from repro.graph.bfs import BallFinder
 from repro.incremental.evolving import EvolvingSparsifier
 from repro.tree import rooted
 from repro.tree.lca import batch_tree_resistances
 from repro.tree.spanning import effective_weights
 from repro.utils.arrays import concat_ranges
 from repro.utils.validation import check_square_sparse
+
+
+class BallFinder:
+    """Repeated beta-layer BFS ball queries over a fixed adjacency.
+
+    One ball per call, by a Python loop over the frontier; the oracle of
+    :func:`repro.graph.bfs.ball_sets` and :func:`repro.graph.bfs.ball_union`
+    and the ball engine of the per-candidate loops below.  Reusable
+    "stamp" work arrays keep a query from allocating anything of size
+    ``n``.
+
+    Parameters
+    ----------
+    indptr, neighbors:
+        CSR adjacency of the graph to traverse.
+    edge_ids:
+        Optional array parallel to *neighbors* giving the id of the edge
+        connecting each (node, neighbor) pair; when provided, ball
+        queries also report the predecessor edge of every visited node.
+    """
+
+    def __init__(self, indptr, neighbors, edge_ids=None) -> None:
+        self.indptr = indptr
+        self.neighbors = neighbors
+        self.edge_ids = edge_ids
+        n = len(indptr) - 1
+        self._stamp = np.zeros(n, dtype=np.int64)
+        self._clock = 0
+
+    def ball(self, source: int, layers: int):
+        """Nodes within *layers* hops of *source*.
+
+        Returns
+        -------
+        nodes : numpy.ndarray
+            Visited nodes in BFS order (``source`` first).
+        pred : numpy.ndarray
+            ``pred[k]`` is the BFS predecessor (a node id) of
+            ``nodes[k]``, ``-1`` for the source.  Each predecessor
+            appears in ``nodes`` before its successors, which the
+            tree-phase voltage propagation (Eqs. 13-14) relies on.
+        pred_eid : numpy.ndarray or None
+            Ids of the predecessor edges (``-1`` for the source) when
+            the finder was built with ``edge_ids``, else ``None``.
+        """
+        self._clock += 1
+        clock = self._clock
+        stamp = self._stamp
+        indptr = self.indptr
+        neighbors = self.neighbors
+        edge_ids = self.edge_ids
+        stamp[source] = clock
+        visited = [int(source)]
+        preds = [-1]
+        pred_eids = [-1]
+        frontier = [int(source)]
+        for _ in range(layers):
+            if not frontier:
+                break
+            next_frontier = []
+            for node in frontier:
+                start, stop = indptr[node], indptr[node + 1]
+                for k in range(start, stop):
+                    nbr = int(neighbors[k])
+                    if stamp[nbr] != clock:
+                        stamp[nbr] = clock
+                        visited.append(nbr)
+                        preds.append(node)
+                        if edge_ids is not None:
+                            pred_eids.append(int(edge_ids[k]))
+                        next_frontier.append(nbr)
+            frontier = next_frontier
+        nodes = np.asarray(visited, dtype=np.int64)
+        pred = np.asarray(preds, dtype=np.int64)
+        if edge_ids is None:
+            return nodes, pred, None
+        return nodes, pred, np.asarray(pred_eids, dtype=np.int64)
 
 
 def ball_pair_edge_sum(indptr, neighbors, edge_ids, weights, nodes_p,
@@ -195,6 +276,72 @@ def approximate_trace_reduction(graph, subgraph, factor, Z, edge_ids,
         u_dense[rows_p] = 0.0
         u_dense[rows_q] = 0.0
     return out
+
+
+class PerPickMarker:
+    """Similarity marking one pick at a time (Algorithm 2, steps 8/20).
+
+    Each pick grows the gamma-balls of its two endpoints in ``S`` with
+    :meth:`BallFinder.ball` and marks the edges of ``G`` joining them:
+    the oracle of ``SimilarityMarker.similar_edges`` and, through
+    :func:`pick_edges`, of the batched picking walk.
+    """
+
+    def __init__(self, graph, gamma=2):
+        self.graph = graph
+        self.gamma = gamma
+        self.marked = np.zeros(graph.edge_count, dtype=bool)
+        self._finder = None
+        self._stamp = np.zeros(graph.n, dtype=np.int64)
+        self._clock = 0
+
+    def attach_subgraph(self, subgraph):
+        indptr, nbr, _ = subgraph.adjacency()
+        self._finder = BallFinder(indptr, nbr)
+
+    def similar_edges(self, p, q):
+        """Sorted ids of the edges joining ``ball(p)`` to ``ball(q)``."""
+        nodes_p, _, _ = self._finder.ball(p, self.gamma)
+        nodes_q, _, _ = self._finder.ball(q, self.gamma)
+        self._clock += 1
+        self._stamp[nodes_q] = self._clock
+        g_indptr, g_nbr, g_eid = self.graph.adjacency()
+        starts = g_indptr[nodes_p]
+        lengths = g_indptr[nodes_p + 1] - starts
+        flat = concat_ranges(starts, lengths)
+        return np.unique(g_eid[flat][self._stamp[g_nbr[flat]] == self._clock])
+
+    def mark_similar(self, p, q):
+        """Mark the similar edges of the pick ``(p, q)``; count new marks."""
+        hits = self.similar_edges(p, q)
+        newly = int(np.count_nonzero(~self.marked[hits]))
+        self.marked[hits] = True
+        return newly
+
+
+def pick_edges(ranked, marker, per_round, use_similarity):
+    """Algorithm 2's picking walk, marking after every pick.
+
+    *marker* is a :class:`PerPickMarker`; returns the picks and their
+    scores in walk order, as ``repro.core.sparsifier._pick_edges`` does.
+    """
+    chosen, gains = [], []
+    graph = marker.graph
+    for edge, score in ranked:
+        if score <= 0.0:
+            continue
+        edge = int(edge)
+        if marker.marked[edge]:
+            continue
+        chosen.append(edge)
+        gains.append(score)
+        if use_similarity:
+            marker.mark_similar(int(graph.u[edge]), int(graph.v[edge]))
+        else:
+            marker.marked[edge] = True
+        if len(chosen) >= per_round:
+            break
+    return chosen, gains
 
 
 def sparse_approximate_inverse(L, delta=0.1, keep_threshold=None):
@@ -602,13 +749,32 @@ def tree_resistances(forest, qu, qv):
     return rdist[qu] + rdist[qv] - 2.0 * rdist[lcas], lcas
 
 
+def touched_region(graphs, touched, beta):
+    """Nodes within *beta* hops of a touched node in any of *graphs*.
+
+    One :meth:`BallFinder.ball` per touched node and graph; returns the
+    sorted node ids of the union.
+    """
+    region: set = set()
+    for graph in graphs:
+        indptr, nbr, _ = graph.adjacency()
+        finder = BallFinder(indptr, nbr)
+        for node in touched:
+            region.update(finder.ball(int(node), beta)[0].tolist())
+    return np.asarray(sorted(region), dtype=np.int64)
+
+
 class OracleEvolvingSparsifier(EvolvingSparsifier):
-    """The delta path with dict edge lookups and a DSU forest repair.
+    """The delta path with dict edge lookups, per-node balls and a DSU
+    forest repair.
 
     Swap :class:`RootedForest` and :func:`tree_resistances` into
     ``repro.incremental.evolving`` while it runs to get the whole old
     delta path.
     """
+
+    def _touched_region(self, touched):
+        return touched_region([self.graph], touched, self.locality_beta)
 
     def _edge_ids(self, pairs):
         lookup = self.graph.edge_lookup()
