@@ -23,8 +23,12 @@ test:
 # faster; prints the columns under the log n floor and their ties),
 # similarity marking in batches over feGRASS's walk on full NLR (the
 # same picks and marks as marking per pick, >= 2.5x faster), plus a
-# sharded-pipeline smoke run, all statistics-free.
+# sharded-pipeline smoke run, all statistics-free.  First, every
+# benchmark module must import and collect, so one that names a
+# removed function fails here rather than only when someone runs it.
 bench-smoke:
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_*.py \
+		--collect-only -q
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_kernels.py \
 		-q -s -k "ranking or setup or reuse or prune or spai or marking" \
 		--benchmark-disable

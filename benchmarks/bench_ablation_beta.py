@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import evaluate_sparsifier, trace_reduction_sparsify
+from repro import sparsify
+from repro.core import evaluate_sparsifier
 from repro.graph import make_case
 from repro.utils.reporting import Table
 
@@ -46,8 +47,8 @@ def test_beta(benchmark, beta, scale):
     graph = _graph(scale)
     result = run_once(
         benchmark,
-        lambda: trace_reduction_sparsify(
-            graph, edge_fraction=0.10, rounds=5, beta=beta, seed=1
+        lambda: sparsify(
+            graph, "proposed", edge_fraction=0.10, rounds=5, beta=beta, seed=1
         ),
     )
     quality = evaluate_sparsifier(graph, result.sparsifier, seed=2)

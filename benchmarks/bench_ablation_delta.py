@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import evaluate_sparsifier, trace_reduction_sparsify
+from repro import sparsify
+from repro.core import evaluate_sparsifier
 from repro.graph import make_case, regularization_shift, regularized_laplacian
 from repro.linalg import cholesky, sparse_approximate_inverse
 from repro.utils.reporting import Table
@@ -53,8 +54,9 @@ def test_delta(benchmark, delta, scale):
     graph = _graph(scale)
     result = run_once(
         benchmark,
-        lambda: trace_reduction_sparsify(
-            graph, edge_fraction=0.10, rounds=5, delta=delta, seed=1
+        lambda: sparsify(
+            graph, "proposed", edge_fraction=0.10, rounds=5, delta=delta,
+            seed=1,
         ),
     )
     quality = evaluate_sparsifier(graph, result.sparsifier, seed=2)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import evaluate_sparsifier, trace_reduction_sparsify
+from repro import sparsify
+from repro.core import evaluate_sparsifier
 from repro.graph import make_case
 from repro.utils.reporting import Table
 
@@ -47,8 +48,9 @@ def test_gamma(benchmark, gamma, scale):
     graph = _graph(scale)
     result = run_once(
         benchmark,
-        lambda: trace_reduction_sparsify(
-            graph, edge_fraction=0.10, rounds=5, gamma=gamma, seed=1
+        lambda: sparsify(
+            graph, "proposed", edge_fraction=0.10, rounds=5, gamma=gamma,
+            seed=1,
         ),
     )
     quality = evaluate_sparsifier(graph, result.sparsifier, seed=2)

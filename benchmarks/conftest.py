@@ -3,8 +3,9 @@
 Every ``bench_*`` module regenerates one table or figure of the paper.
 Tables are printed to stdout (visible with ``pytest -s``) and always
 written to ``benchmarks/results/<name>.txt`` so that a plain
-``pytest benchmarks/ --benchmark-only`` run leaves the regenerated
-artifacts on disk.
+``pytest benchmarks/bench_*.py --benchmark-only`` run leaves the
+regenerated artifacts on disk (the module names do not match pytest's
+default ``test_*.py`` pattern, so they are passed explicitly).
 
 Case sizes follow the registries in :mod:`repro.graph.suitesparse_like`
 and :mod:`repro.powergrid.benchmarks`; scale them with the

@@ -21,7 +21,7 @@ from repro import (
     cholesky,
     laplacian,
     pcg,
-    trace_reduction_sparsify,
+    sparsify,
     triangular_mesh,
 )
 from repro.graph.laplacian import laplacian as graph_laplacian
@@ -60,7 +60,7 @@ def main() -> None:
     L = graph_laplacian(mesh, shift=anchor, fmt="csr")
 
     # Preconditioner: factor the sparsifier's Laplacian (same anchors).
-    result = trace_reduction_sparsify(mesh, edge_fraction=0.10, rounds=5)
+    result = sparsify(mesh, "proposed", edge_fraction=0.10, rounds=5)
     L_P = graph_laplacian(result.sparsifier, shift=anchor, fmt="csc")
     factor = cholesky(L_P)
 

@@ -7,12 +7,7 @@ factorization size respond, for both the proposed method and GRASS.
 Run:  python examples/sparsity_quality_tradeoff.py
 """
 
-from repro import (
-    evaluate_sparsifier,
-    grass_sparsify,
-    trace_reduction_sparsify,
-    triangular_mesh,
-)
+from repro import evaluate_sparsifier, sparsify, triangular_mesh
 
 
 def main() -> None:
@@ -21,12 +16,9 @@ def main() -> None:
     print(f"{'fraction':>8} | {'method':>8} | {'edges':>6} | "
           f"{'kappa':>8} | {'iters':>5} | {'factor_nnz':>10}")
     for fraction in (0.02, 0.05, 0.10, 0.20, 0.30):
-        for label, sparsify in (
-            ("proposed", trace_reduction_sparsify),
-            ("GRASS", grass_sparsify),
-        ):
+        for label, method in (("proposed", "proposed"), ("GRASS", "grass")):
             result = sparsify(
-                mesh, edge_fraction=fraction, rounds=5, seed=1
+                mesh, method, edge_fraction=fraction, rounds=5, seed=1
             )
             quality = evaluate_sparsifier(mesh, result.sparsifier)
             print(

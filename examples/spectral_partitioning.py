@@ -12,7 +12,7 @@ from repro import (
     cholesky,
     regularization_shift,
     regularized_laplacian,
-    trace_reduction_sparsify,
+    sparsify,
     triangular_mesh,
 )
 from repro.partitioning import (
@@ -34,8 +34,8 @@ def main() -> None:
         f"lambda_2 ~ {direct.eigenvalue_estimate:.3e}"
     )
 
-    sparsifier = trace_reduction_sparsify(
-        mesh, edge_fraction=0.10, rounds=5, seed=1
+    sparsifier = sparsify(
+        mesh, "proposed", edge_fraction=0.10, rounds=5, seed=1
     )
     shift = regularization_shift(mesh)
     preconditioner = cholesky(

@@ -63,26 +63,17 @@ from repro.linalg import (
     relative_condition_number,
 )
 from repro.core import (
-    trace_reduction_sparsify,
     ArtifactStore,
     BaseSparsifierConfig,
     SparsifierConfig,
     SparsifierResult,
     ShardPlan,
     partition_shards,
-    sharded_sparsify,
-    TreePhaseRanker,
-    ExactRanker,
     ApproxRanker,
-    grass_sparsify,
     GrassConfig,
-    fegrass_sparsify,
     FegrassConfig,
-    er_sample_sparsify,
     ErSamplingConfig,
-    exact_trace_reduction,
     tree_truncated_trace_reduction,
-    trace_ratio,
     evaluate_sparsifier,
     pcg_performance,
     QualityReport,
@@ -141,26 +132,17 @@ __all__ = [
     "pcg",
     "PCGResult",
     "relative_condition_number",
-    "trace_reduction_sparsify",
     "ArtifactStore",
     "BaseSparsifierConfig",
     "SparsifierConfig",
     "SparsifierResult",
     "ShardPlan",
     "partition_shards",
-    "sharded_sparsify",
-    "TreePhaseRanker",
-    "ExactRanker",
     "ApproxRanker",
-    "grass_sparsify",
     "GrassConfig",
-    "fegrass_sparsify",
     "FegrassConfig",
-    "er_sample_sparsify",
     "ErSamplingConfig",
-    "exact_trace_reduction",
     "tree_truncated_trace_reduction",
-    "trace_ratio",
     "evaluate_sparsifier",
     "pcg_performance",
     "QualityReport",

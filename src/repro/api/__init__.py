@@ -4,12 +4,12 @@ This package is the introspectable front door the rest of the system
 (CLI, power-grid pipeline, partitioning comparison, benchmarks) plugs
 into:
 
-* :func:`repro.api.sparsify` — one entry point for every registered
-  method, with per-method options validated against the method's
-  config dataclass;
+* :func:`repro.api.sparsify` — the one entry point for every
+  registered method: it validates the options against the method's
+  config dataclass and times the run;
 * :func:`repro.api.register_sparsifier` / :func:`get_method` /
   :func:`list_methods` — the method registry
-  (:class:`MethodSpec` = runner + config class + capability flags);
+  (:class:`MethodSpec` = runner + config class + incremental flag);
 * :class:`repro.api.SparsifierSession` — per-graph artifact reuse for
   fraction/method sweeps and repeated-request serving;
 * :class:`repro.api.RunRecord` — lossless JSON run records.

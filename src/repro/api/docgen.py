@@ -43,18 +43,14 @@ def _fmt_default(value) -> str:
 
 def _method_section(name: str) -> list:
     spec = get_method(name)
-    caps = spec.capabilities
     lines = [
         f"### `{name}`",
         "",
         spec.description or "(no description registered)",
         "",
         f"- config class: `{spec.config_cls.__name__}`",
-        "- capabilities: "
-        + ", ".join(
-            f"{flag}={'yes' if value else 'no'}"
-            for flag, value in sorted(caps.items())
-        ),
+        "- supports_incremental: "
+        + ("yes" if spec.supports_incremental else "no"),
         "",
         "| option | CLI flag | type | default |",
         "|---|---|---|---|",
@@ -79,9 +75,9 @@ def api_reference_markdown() -> str:
         "registry (`repro.api`): one entry point",
         "(`repro.sparsify(graph, method, **options)`), one config",
         "dataclass per method (whose fields *are* the CLI flags), and",
-        "capability flags that front ends can branch on. Regenerate",
-        "this file with `python tools/gen_api_docs.py` after touching",
-        "a registration.",
+        "whether `repro.EvolvingSparsifier` can maintain the method's",
+        "result. Regenerate this file with `python tools/gen_api_docs.py`",
+        "after touching a registration.",
         "",
         "## Sparsifier methods",
         "",

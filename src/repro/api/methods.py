@@ -2,67 +2,40 @@
 
 Importing this module (done by ``repro.api``) publishes the paper's
 Algorithm 2 and the three baselines as :class:`~repro.api.registry.MethodSpec`
-entries.  The runners are thin adapters over the long-standing
-per-method entry points, so ``repro.sparsify(graph, method=m, **opts)``
-is bit-identical to calling those functions directly.
+entries.  Each runner is its method module's ``_run(graph, config,
+artifacts)``: :func:`repro.sparsify` builds and validates the config and
+times the run, so the runners do neither.
 """
 
 from __future__ import annotations
 
 from repro.api.registry import register_sparsifier
-from repro.core.er_sampling import ErSamplingConfig, er_sample_sparsify
-from repro.core.fegrass import FegrassConfig, fegrass_sparsify
-from repro.core.grass import GrassConfig, grass_sparsify
-from repro.core.sparsifier import SparsifierConfig, trace_reduction_sparsify
+from repro.core import er_sampling, fegrass, grass, sparsifier
 
 __all__ = []
 
-
-@register_sparsifier(
+register_sparsifier(
     "proposed",
-    config_cls=SparsifierConfig,
-    deterministic=True,
-    supports_rounds=True,
-    supports_workers=True,
+    config_cls=sparsifier.SparsifierConfig,
     supports_incremental=True,
     description="Algorithm 2: approximate trace reduction (the paper)",
-)
-def _run_proposed(graph, config, artifacts=None):
-    return trace_reduction_sparsify(graph, config, artifacts=artifacts)
+)(sparsifier._run)
 
-
-@register_sparsifier(
+register_sparsifier(
     "grass",
-    config_cls=GrassConfig,
-    deterministic=True,   # seeded power-iteration probes
-    supports_rounds=True,
-    supports_workers=False,
+    config_cls=grass.GrassConfig,
     description="GRASS baseline: spectral-perturbation criticality",
-)
-def _run_grass(graph, config, artifacts=None):
-    return grass_sparsify(graph, config, artifacts=artifacts)
+)(grass._run)
 
-
-@register_sparsifier(
+register_sparsifier(
     "fegrass",
-    config_cls=FegrassConfig,
-    deterministic=True,
-    supports_rounds=False,
-    supports_workers=False,
+    config_cls=fegrass.FegrassConfig,
     description="feGRASS baseline: single-pass tree-stretch ranking",
-)
-def _run_fegrass(graph, config, artifacts=None):
-    return fegrass_sparsify(graph, config, artifacts=artifacts)
+)(fegrass._run)
 
-
-@register_sparsifier(
+register_sparsifier(
     "er_sampling",
-    config_cls=ErSamplingConfig,
-    deterministic=True,   # seeded JL sketch + seeded sampling
-    supports_rounds=False,
-    supports_workers=False,
+    config_cls=er_sampling.ErSamplingConfig,
     supports_incremental=True,
     description="Spielman-Srivastava effective-resistance sampling",
-)
-def _run_er_sampling(graph, config, artifacts=None):
-    return er_sample_sparsify(graph, config, artifacts=artifacts)
+)(er_sampling._run)

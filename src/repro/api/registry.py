@@ -1,7 +1,7 @@
 """The sparsifier method registry.
 
 Every sparsification method is published as a :class:`MethodSpec` —
-runner + configuration dataclass + capability flags — through the
+runner + configuration dataclass + incremental flag — through the
 :func:`register_sparsifier` decorator.  The registry is the single
 source of truth consumed by :func:`repro.sparsify`,
 :class:`repro.api.SparsifierSession`, the command-line interface
@@ -34,14 +34,6 @@ __all__ = [
 
 _REGISTRY: dict[str, "MethodSpec"] = {}
 
-#: Capability flags every :class:`MethodSpec` carries.
-CAPABILITY_FLAGS = (
-    "deterministic",
-    "supports_rounds",
-    "supports_workers",
-    "supports_incremental",
-)
-
 
 @dataclass(frozen=True)
 class OptionSpec:
@@ -61,18 +53,15 @@ class MethodSpec:
     name:
         Registry key, e.g. ``"proposed"`` or ``"grass"``.
     runner:
-        ``runner(graph, config, artifacts=None) -> SparsifierResult``.
+        ``runner(graph, config, artifacts=None) -> SparsifierResult``,
+        called by :func:`repro.sparsify` with a config that
+        :meth:`make_config` has validated; ``repro.sparsify`` also
+        times the run (``setup_seconds``).  Equal configs give
+        bit-identical output: the randomized methods seed their streams
+        with ``config.seed``.
     config_cls:
         The method's configuration dataclass (a
         :class:`~repro.core.base.BaseSparsifierConfig` subclass).
-    deterministic:
-        True when equal configs imply bit-identical output (the
-        randomized baselines qualify too: their streams are seeded by
-        ``config.seed``).
-    supports_rounds / supports_workers:
-        Whether the method iterates densification rounds / has a
-        ``workers`` option, which sizes the worker pool of a sharded
-        run (one process per shard).
     supports_incremental:
         Whether the method's result carries the spanning forest and
         kept-edge structure :class:`repro.incremental.EvolvingSparsifier`
@@ -86,16 +75,8 @@ class MethodSpec:
     name: str
     runner: typing.Callable
     config_cls: type
-    deterministic: bool = True
-    supports_rounds: bool = False
-    supports_workers: bool = False
     supports_incremental: bool = False
     description: str = ""
-
-    @property
-    def capabilities(self) -> dict:
-        """The capability flags as a plain dict."""
-        return {flag: getattr(self, flag) for flag in CAPABILITY_FLAGS}
 
     def options(self) -> dict[str, OptionSpec]:
         """Config fields as ``{name: OptionSpec}`` with resolved types.
@@ -189,9 +170,6 @@ def register_sparsifier(
     name: str,
     *,
     config_cls: type,
-    deterministic: bool = True,
-    supports_rounds: bool = False,
-    supports_workers: bool = False,
     supports_incremental: bool = False,
     description: str = "",
 ):
@@ -200,7 +178,7 @@ def register_sparsifier(
     Usage::
 
         @register_sparsifier("proposed", config_cls=SparsifierConfig,
-                             supports_rounds=True, supports_workers=True)
+                             supports_incremental=True)
         def run_proposed(graph, config, artifacts=None):
             ...
 
@@ -217,9 +195,6 @@ def register_sparsifier(
             name=name,
             runner=runner,
             config_cls=config_cls,
-            deterministic=deterministic,
-            supports_rounds=supports_rounds,
-            supports_workers=supports_workers,
             supports_incremental=supports_incremental,
             description=description,
         )

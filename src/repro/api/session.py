@@ -54,27 +54,31 @@ def sparsify(graph, method: str = "proposed", config=None, *,
     Returns
     -------
     repro.core.SparsifierResult
-        Bit-identical to calling the method's original entry point
-        (``trace_reduction_sparsify``, ``grass_sparsify``, ...) with
-        the same settings.  With ``shards > 1`` the run routes through
-        the shard-parallel pipeline (:mod:`repro.core.sharding`):
+        The method's result; its ``setup_seconds`` is the wall clock of
+        the whole run.  With ``shards > 1`` the run routes through the
+        shard-parallel pipeline (:mod:`repro.core.sharding`):
         partition, per-shard sparsification, boundary stitch — and the
         result carries per-shard diagnostics in ``result.sharding``.
     """
     spec = get_method(method)
     cfg = spec.make_config(config, **options)
-    if int(getattr(cfg, "shards", 1)) > 1:
-        from repro.core.sharding import sharded_sparsify
-
-        return sharded_sparsify(graph, method, cfg, artifacts=artifacts)
     restore_before = (
         artifacts.restore_seconds if artifacts is not None else 0.0
     )
-    result = spec.runner(graph, cfg, artifacts=artifacts)
+    timer = Timer()
+    with timer:
+        if int(getattr(cfg, "shards", 1)) > 1:
+            from repro.core.sharding import sharded_sparsify
+
+            result = sharded_sparsify(graph, method, cfg,
+                                      artifacts=artifacts)
+        else:
+            result = spec.runner(graph, cfg, artifacts=artifacts)
+    result.setup_seconds = timer.elapsed
     if artifacts is not None:
         # Attribute this run's share of disk-cache I/O so RunRecords
         # can split warm-run setup into restore vs compute.
-        result.restore_seconds = artifacts.restore_seconds - restore_before
+        result.restore_seconds += artifacts.restore_seconds - restore_before
     return result
 
 

@@ -405,15 +405,11 @@ def _cmd_methods(args) -> int:
 
         print(api_reference_markdown(), end="")
         return 0
-    table = Table(["method", "deterministic", "rounds", "workers",
-                   "options", "description"])
+    table = Table(["method", "options", "description"])
     for name in list_methods():
         spec = get_method(name)
         table.add_row([
             name,
-            "yes" if spec.deterministic else "no",
-            "yes" if spec.supports_rounds else "-",
-            "yes" if spec.supports_workers else "-",
             " ".join(_flag_for(o) for o in spec.option_names()),
             spec.description,
         ])

@@ -36,13 +36,8 @@ from repro.graph.laplacian import (
 from repro.linalg.cholesky import cholesky
 from repro.tree.spanning import mewst
 from repro.utils.rng import as_rng
-from repro.utils.timers import Timer
 
-__all__ = [
-    "ErSamplingConfig",
-    "approximate_effective_resistances",
-    "er_sample_sparsify",
-]
+__all__ = ["ErSamplingConfig", "approximate_effective_resistances"]
 
 
 @dataclass(kw_only=True)
@@ -107,17 +102,15 @@ def approximate_effective_resistances(
     return np.sum(diffs * diffs, axis=0)
 
 
-def er_sample_sparsify(graph: Graph, config=None, *, artifacts=None,
-                       **overrides) -> SparsifierResult:
-    """Spielman-Srivastava sampling baseline.
+def _run(graph: Graph, config: ErSamplingConfig,
+         artifacts=None) -> SparsifierResult:
+    """The registered ``"er_sampling"`` runner (*config* already validated).
 
     Samples ``edge_fraction * |V|`` off-tree edges (without
     replacement, probability proportional to the leverage score
     ``w_e R_eff(e)``) on top of a MEWST backbone, mirroring the edge
     budget convention of the other sparsifiers in this package so the
-    results are directly comparable.  Prefer :func:`repro.sparsify`
-    (``method="er_sampling"``) for new code; keyword arguments are the
-    :class:`ErSamplingConfig` fields.
+    results are directly comparable.
 
     Notes
     -----
@@ -126,30 +119,6 @@ def er_sample_sparsify(graph: Graph, config=None, *, artifacts=None,
     without-replacement topology variant is standard and keeps the
     sparsifier a plain subgraph (weights unchanged).
     """
-    if isinstance(config, (int, float)) and not isinstance(config, bool):
-        # Pre-registry signature: er_sample_sparsify(graph, edge_fraction).
-        overrides["edge_fraction"] = float(config)
-        config = None
-    if config is None:
-        config = ErSamplingConfig(**overrides)
-    elif not isinstance(config, ErSamplingConfig):
-        raise GraphError(
-            f"er_sample_sparsify expects an ErSamplingConfig, "
-            f"got {type(config).__name__}"
-        )
-    elif overrides:
-        raise GraphError("pass either a config object or overrides, not both")
-    config.validate()
-
-    timer = Timer()
-    with timer:
-        result = _run(graph, config, artifacts)
-    result.setup_seconds = timer.elapsed
-    return result
-
-
-def _run(graph: Graph, config: ErSamplingConfig,
-         artifacts=None) -> SparsifierResult:
     rng = as_rng(config.seed)
     if config.include_tree:
         tree_ids = shared_artifact(

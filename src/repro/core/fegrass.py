@@ -24,9 +24,8 @@ from repro.graph.graph import Graph
 from repro.tree.lca import batch_tree_resistances
 from repro.tree.rooted import RootedForest
 from repro.tree.spanning import mewst
-from repro.utils.timers import Timer
 
-__all__ = ["FegrassConfig", "fegrass_sparsify"]
+__all__ = ["FegrassConfig"]
 
 
 @dataclass(kw_only=True)
@@ -43,28 +42,9 @@ class FegrassConfig(BaseSparsifierConfig):
             raise GraphError(f"gamma must be >= 0, got {self.gamma!r}")
 
 
-def fegrass_sparsify(graph: Graph, config=None, *, artifacts=None,
-                     **overrides):
-    """Run the feGRASS baseline; returns a :class:`SparsifierResult`.
-
-    Prefer :func:`repro.sparsify` (``method="fegrass"``) for new code;
-    *artifacts* is the optional session store documented there.
-    """
-    if config is None:
-        config = FegrassConfig(**overrides)
-    elif overrides:
-        raise GraphError("pass either a config object or overrides, not both")
-    config.validate()
-
-    timer = Timer()
-    with timer:
-        result = _run(graph, config, artifacts)
-    result.setup_seconds = timer.elapsed
-    return result
-
-
 def _run(graph: Graph, config: FegrassConfig,
          artifacts=None) -> SparsifierResult:
+    """The registered ``"fegrass"`` runner (*config* already validated)."""
     tree_ids = shared_artifact(
         artifacts, "tree", ("mewst",), lambda: mewst(graph)
     )

@@ -36,7 +36,7 @@ from repro.tree.rooted import RootedForest
 from repro.utils.rng import as_rng
 from repro.utils.timers import Timer
 
-__all__ = ["GrassConfig", "grass_sparsify", "perturbation_criticality"]
+__all__ = ["GrassConfig", "perturbation_criticality"]
 
 
 @dataclass(kw_only=True)
@@ -104,27 +104,9 @@ def perturbation_criticality(
     return total / probe_vectors
 
 
-def grass_sparsify(graph: Graph, config=None, *, artifacts=None, **overrides):
-    """Run the GRASS baseline; returns a :class:`SparsifierResult`.
-
-    Prefer :func:`repro.sparsify` (``method="grass"``) for new code;
-    *artifacts* is the optional session store documented there.
-    """
-    if config is None:
-        config = GrassConfig(**overrides)
-    elif overrides:
-        raise GraphError("pass either a config object or overrides, not both")
-    config.validate()
-
-    timer = Timer()
-    with timer:
-        result = _run(graph, config, artifacts)
-    result.setup_seconds = timer.elapsed
-    return result
-
-
 def _run(graph: Graph, config: GrassConfig,
          artifacts=None) -> SparsifierResult:
+    """The registered ``"grass"`` runner (*config* already validated)."""
     n = graph.n
     m = graph.edge_count
     rng = as_rng(config.seed)

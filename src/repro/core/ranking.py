@@ -1,35 +1,32 @@
-"""Batched edge-ranking engine for Algorithm 2.
+"""Batched Eq. 20 scoring for the general rounds of Algorithm 2.
 
-Every round of :func:`~repro.core.sparsifier.trace_reduction_sparsify`
-spends its time ranking off-subgraph candidate edges by (approximate)
-trace reduction.  This module turns that per-edge scoring into a staged
-engine with a uniform **batch API**: every ranker's
-``score_batch(edge_ids)`` returns one criticality score per candidate.
+Rounds 2+ of the ``"proposed"`` method (:mod:`repro.core.sparsifier`)
+rank their off-subgraph candidates by approximate trace reduction
+through :class:`ApproxRanker`, whose ``score_batch(edge_ids)`` returns
+one score per candidate.  Round 1 scores against the spanning tree with
+no solve at all (Eqs. 13-15,
+:func:`~repro.core.tree_phase.tree_truncated_trace_reduction`); the
+exact Eq. 11 and its per-candidate loops live in the test suite's
+oracles.
 
-* :class:`TreePhaseRanker` — round 1, the solve-free tree-phase
-  truncated trace reduction (Eqs. 13-15);
-* :class:`ExactRanker` — Eq. (11) through exact solves (validation);
-* :class:`ApproxRanker` — Eq. (20), the production path.
-
-Both truncated rankers score a whole block of candidates with array
-operations over flat *(candidate, node)* entries
-(:mod:`repro.core.ball_join`): balls grow one BFS level at a time for
-every candidate at once, the edges of ``G`` between each candidate's two
-balls come from one join, and one ``bincount`` reduces the numerators.
-The joins also carry over from round to round in a
-:class:`~repro.core.ball_join.JoinStore`: the tree phase seeds it, and
-:meth:`ApproxRanker.reuse_joins` drops only the joins whose balls may
-have grown and regrows those before scoring, so every stored candidate
-goes straight to the s-value stage.  Each candidate's reduction reads
-only its own entries in a fixed order, so scores are **chunk-stable**:
-independent of how candidates are split into batches and of where
-their joins came from, which is what lets the sparsifier score a round
-in batches of its own choosing.  From the same stored joins,
-:meth:`ApproxRanker.score_bounds` bounds every Eq. 20 score from above
-(Cauchy-Schwarz over the joined edges' approximate resistances), so
-the sparsifier scores only the candidates its picking walk can reach.
-Similarity marking grows the same joins at radius ``gamma``
-(:func:`~repro.core.ball_join.grown_joins`).
+The ranker scores a whole block of candidates with array operations
+over flat *(candidate, node)* entries (:mod:`repro.core.ball_join`):
+balls grow one BFS level at a time for every candidate at once, the
+edges of ``G`` between each candidate's two balls come from one join,
+and one ``bincount`` reduces the numerators.  The joins also carry over
+from round to round in a :class:`~repro.core.ball_join.JoinStore`: the
+tree phase seeds it, and :meth:`ApproxRanker.reuse_joins` drops only
+the joins whose balls may have grown and regrows those before scoring,
+so every stored candidate goes straight to the s-value stage.  Each
+candidate's reduction reads only its own entries in a fixed order, so
+scores are **chunk-stable**: independent of how candidates are split
+into batches and of where their joins came from, which is what lets
+the sparsifier score a round in batches of its own choosing.  From the
+same stored joins, :meth:`ApproxRanker.score_bounds` bounds every
+Eq. 20 score from above (Cauchy-Schwarz over the joined edges'
+approximate resistances), so the sparsifier scores only the candidates
+its picking walk can reach.  Similarity marking grows the same joins at
+radius ``gamma`` (:func:`~repro.core.ball_join.grown_joins`).
 """
 
 from __future__ import annotations
@@ -44,96 +41,9 @@ from repro.core.ball_join import (
     grown_joins,
     run_in_blocks,
 )
-from repro.core.trace_reduction import exact_trace_reduction_batch
-from repro.core.tree_phase import tree_truncated_trace_reduction
 from repro.graph.graph import Graph
-from repro.graph.laplacian import regularized_laplacian
-from repro.linalg.cholesky import cholesky
 
-__all__ = [
-    "TreePhaseRanker",
-    "ExactRanker",
-    "ApproxRanker",
-]
-
-
-class TreePhaseRanker:
-    """Round-1 ranker: solve-free tree-phase criticality (Eqs. 13-15).
-
-    Parameters
-    ----------
-    graph : Graph
-        The original graph ``G``.
-    forest : repro.tree.rooted.RootedForest
-        Rooted spanning forest ``T`` (the initial subgraph).
-    beta : int, optional
-        BFS truncation depth (paper default 5).
-    joins : repro.core.ball_join.JoinStore, optional
-        Reset to the tree here; then every candidate scored adds its
-        ball-pair join, up to the store's cap, which seeds the first
-        :class:`ApproxRanker` round.
-    """
-
-    def __init__(self, graph: Graph, forest, beta: int = 5,
-                 joins=None) -> None:
-        self.graph = graph
-        self.forest = forest
-        self.beta = int(beta)
-        self.joins = joins
-        if joins is not None:
-            joins.reset(forest.tree.adjacency()[:2])
-
-    def score_batch(self, edge_ids) -> np.ndarray:
-        """Tree-phase truncated trace reduction per candidate edge.
-
-        Parameters
-        ----------
-        edge_ids : array_like of int
-            Off-tree candidate edge ids.
-
-        Returns
-        -------
-        numpy.ndarray
-            Truncated trace reduction (Eq. 15), aligned with
-            *edge_ids*.
-        """
-        crit, _, _ = tree_truncated_trace_reduction(
-            self.graph, self.forest,
-            edge_ids=np.asarray(edge_ids, dtype=np.int64), beta=self.beta,
-            joins=self.joins,
-        )
-        return crit
-
-
-class ExactRanker:
-    """Validation ranker: Eq. (11) verbatim through exact solves.
-
-    Parameters
-    ----------
-    graph : Graph
-        The original graph ``G``.
-    solve : callable
-        ``solve(rhs) -> x`` with the (regularized) subgraph Laplacian,
-        e.g. ``CholeskyFactor.solve``.
-    """
-
-    def __init__(self, graph: Graph, solve) -> None:
-        self.graph = graph
-        self._solve = solve
-
-    @classmethod
-    def from_subgraph(
-        cls, graph: Graph, subgraph: Graph, shift: float
-    ) -> "ExactRanker":
-        """Factor ``L_S + shift I`` and build the ranker from it."""
-        factor = cholesky(regularized_laplacian(subgraph, shift))
-        return cls(graph, factor.solve)
-
-    def score_batch(self, edge_ids) -> np.ndarray:
-        """Exact trace reduction per candidate edge (one solve each)."""
-        return exact_trace_reduction_batch(
-            self.graph, self._solve, np.asarray(edge_ids, dtype=np.int64)
-        )
+__all__ = ["ApproxRanker"]
 
 
 class ApproxRanker:

@@ -24,12 +24,12 @@ independently, and preserve the cut.  Concretely:
    connectivity backbone plus a leverage-biased sample of the rest
    (leverage approximated by quotient-graph effective resistances).
 
-Entry points: the ``shards`` / ``boundary_policy`` fields every
-:class:`~repro.core.base.BaseSparsifierConfig` carries (so
+Runs enter through the ``shards`` / ``boundary_policy`` fields every
+:class:`~repro.core.base.BaseSparsifierConfig` carries:
 ``repro.sparsify(graph, shards=4)`` and ``repro sparsify --shards 4``
-route here automatically), or :func:`sharded_sparsify` directly.
-``shards=1`` never enters this module — that path stays byte-identical
-to the unsharded code.
+hand the validated config to :func:`sharded_sparsify`.  ``shards=1``
+never enters this module — that path stays byte-identical to the
+unsharded code.
 """
 
 from __future__ import annotations
@@ -355,19 +355,19 @@ def select_boundary_edges(graph: Graph, plan: ShardPlan,
     return ids[np.flatnonzero(backbone)]
 
 
-def sharded_sparsify(graph: Graph, method: str = "proposed", config=None, *,
-                     artifacts=None, **options) -> SparsifierResult:
+def sharded_sparsify(graph: Graph, method: str, config, *,
+                     artifacts=None) -> SparsifierResult:
     """Partition, sparsify per shard, stitch — any registered method.
 
-    This is what :func:`repro.sparsify` routes to whenever
-    ``config.shards > 1``.  Each shard runs through its own
-    :class:`~repro.api.SparsifierSession`; when *artifacts* carries a
-    persistent disk cache, the per-shard sessions attach to the same
-    cache root (shard subgraphs are content-addressed, so shard
-    artifacts warm up independently).  Shards execute concurrently on
-    the fork worker pool when the method's ``workers`` knob asks for
-    parallelism — the stitched result is bit-identical for every
-    worker count.
+    :func:`repro.sparsify` routes here whenever ``config.shards > 1``,
+    with the config it has validated, and times the whole run.  Each
+    shard runs through its own :class:`~repro.api.SparsifierSession`;
+    when *artifacts* carries a persistent disk cache, the per-shard
+    sessions attach to the same cache root (shard subgraphs are
+    content-addressed, so shard artifacts warm up independently).
+    Shards execute concurrently on the fork worker pool when the
+    method's ``workers`` knob asks for parallelism — the stitched
+    result is bit-identical for every worker count.
 
     Parameters
     ----------
@@ -375,145 +375,126 @@ def sharded_sparsify(graph: Graph, method: str = "proposed", config=None, *,
         The graph to sparsify.
     method : str
         Registry name of the per-shard sparsifier.
-    config : optional
-        Ready-made config (mutually exclusive with keyword options);
-        ``config.shards`` drives the partition.
+    config : repro.core.base.BaseSparsifierConfig
+        The method's validated config; ``config.shards`` drives the
+        partition.
     artifacts : repro.core.base.ArtifactStore, optional
         Parent session store: caches the partition labels (and the
         disk-cache root is inherited by the per-shard sessions).
-    **options
-        Config fields by keyword, e.g. ``shards=4, workers=4``.
 
     Returns
     -------
     SparsifierResult
         Stitched sparsifier over the *parent* graph, with per-shard
-        diagnostics in ``result.sharding`` and shard-tagged entries in
-        ``result.rounds_log``.
+        diagnostics in ``result.sharding``, shard-tagged entries in
+        ``result.rounds_log`` and the shards' summed cache-restore time
+        in ``result.restore_seconds``.
     """
     # Deferred: repro.api depends on repro.core, not the reverse.
-    from repro.api.registry import get_method
     from repro.api.session import SparsifierSession
 
-    spec = get_method(method)
-    cfg = spec.make_config(config, **options)
-    shards = int(cfg.shards)
-    if shards <= 1:
-        from repro.api.session import sparsify
-
-        return sparsify(graph, method, cfg, artifacts=artifacts)
-
-    total_timer = Timer()
-    with total_timer:
-        parent_restore = (
-            artifacts.restore_seconds if artifacts is not None else 0.0
+    shards = int(config.shards)
+    partition_timer = Timer()
+    with partition_timer:
+        plan = partition_shards(
+            graph, shards, seed=int(config.seed), artifacts=artifacts
         )
-        partition_timer = Timer()
-        with partition_timer:
-            plan = partition_shards(
-                graph, shards, seed=int(cfg.seed), artifacts=artifacts
-            )
-        # The shard runs are one-piece by construction; the worker
-        # budget sizes the shard pool (results do not depend on it).
-        inner = cfg.replace(shards=1)
-        workers = int(getattr(cfg, "workers", 1))
-        disk = getattr(artifacts, "disk", None)
-        cache_root = disk.root if disk is not None else None
-        shard_inputs = [plan.shard_subgraph(s) for s in range(shards)]
+    # The shard runs are one-piece by construction; the worker
+    # budget sizes the shard pool (results do not depend on it).
+    inner = config.replace(shards=1)
+    workers = int(getattr(config, "workers", 1))
+    disk = getattr(artifacts, "disk", None)
+    cache_root = disk.root if disk is not None else None
+    shard_inputs = [plan.shard_subgraph(s) for s in range(shards)]
 
-        # One session per shard, memoized in the parent store (kind
-        # "shard_session", never persisted — it embeds the shard graph;
-        # its own artifacts persist through its own disk cache), so a
-        # serial method/fraction sweep over one graph re-derives each
-        # shard's tree/factor/sketches once, not once per cell.  Forked
-        # shard runs fill a copy-on-write copy that dies with the
-        # worker; cross-call reuse then comes from the disk layer.
-        def _shard_session(shard: int) -> SparsifierSession:
-            sub = shard_inputs[shard][0]
-            return shared_artifact(
-                artifacts, "shard_session",
-                (shards, int(cfg.seed), shard,
-                 str(cache_root) if cache_root is not None else None),
-                lambda: SparsifierSession(
-                    sub, label=f"shard-{shard}", cache_dir=cache_root
-                ),
-            )
+    # One session per shard, memoized in the parent store (kind
+    # "shard_session", never persisted — it embeds the shard graph;
+    # its own artifacts persist through its own disk cache), so a
+    # serial method/fraction sweep over one graph re-derives each
+    # shard's tree/factor/sketches once, not once per cell.  Forked
+    # shard runs fill a copy-on-write copy that dies with the
+    # worker; cross-call reuse then comes from the disk layer.
+    def _shard_session(shard: int) -> SparsifierSession:
+        sub = shard_inputs[shard][0]
+        return shared_artifact(
+            artifacts, "shard_session",
+            (shards, int(config.seed), shard,
+             str(cache_root) if cache_root is not None else None),
+            lambda: SparsifierSession(
+                sub, label=f"shard-{shard}", cache_dir=cache_root
+            ),
+        )
 
-        sessions = [_shard_session(shard) for shard in range(shards)]
+    sessions = [_shard_session(shard) for shard in range(shards)]
 
-        def _run_shard(shard: int) -> dict:
-            result = sessions[shard].sparsify(method, inner)
-            return {
-                "mask": result.edge_mask,
-                "tree": result.tree_edge_ids,
-                "recovered": result.recovered_edge_ids,
-                "log": result.rounds_log,
-                "seconds": float(result.setup_seconds),
-                "restore": float(result.restore_seconds),
-            }
-
-        shard_results = parallel_map(_run_shard, shards, workers=workers)
-
-        stitch_timer = Timer()
-        with stitch_timer:
-            edge_mask = np.zeros(graph.edge_count, dtype=bool)
-            tree_ids, recovered_ids, rounds_log, per_shard = [], [], [], []
-            for shard, outcome in enumerate(shard_results):
-                _, nodes, edge_ids = shard_inputs[shard]
-                kept = np.flatnonzero(outcome["mask"])
-                edge_mask[edge_ids[kept]] = True
-                tree_ids.append(edge_ids[np.asarray(
-                    outcome["tree"], dtype=np.int64
-                )])
-                recovered_ids.append(edge_ids[np.asarray(
-                    outcome["recovered"], dtype=np.int64
-                )])
-                for entry in outcome["log"]:
-                    rounds_log.append({"shard": shard, **entry})
-                per_shard.append({
-                    "shard": shard,
-                    "nodes": int(len(nodes)),
-                    "intra_edges": int(len(edge_ids)),
-                    "kept_edges": int(len(kept)),
-                    "sparsify_seconds": outcome["seconds"],
-                    "restore_seconds": outcome["restore"],
-                })
-            boundary_kept = select_boundary_edges(
-                graph, plan, policy=cfg.boundary_policy,
-                edge_fraction=float(cfg.edge_fraction),
-                seed=int(cfg.seed),
-            )
-            edge_mask[boundary_kept] = True
-
-        cut_ids = plan.boundary_edge_ids
-        sharding = {
-            "shards": shards,
-            "boundary_policy": cfg.boundary_policy,
-            "partition_seconds": float(partition_timer.elapsed),
-            "stitch_seconds": float(stitch_timer.elapsed),
-            "cut": {
-                "edges": int(len(cut_ids)),
-                "weight": float(graph.w[cut_ids].sum()),
-                "kept_edges": int(len(boundary_kept)),
-                "kept_weight": float(graph.w[boundary_kept].sum()),
-            },
-            "per_shard": per_shard,
+    def _run_shard(shard: int) -> dict:
+        result = sessions[shard].sparsify(method, inner)
+        return {
+            "mask": result.edge_mask,
+            "tree": result.tree_edge_ids,
+            "recovered": result.recovered_edge_ids,
+            "log": result.rounds_log,
+            "seconds": float(result.setup_seconds),
+            "restore": float(result.restore_seconds),
         }
-        restore = sum(entry["restore_seconds"] for entry in per_shard)
-        if artifacts is not None:
-            restore += artifacts.restore_seconds - parent_restore
 
-    result = SparsifierResult(
+    shard_results = parallel_map(_run_shard, shards, workers=workers)
+
+    stitch_timer = Timer()
+    with stitch_timer:
+        edge_mask = np.zeros(graph.edge_count, dtype=bool)
+        tree_ids, recovered_ids, rounds_log, per_shard = [], [], [], []
+        for shard, outcome in enumerate(shard_results):
+            _, nodes, edge_ids = shard_inputs[shard]
+            kept = np.flatnonzero(outcome["mask"])
+            edge_mask[edge_ids[kept]] = True
+            tree_ids.append(edge_ids[np.asarray(
+                outcome["tree"], dtype=np.int64
+            )])
+            recovered_ids.append(edge_ids[np.asarray(
+                outcome["recovered"], dtype=np.int64
+            )])
+            for entry in outcome["log"]:
+                rounds_log.append({"shard": shard, **entry})
+            per_shard.append({
+                "shard": shard,
+                "nodes": int(len(nodes)),
+                "intra_edges": int(len(edge_ids)),
+                "kept_edges": int(len(kept)),
+                "sparsify_seconds": outcome["seconds"],
+                "restore_seconds": outcome["restore"],
+            })
+        boundary_kept = select_boundary_edges(
+            graph, plan, policy=config.boundary_policy,
+            edge_fraction=float(config.edge_fraction),
+            seed=int(config.seed),
+        )
+        edge_mask[boundary_kept] = True
+
+    cut_ids = plan.boundary_edge_ids
+    sharding = {
+        "shards": shards,
+        "boundary_policy": config.boundary_policy,
+        "partition_seconds": float(partition_timer.elapsed),
+        "stitch_seconds": float(stitch_timer.elapsed),
+        "cut": {
+            "edges": int(len(cut_ids)),
+            "weight": float(graph.w[cut_ids].sum()),
+            "kept_edges": int(len(boundary_kept)),
+            "kept_weight": float(graph.w[boundary_kept].sum()),
+        },
+        "per_shard": per_shard,
+    }
+    restore = sum(entry["restore_seconds"] for entry in per_shard)
+    return SparsifierResult(
         graph=graph,
         edge_mask=edge_mask,
         tree_edge_ids=np.concatenate(tree_ids).astype(np.int64, copy=False),
         recovered_edge_ids=np.concatenate(recovered_ids).astype(
             np.int64, copy=False
         ),
-        config=cfg,
+        config=config,
         rounds_log=rounds_log,
         restore_seconds=float(restore),
         sharding=sharding,
     )
-    result.setup_seconds = total_timer.elapsed
-    return result

@@ -16,19 +16,20 @@ The iterative densification (recompute criticality against the *current*
 subgraph instead of the initial tree) is the scheme of GRASS [7, 8]; the
 similarity exclusion is feGRASS's [13].
 
-Candidate scoring is delegated to the batched ranking engine
-(:mod:`repro.core.ranking`): rounds build a
-:class:`~repro.core.ranking.TreePhaseRanker` (round 1) or
-:class:`~repro.core.ranking.ApproxRanker` (rounds 2+) and call its
-``score_batch`` directly.  Each ranker scores its candidates in blocks
-of segmented array operations, so a round issues a few hundred numpy
-calls rather than a few per candidate.  One
-:class:`~repro.core.ball_join.JoinStore` per run carries each
-candidate's ball-pair join from round to round: the tree phase seeds
-it, and each general round regrows only the joins whose balls may have
-grown.  It never enters the session artifact store, so a run that
-restores the tree phase from a session simply starts round 2 with an
-empty store.
+Round 1 scores its candidates with
+:func:`~repro.core.tree_phase.tree_truncated_trace_reduction`, and
+rounds 2+ with :class:`~repro.core.ranking.ApproxRanker`'s
+``score_batch``.  Both score a block of candidates with segmented array
+operations, so a round issues a few hundred numpy calls rather than a
+few per candidate.  One :class:`~repro.core.ball_join.JoinStore` per
+run carries each candidate's ball-pair join from round to round: the
+tree phase seeds it, and each general round regrows only the joins
+whose balls may have grown.  It never enters the session artifact
+store, so a run that restores the tree phase from a session simply
+starts round 2 with an empty store.
+
+:func:`_run` is the ``"proposed"`` method's registered runner; it takes
+a config that :func:`repro.sparsify` has validated.
 
 A general round recovers about 1% of its candidates, so it does not
 score them all.  One walk (:func:`_pick_edges`) visits candidates in
@@ -48,8 +49,9 @@ import numpy as np
 
 from repro.core.ball_join import JoinStore
 from repro.core.base import BaseSparsifierConfig, shared_artifact
-from repro.core.ranking import ApproxRanker, TreePhaseRanker
+from repro.core.ranking import ApproxRanker
 from repro.core.similarity import SimilarityMarker
+from repro.core.tree_phase import tree_truncated_trace_reduction
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
 from repro.graph.laplacian import regularization_shift, regularized_laplacian
@@ -58,7 +60,7 @@ from repro.linalg.spai import sparse_approximate_inverse
 from repro.tree.spanning import bfs_spanning_forest, maximum_spanning_forest, mewst
 from repro.utils.timers import Timer
 
-__all__ = ["SparsifierConfig", "SparsifierResult", "trace_reduction_sparsify"]
+__all__ = ["SparsifierConfig", "SparsifierResult"]
 
 #: Fewest candidates the first batch of a general round scores; a round
 #: with no more candidates than its first batch computes no bounds.
@@ -157,8 +159,9 @@ class SparsifierResult:
     config : SparsifierConfig
         The configuration the run used.
     setup_seconds : float
-        Wall-clock time of the whole sparsification (including any
-        cache-restore I/O; see ``restore_seconds``).
+        Wall-clock time of the whole sparsification, set by
+        :func:`repro.sparsify` (including any cache-restore I/O; see
+        ``restore_seconds``).
     rounds_log : list of dict
         One entry per executed round: phase, candidate count, edges
         added, trace reduction claimed, cache statistics and timing.
@@ -315,56 +318,13 @@ def _pick_edges(ranked, marker, per_round, use_similarity):
     return chosen, gains
 
 
-def trace_reduction_sparsify(graph: Graph, config=None, *, artifacts=None,
-                             **overrides):
-    """Run Algorithm 2 on *graph* and return a :class:`SparsifierResult`.
-
-    Prefer :func:`repro.sparsify` (``method="proposed"``) for new code;
-    this entry point remains as the registered implementation and for
-    backward compatibility.
-
-    Parameters
-    ----------
-    graph : Graph
-        The graph ``G`` to sparsify.
-    config : SparsifierConfig, optional
-        Full configuration object; mutually exclusive with keyword
-        overrides.
-    artifacts : repro.core.base.ArtifactStore, optional
-        Session artifact store for reusing the spanning tree / forest,
-        regularization shift and tree-phase criticality across runs on
-        the same graph.  Reuse never changes results.
-    **overrides
-        :class:`SparsifierConfig` fields by keyword, e.g.
-        ``trace_reduction_sparsify(g, edge_fraction=0.05, rounds=2,
-        beta=4)``.
-
-    Returns
-    -------
-    SparsifierResult
-        The sparsifier ``P`` (tree + recovered edges) with per-round
-        diagnostics.  Output is deterministic.
-
-    Raises
-    ------
-    repro.exceptions.GraphError
-        If both *config* and overrides are given, or a knob is invalid.
-    """
-    if config is None:
-        config = SparsifierConfig(**overrides)
-    elif overrides:
-        raise GraphError("pass either a config object or overrides, not both")
-    config.validate()
-
-    timer = Timer()
-    with timer:
-        result = _run(graph, config, artifacts)
-    result.setup_seconds = timer.elapsed
-    return result
-
-
 def _run(graph: Graph, config: SparsifierConfig,
          artifacts=None) -> SparsifierResult:
+    """Algorithm 2 on *graph*; *artifacts* is an optional session store.
+
+    The registered ``"proposed"`` runner: *config* is already validated,
+    and :func:`repro.sparsify` times the run.  Output is deterministic.
+    """
     n = graph.n
     m = graph.edge_count
     shift = shared_artifact(
@@ -402,9 +362,13 @@ def _run(graph: Graph, config: SparsifierConfig,
                 # off-tree edges, so a session can share the scores
                 # across fraction sweeps.
                 cand = np.flatnonzero(~edge_mask)
-                ranker = TreePhaseRanker(graph, forest, beta=config.beta,
-                                         joins=joins)
-                return cand, ranker.score_batch(cand)
+                if joins is not None:
+                    joins.reset(forest.tree.adjacency()[:2])
+                crit, _, _ = tree_truncated_trace_reduction(
+                    graph, forest, edge_ids=cand, beta=config.beta,
+                    joins=joins,
+                )
+                return cand, crit
 
             candidates, crit = shared_artifact(
                 artifacts, "tree_phase",

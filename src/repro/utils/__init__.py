@@ -3,12 +3,7 @@
 from repro.utils.rng import as_rng
 from repro.utils.timers import Timer
 from repro.utils.reporting import Table, format_seconds, format_bytes
-from repro.utils.validation import (
-    check_positive,
-    check_in_range,
-    check_integer,
-    check_square_sparse,
-)
+from repro.utils.validation import check_square_sparse
 
 __all__ = [
     "as_rng",
@@ -16,8 +11,5 @@ __all__ = [
     "Table",
     "format_seconds",
     "format_bytes",
-    "check_positive",
-    "check_in_range",
-    "check_integer",
     "check_square_sparse",
 ]

@@ -1,39 +1,10 @@
-"""Argument validation helpers.
-
-These helpers centralize the error messages so every public API in the
-package reports bad input in the same voice.
-"""
+"""Argument validation helper for sparse-matrix inputs."""
 
 from __future__ import annotations
 
-import numbers
-
 import scipy.sparse as sp
 
-__all__ = [
-    "check_positive",
-    "check_in_range",
-    "check_integer",
-    "check_square_sparse",
-]
-
-
-def check_positive(name: str, value) -> None:
-    """Raise ``ValueError`` unless *value* is a real number > 0."""
-    if not isinstance(value, numbers.Real) or not value > 0:
-        raise ValueError(f"{name} must be a positive number, got {value!r}")
-
-
-def check_in_range(name: str, value, low, high) -> None:
-    """Raise ``ValueError`` unless ``low <= value <= high``."""
-    if not isinstance(value, numbers.Real) or not (low <= value <= high):
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
-
-
-def check_integer(name: str, value, minimum: int = 0) -> None:
-    """Raise ``ValueError`` unless *value* is an integer >= *minimum*."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+__all__ = ["check_square_sparse"]
 
 
 def check_square_sparse(name: str, matrix) -> None:

@@ -1,4 +1,8 @@
-"""repro.sparsify must be bit-identical to the per-method entry points."""
+"""repro.sparsify is the one front door: it builds, validates and times.
+
+The per-method runners it dispatches to take a validated config and
+return the same bits when called directly.
+"""
 
 import numpy as np
 import pytest
@@ -6,24 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.api import get_method, list_methods, sparsify
-from repro.core import (
-    ErSamplingConfig,
-    SparsifierConfig,
-    er_sample_sparsify,
-    fegrass_sparsify,
-    grass_sparsify,
-    trace_reduction_sparsify,
-)
+from repro.api import SparsifierSession, get_method, list_methods, sparsify
+from repro.api import registry
+from repro.core import ErSamplingConfig, FegrassConfig, SparsifierConfig
+from repro.core.sparsifier import SparsifierResult
 from repro.exceptions import GraphError, UnknownMethodError, UnknownOptionError
 from repro.graph import grid2d
+from repro.tree import mewst
 
-LEGACY = {
-    "proposed": trace_reduction_sparsify,
-    "grass": grass_sparsify,
-    "fegrass": fegrass_sparsify,
-    "er_sampling": er_sample_sparsify,
-}
+METHODS = ["er_sampling", "fegrass", "grass", "proposed"]
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +26,21 @@ def grid():
     return grid2d(13, 13, weights="uniform", seed=33)
 
 
-@pytest.mark.parametrize("method", sorted(LEGACY))
+def _runner_result(graph, method, **options):
+    """The registered runner called directly on a validated config."""
+    spec = get_method(method)
+    config = spec.config_cls(**options)
+    config.validate()
+    return spec.runner(graph, config)
+
+
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("fraction", [0.0, 0.05, 0.15])
 def test_facade_matches_legacy_entry_points(grid, method, fraction):
+    """The facade changes no result of the method's own entry point,
+    the registered runner."""
     new = sparsify(grid, method=method, edge_fraction=fraction, seed=2)
-    old = LEGACY[method](grid, edge_fraction=fraction, seed=2)
+    old = _runner_result(grid, method, edge_fraction=fraction, seed=2)
     np.testing.assert_array_equal(new.edge_mask, old.edge_mask)
     np.testing.assert_array_equal(new.tree_edge_ids, old.tree_edge_ids)
     np.testing.assert_array_equal(
@@ -45,18 +50,81 @@ def test_facade_matches_legacy_entry_points(grid, method, fraction):
 
 @settings(max_examples=15, deadline=None)
 @given(
-    method=st.sampled_from(sorted(LEGACY)),
+    method=st.sampled_from(METHODS),
     fraction=st.floats(min_value=0.0, max_value=0.3),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_facade_bit_identity_property(method, fraction, seed):
-    """Acceptance property: for every registered method and any
-    (fraction, seed), the unified entry point reproduces the
-    pre-refactor per-method function bit for bit."""
+    """For every registered method and any (fraction, seed), the
+    facade reproduces the registered runner bit for bit."""
     graph = grid2d(9, 9, weights="uniform", seed=17)
     new = sparsify(graph, method=method, edge_fraction=fraction, seed=seed)
-    old = LEGACY[method](graph, edge_fraction=fraction, seed=seed)
+    old = _runner_result(graph, method, edge_fraction=fraction, seed=seed)
     np.testing.assert_array_equal(new.edge_mask, old.edge_mask)
+
+
+def _untimed_runner(graph, config, artifacts=None):
+    """A runner that leaves ``setup_seconds`` at its default of 0."""
+    tree_ids = mewst(graph)
+    edge_mask = np.zeros(graph.edge_count, dtype=bool)
+    edge_mask[tree_ids] = True
+    return SparsifierResult(
+        graph=graph, edge_mask=edge_mask, tree_edge_ids=tree_ids,
+        recovered_edge_ids=np.empty(0, dtype=np.int64), config=config,
+    )
+
+
+@pytest.fixture
+def untimed_method(monkeypatch):
+    """Register :func:`_untimed_runner` for one test only."""
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    registry.register_sparsifier(
+        "_untimed", config_cls=FegrassConfig, description="test stub"
+    )(_untimed_runner)
+    return "_untimed"
+
+
+def test_facade_times_a_runner_that_does_not(grid, untimed_method):
+    result = sparsify(grid, untimed_method)
+    assert result.setup_seconds > 0.0
+    record = SparsifierSession(grid).run(untimed_method, evaluate=False)
+    assert record.timings["sparsify_seconds"] > 0.0
+
+
+def test_facade_times_each_shard_of_an_untimed_runner(grid, untimed_method):
+    result = sparsify(grid, untimed_method, shards=2)
+    per_shard = result.sharding["per_shard"]
+    assert len(per_shard) == 2
+    assert all(entry["sparsify_seconds"] > 0.0 for entry in per_shard)
+    assert result.setup_seconds > 0.0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_reports_its_setup_time(grid, method):
+    assert sparsify(grid, method, edge_fraction=0.1).setup_seconds > 0.0
+
+
+def test_sharded_run_reports_its_own_total(grid):
+    result = sparsify(grid, "proposed", edge_fraction=0.1, rounds=2,
+                      shards=2)
+    sharding = result.sharding
+    parts = (sharding["partition_seconds"] + sharding["stitch_seconds"]
+             + sum(entry["sparsify_seconds"]
+                   for entry in sharding["per_shard"]))
+    assert result.setup_seconds >= parts > 0.0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_config_and_options_together_raise(grid, method):
+    config = get_method(method).config_cls()
+    with pytest.raises(UnknownOptionError, match="not both"):
+        sparsify(grid, method, config, edge_fraction=0.1)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_bare_float_config_raises(grid, method):
+    with pytest.raises(UnknownOptionError, match="got float"):
+        sparsify(grid, method, 0.05)
 
 
 def test_facade_accepts_config_instance(grid):

@@ -1,4 +1,4 @@
-"""Registry introspection: every method publishes options + capabilities."""
+"""Registry introspection: every method publishes its options and flag."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.api import (
     register_sparsifier,
     sparsifier_methods,
 )
-from repro.api.registry import _REGISTRY, CAPABILITY_FLAGS
+from repro.api.registry import _REGISTRY
 from repro.core import (
     ErSamplingConfig,
     FegrassConfig,
@@ -47,21 +47,18 @@ def test_every_method_lists_options_and_capabilities(name):
     assert "seed" in options
     assert options["edge_fraction"].type is float
     assert options["seed"].type is int
-    # Capability flags are complete booleans.
-    caps = spec.capabilities
-    assert set(caps) == set(CAPABILITY_FLAGS)
-    assert all(isinstance(v, bool) for v in caps.values())
+    assert isinstance(spec.supports_incremental, bool)
     assert spec.description
 
 
 def test_capability_flags_match_reality():
-    assert get_method("proposed").supports_rounds
-    assert get_method("proposed").supports_workers
-    assert get_method("grass").supports_rounds
-    assert not get_method("grass").supports_workers
-    assert not get_method("fegrass").supports_rounds
-    assert not get_method("er_sampling").supports_rounds
-    assert all(spec.deterministic for spec in sparsifier_methods().values())
+    """Whether a method has rounds or workers is an option, not a flag;
+    ``supports_incremental`` names the methods EvolvingSparsifier keeps."""
+    incremental = {name for name, spec in sparsifier_methods().items()
+                   if spec.supports_incremental}
+    assert incremental == {"er_sampling", "proposed"}
+    assert "rounds" in get_method("grass").option_names()
+    assert "workers" not in get_method("grass").option_names()
 
 
 def test_optional_types_resolve_to_concrete():

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
+from repro import sparsify
 from repro.core import (
     GrassConfig,
     evaluate_sparsifier,
-    fegrass_sparsify,
-    grass_sparsify,
     perturbation_criticality,
-    trace_reduction_sparsify,
 )
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, UnknownOptionError
 from repro.graph import (
     connected_components,
     grid2d,
@@ -29,7 +27,7 @@ def grid():
 
 class TestGrass:
     def test_budget_and_connectivity(self, grid):
-        result = grass_sparsify(grid, edge_fraction=0.10, rounds=3, seed=0)
+        result = sparsify(grid, "grass", edge_fraction=0.10, rounds=3, seed=0)
         budget = int(round(0.10 * grid.n))
         assert len(result.recovered_edge_ids) <= budget + 3
         count, _ = connected_components(result.sparsifier)
@@ -92,40 +90,41 @@ class TestGrass:
     @pytest.mark.parametrize("tree_method", ["mewst", "max_weight", "bfs"])
     def test_tree_methods_are_the_proposed_ones(self, grid, tree_method):
         """GRASS starts from the tree the proposed method would build."""
-        ours = grass_sparsify(grid, edge_fraction=0.05, rounds=1,
-                              tree_method=tree_method)
-        proposed = trace_reduction_sparsify(grid, edge_fraction=0.05,
-                                            rounds=1, tree_method=tree_method)
+        ours = sparsify(grid, "grass", edge_fraction=0.05, rounds=1,
+                        tree_method=tree_method)
+        proposed = sparsify(grid, "proposed", edge_fraction=0.05, rounds=1,
+                            tree_method=tree_method)
         np.testing.assert_array_equal(ours.tree_edge_ids,
                                       proposed.tree_edge_ids)
 
     def test_deterministic(self, grid):
-        a = grass_sparsify(grid, edge_fraction=0.05, rounds=2, seed=9)
-        b = grass_sparsify(grid, edge_fraction=0.05, rounds=2, seed=9)
+        a = sparsify(grid, "grass", edge_fraction=0.05, rounds=2, seed=9)
+        b = sparsify(grid, "grass", edge_fraction=0.05, rounds=2, seed=9)
         np.testing.assert_array_equal(a.edge_mask, b.edge_mask)
 
     def test_conflicting_args(self, grid):
-        with pytest.raises(GraphError):
-            grass_sparsify(grid, GrassConfig(), rounds=2)
+        with pytest.raises(UnknownOptionError):
+            sparsify(grid, "grass", GrassConfig(), rounds=2)
 
 
 class TestFegrass:
     def test_budget_and_connectivity(self, grid):
-        result = fegrass_sparsify(grid, edge_fraction=0.10)
+        result = sparsify(grid, "fegrass", edge_fraction=0.10)
         count, _ = connected_components(result.sparsifier)
         assert count == 1
         budget = int(round(0.10 * grid.n))
         assert len(result.recovered_edge_ids) <= budget
 
     def test_single_pass(self, grid):
-        result = fegrass_sparsify(grid, edge_fraction=0.10)
+        result = sparsify(grid, "fegrass", edge_fraction=0.10)
         assert len(result.rounds_log) == 1
         assert result.rounds_log[0]["phase"] == "fegrass"
 
     def test_highest_stretch_edge_recovered_without_similarity(self, grid):
         from repro.tree import RootedForest, batch_tree_resistances
 
-        result = fegrass_sparsify(grid, edge_fraction=0.10, use_similarity=False)
+        result = sparsify(grid, "fegrass", edge_fraction=0.10,
+                          use_similarity=False)
         forest = RootedForest(grid, result.tree_edge_ids)
         mask = forest.tree_edge_mask()
         off = np.flatnonzero(~mask)
@@ -148,13 +147,11 @@ class TestOrdering:
     """
 
     def test_proposed_beats_grass_on_grid(self):
-        from repro.core import trace_reduction_sparsify
-
         grid = grid2d(60, 60, seed=7)
-        proposed = trace_reduction_sparsify(
-            grid, edge_fraction=0.10, rounds=5, seed=1
+        proposed = sparsify(
+            grid, "proposed", edge_fraction=0.10, rounds=5, seed=1
         )
-        grass = grass_sparsify(grid, edge_fraction=0.10, rounds=5, seed=1)
+        grass = sparsify(grid, "grass", edge_fraction=0.10, rounds=5, seed=1)
         q_prop = evaluate_sparsifier(grid, proposed.sparsifier)
         q_grass = evaluate_sparsifier(grid, grass.sparsifier)
         # Same edge budget.

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from repro.core import ApproxRanker, TreePhaseRanker
+from repro.core import ApproxRanker, tree_truncated_trace_reduction
 from repro.graph import Graph, regularization_shift, regularized_laplacian
 from repro.linalg import cholesky, sparse_approximate_inverse
 from repro.linalg.spai import dependency_levels
@@ -42,9 +42,8 @@ def small_graphs(draw):
     return Graph.from_edges(n, [(a, b, w) for (a, b), w in edges.items()])
 
 
-def _assert_single_candidate_batches(ranker, off, whole):
-    singles = np.concatenate([ranker.score_batch(off[k:k + 1])
-                              for k in range(len(off))])
+def _assert_single_candidate_batches(score, off, whole):
+    singles = np.concatenate([score(off[k:k + 1]) for k in range(len(off))])
     assert np.array_equal(singles, whole)
 
 
@@ -55,12 +54,15 @@ def test_tree_phase_matches_loop_oracle(graph, beta):
     off = np.flatnonzero(~forest.tree_edge_mask())
     if len(off) == 0:
         return
-    ranker = TreePhaseRanker(graph, forest, beta=beta)
-    got = ranker.score_batch(off)
+    def score(edge_ids):
+        return tree_truncated_trace_reduction(graph, forest, edge_ids,
+                                              beta=beta)[0]
+
+    got = score(off)
     expected = oracles.tree_truncated_trace_reduction(graph, forest, off,
                                                       beta=beta)
     np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-300)
-    _assert_single_candidate_batches(ranker, off, got)
+    _assert_single_candidate_batches(score, off, got)
 
 
 @given(graph=small_graphs(), beta=st.integers(1, 6),
@@ -83,7 +85,7 @@ def test_approx_ranker_matches_loop_oracle(graph, beta, extra, delta):
     expected = oracles.approximate_trace_reduction(graph, subgraph, factor,
                                                    Z, off, beta=beta)
     np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-300)
-    _assert_single_candidate_batches(ranker, off, got)
+    _assert_single_candidate_batches(ranker.score_batch, off, got)
 
 
 def _assert_same_matrix(got, expected):

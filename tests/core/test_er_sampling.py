@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    approximate_effective_resistances,
-    er_sample_sparsify,
-    evaluate_sparsifier,
-)
-from repro.core.resistance import effective_resistance
-from repro.exceptions import GraphError
+from oracles import effective_resistance
+from repro import sparsify
+from repro.core import approximate_effective_resistances, evaluate_sparsifier
+from repro.exceptions import GraphError, UnknownOptionError
 from repro.graph import connected_components, grid2d, regularization_shift
 from repro.graph.laplacian import incidence_matrix, regularized_laplacian
 from repro.linalg import cholesky
@@ -40,43 +37,34 @@ def test_jl_resistances_bounded_by_direct_edge(grid):
 
 
 def test_sparsifier_is_connected(grid):
-    result = er_sample_sparsify(grid, edge_fraction=0.10, seed=0)
+    result = sparsify(grid, "er_sampling", edge_fraction=0.10, seed=0)
     count, _ = connected_components(result.sparsifier)
     assert count == 1
 
 
 def test_budget_respected(grid):
-    result = er_sample_sparsify(grid, edge_fraction=0.10, seed=0)
+    result = sparsify(grid, "er_sampling", edge_fraction=0.10, seed=0)
     budget = int(round(0.10 * grid.n))
     assert len(result.recovered_edge_ids) == budget
 
 
 def test_deterministic(grid):
-    a = er_sample_sparsify(grid, edge_fraction=0.05, seed=5)
-    b = er_sample_sparsify(grid, edge_fraction=0.05, seed=5)
+    a = sparsify(grid, "er_sampling", edge_fraction=0.05, seed=5)
+    b = sparsify(grid, "er_sampling", edge_fraction=0.05, seed=5)
     np.testing.assert_array_equal(a.edge_mask, b.edge_mask)
-
-
-def test_positional_edge_fraction_still_works(grid):
-    """Back-compat: the pre-registry signature passed edge_fraction as
-    the second positional argument."""
-    old_style = er_sample_sparsify(grid, 0.05, seed=5)
-    new_style = er_sample_sparsify(grid, edge_fraction=0.05, seed=5)
-    np.testing.assert_array_equal(old_style.edge_mask, new_style.edge_mask)
 
 
 def test_wrong_config_type_is_a_clear_error(grid):
     from repro.core import SparsifierConfig
-    from repro.exceptions import GraphError
 
-    with pytest.raises(GraphError):
-        er_sample_sparsify(grid, SparsifierConfig())
+    with pytest.raises(UnknownOptionError, match="ErSamplingConfig"):
+        sparsify(grid, "er_sampling", SparsifierConfig())
 
 
 def test_quality_beats_tree_alone(grid):
     from repro.linalg import relative_condition_number
 
-    result = er_sample_sparsify(grid, edge_fraction=0.15, seed=1)
+    result = sparsify(grid, "er_sampling", edge_fraction=0.15, seed=1)
     quality = evaluate_sparsifier(grid, result.sparsifier)
     shift = regularization_shift(grid)
     L_G = regularized_laplacian(grid, shift)
@@ -87,8 +75,8 @@ def test_quality_beats_tree_alone(grid):
 
 
 def test_without_tree_backbone(grid):
-    result = er_sample_sparsify(
-        grid, edge_fraction=0.3, include_tree=False, seed=3
+    result = sparsify(
+        grid, "er_sampling", edge_fraction=0.3, include_tree=False, seed=3
     )
     assert len(result.tree_edge_ids) == 0
     assert result.edge_count == int(round(0.3 * grid.n))

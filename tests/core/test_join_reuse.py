@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import repro
 from repro.api import SparsifierSession
 from repro.api.records import RunRecord
-from repro.core import ApproxRanker, TreePhaseRanker
+from repro.core import ApproxRanker, tree_truncated_trace_reduction
 from repro.core import ball_join
 from repro.core.ball_join import JoinStore
 from repro.graph import Graph, regularization_shift, regularized_laplacian
@@ -83,8 +83,9 @@ class TestStoreRefresh:
         candidates = np.flatnonzero(~mask)
         store = JoinStore(graph)
         # Round 1 seeds the store, as in the sparsifier.
-        TreePhaseRanker(graph, forest, beta=beta,
-                        joins=store).score_batch(candidates)
+        store.reset(forest.tree.adjacency()[:2])
+        tree_truncated_trace_reduction(graph, forest, candidates, beta=beta,
+                                       joins=store)
         for _ in range(4):
             # Insert one or two candidates into S and drop a few more, as
             # the similarity marking does, so that most joins survive.

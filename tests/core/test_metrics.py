@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import evaluate_sparsifier, pcg_performance, trace_reduction_sparsify
+from repro import sparsify
+from repro.core import evaluate_sparsifier, pcg_performance
 from repro.graph import grid2d, regularization_shift, regularized_laplacian
 from repro.linalg import cholesky
 from repro.tree import mewst
@@ -15,7 +16,7 @@ def grid():
 
 
 def test_report_fields(grid):
-    result = trace_reduction_sparsify(grid, edge_fraction=0.10, rounds=2)
+    result = sparsify(grid, "proposed", edge_fraction=0.10, rounds=2)
     report = evaluate_sparsifier(grid, result.sparsifier)
     assert report.nodes == grid.n
     assert report.graph_edges == grid.edge_count
@@ -48,8 +49,8 @@ def test_pcg_performance_custom_rhs(grid):
 def test_lower_kappa_fewer_iterations(grid):
     """Quality ordering must show up in PCG iteration counts."""
     shift = regularization_shift(grid)
-    sparse = trace_reduction_sparsify(grid, edge_fraction=0.01, rounds=1)
-    dense = trace_reduction_sparsify(grid, edge_fraction=0.30, rounds=2)
+    sparse = sparsify(grid, "proposed", edge_fraction=0.01, rounds=1)
+    dense = sparsify(grid, "proposed", edge_fraction=0.30, rounds=2)
     q_sparse = evaluate_sparsifier(grid, sparse.sparsifier, rtol=1e-8)
     q_dense = evaluate_sparsifier(grid, dense.sparsifier, rtol=1e-8)
     assert q_dense.kappa <= q_sparse.kappa

@@ -9,8 +9,7 @@ import pytest
 
 import repro
 from oracles import approximate_trace_reduction
-from repro.core import ApproxRanker, TreePhaseRanker, parallel
-from repro.core import trace_reduction_sparsify
+from repro.core import ApproxRanker, parallel, tree_truncated_trace_reduction
 from repro.core.ball_join import JoinStore
 from repro.core.parallel import resolve_workers
 from repro.graph import grid2d, regularization_shift, regularized_laplacian
@@ -43,19 +42,25 @@ def approx_setting(request):
     return graph, forest, subgraph, factor, Z, off
 
 
-def _pieces(ranker, edge_ids, size):
-    """Scores of *edge_ids* from one ``score_batch`` call per *size* ids."""
-    return np.concatenate([ranker.score_batch(edge_ids[k:k + size])
+def _pieces(score, edge_ids, size):
+    """Scores of *edge_ids* from one ``score`` call per *size* ids."""
+    return np.concatenate([score(edge_ids[k:k + size])
                            for k in range(0, len(edge_ids), size)])
+
+
+def _tree_phase(graph, forest, beta=5):
+    """Round 1's scorer as a function of the candidate ids."""
+    return lambda edge_ids: tree_truncated_trace_reduction(
+        graph, forest, edge_ids, beta=beta)[0]
 
 
 class TestScoreEdges:
     def test_empty_candidates(self, approx_setting):
         graph, forest, subgraph, factor, Z, _ = approx_setting
         empty = np.empty(0, dtype=np.int64)
-        for ranker in (ApproxRanker(graph, subgraph, factor, Z),
-                       TreePhaseRanker(graph, forest)):
-            assert len(ranker.score_batch(empty)) == 0
+        for score in (ApproxRanker(graph, subgraph, factor, Z).score_batch,
+                      _tree_phase(graph, forest)):
+            assert len(score(empty)) == 0
 
     def test_serial_matches_reference(self, approx_setting):
         graph, _, subgraph, factor, Z, off = approx_setting
@@ -63,14 +68,15 @@ class TestScoreEdges:
             graph, subgraph, factor, Z, off, beta=5
         )
         ranker = ApproxRanker(graph, subgraph, factor, Z, beta=5)
-        np.testing.assert_allclose(_pieces(ranker, off, 13), expected,
-                                   rtol=1e-10)
+        np.testing.assert_allclose(_pieces(ranker.score_batch, off, 13),
+                                   expected, rtol=1e-10)
 
     def test_chunk_size_does_not_change_scores(self, approx_setting):
         graph, forest, subgraph, factor, Z, off = approx_setting
-        for make in (lambda: ApproxRanker(graph, subgraph, factor, Z),
-                     lambda: TreePhaseRanker(graph, forest, beta=4)):
-            baseline = make().score_batch(off)
+        for make in (
+                lambda: ApproxRanker(graph, subgraph, factor, Z).score_batch,
+                lambda: _tree_phase(graph, forest, beta=4)):
+            baseline = make()(off)
             for size in (1, 7, 64, len(off) + 5):
                 assert np.array_equal(_pieces(make(), off, size),
                                       baseline), size
@@ -99,11 +105,11 @@ def _round_two_regrown(monkeypatch, graph, **options):
 
 class TestSparsifierParallel:
     def test_workers_reproduce_serial_result(self, medium_grid):
-        serial = trace_reduction_sparsify(
-            medium_grid, edge_fraction=0.1, rounds=3
+        serial = repro.sparsify(
+            medium_grid, "proposed", edge_fraction=0.1, rounds=3
         )
-        two_workers = trace_reduction_sparsify(
-            medium_grid, edge_fraction=0.1, rounds=3, workers=2,
+        two_workers = repro.sparsify(
+            medium_grid, "proposed", edge_fraction=0.1, rounds=3, workers=2,
         )
         assert np.array_equal(serial.edge_mask, two_workers.edge_mask)
         assert np.array_equal(
@@ -126,4 +132,4 @@ class TestSparsifierParallel:
         from repro.exceptions import GraphError
 
         with pytest.raises(GraphError):
-            trace_reduction_sparsify(small_grid, workers=-1)
+            repro.sparsify(small_grid, "proposed", workers=-1)

@@ -15,7 +15,7 @@ import repro
 import repro.core.sparsifier as sparsifier
 from repro.api import SparsifierSession
 from repro.api.records import RunRecord
-from repro.core import ApproxRanker, TreePhaseRanker
+from repro.core import ApproxRanker, tree_truncated_trace_reduction
 from repro.core.ball_join import JoinStore
 from repro.core.similarity import SimilarityMarker
 from repro.graph import Graph, grid2d, regularization_shift
@@ -49,8 +49,9 @@ class TestBound:
         candidates = np.flatnonzero(~mask)
         store = JoinStore(graph)
         # Round 1 seeds the store, as in the sparsifier.
-        TreePhaseRanker(graph, forest, beta=beta,
-                        joins=store).score_batch(candidates)
+        store.reset(forest.tree.adjacency()[:2])
+        tree_truncated_trace_reduction(graph, forest, candidates, beta=beta,
+                                       joins=store)
         for _ in range(4):
             inserted = rng.permutation(candidates)[:rng.integers(1, 4)]
             mask = mask.copy()

@@ -1,4 +1,4 @@
-"""Tests for the batched edge-ranking engine (repro.core.ranking)."""
+"""Tests for the batched scorers: the tree phase and ``ApproxRanker``."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from repro.core import (
-    ApproxRanker,
-    ExactRanker,
-    TreePhaseRanker,
-    exact_trace_reduction_batch,
-)
+from repro.core import ApproxRanker, tree_truncated_trace_reduction
 from repro.graph import (
     grid2d,
     regularization_shift,
@@ -39,45 +34,31 @@ def _setting(graph, extra_edges=0, beta=5, delta=0.1):
 
 
 class TestTreePhaseRanker:
+    """Round 1's scorer, :func:`tree_truncated_trace_reduction`."""
+
     def test_matches_reference(self, small_mesh):
         forest, *_ = _setting(small_mesh)
         off = np.flatnonzero(~forest.tree_edge_mask())
-        ranker = TreePhaseRanker(small_mesh, forest, beta=4)
+        scores, _, _ = tree_truncated_trace_reduction(small_mesh, forest,
+                                                      off, beta=4)
         expected = oracles.tree_truncated_trace_reduction(
             small_mesh, forest, off, beta=4
         )
-        np.testing.assert_allclose(ranker.score_batch(off), expected,
-                                   rtol=1e-10)
+        np.testing.assert_allclose(scores, expected, rtol=1e-10)
 
     def test_chunk_stable(self, small_grid):
         forest, *_ = _setting(small_grid)
         off = np.flatnonzero(~forest.tree_edge_mask())
-        ranker = TreePhaseRanker(small_grid, forest, beta=3)
-        whole = ranker.score_batch(off)
+
+        def score(edge_ids):
+            return tree_truncated_trace_reduction(small_grid, forest,
+                                                  edge_ids, beta=3)[0]
+
+        whole = score(off)
         pieces = np.concatenate(
-            [ranker.score_batch(off[k : k + 5]) for k in range(0, len(off), 5)]
+            [score(off[k : k + 5]) for k in range(0, len(off), 5)]
         )
         assert np.array_equal(whole, pieces)
-
-
-class TestExactRanker:
-    def test_matches_reference(self, small_grid):
-        forest, subgraph, factor, Z, off, shift = _setting(small_grid)
-        ranker = ExactRanker(small_grid, factor.solve)
-        expected = exact_trace_reduction_batch(
-            small_grid, factor.solve, off
-        )
-        assert np.array_equal(ranker.score_batch(off), expected)
-
-    def test_from_subgraph(self, small_grid):
-        forest, subgraph, factor, Z, off, shift = _setting(small_grid)
-        ranker = ExactRanker.from_subgraph(small_grid, subgraph, shift)
-        expected = exact_trace_reduction_batch(
-            small_grid, factor.solve, off[:10]
-        )
-        np.testing.assert_allclose(
-            ranker.score_batch(off[:10]), expected, rtol=1e-9
-        )
 
 
 class TestApproxRanker:

@@ -3,16 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.api import RunRecord, SparsifierSession, list_methods, sparsify
+from repro.api import (
+    RunRecord,
+    SparsifierSession,
+    get_method,
+    list_methods,
+    sparsify,
+)
 from repro.core import (
     ShardPlan,
+    SparsifierConfig,
     evaluate_sparsifier,
     induced_subgraph,
     partition_shards,
     select_boundary_edges,
-    sharded_sparsify,
-    trace_reduction_sparsify,
 )
+from repro.core.sharding import sharded_sparsify
 from repro.core.parallel import parallel_map
 from repro.exceptions import GraphError
 from repro.graph import Graph, grid2d, is_connected, make_case
@@ -123,8 +129,9 @@ def test_shard_plan_rejects_bad_labels(grid):
 def test_shards_one_is_bit_identical_to_unsharded(grid):
     sharded = sparsify(grid, "proposed", edge_fraction=0.1, rounds=2,
                        shards=1)
-    legacy = trace_reduction_sparsify(grid, edge_fraction=0.1, rounds=2)
-    np.testing.assert_array_equal(sharded.edge_mask, legacy.edge_mask)
+    unsharded = get_method("proposed").runner(
+        grid, SparsifierConfig(edge_fraction=0.1, rounds=2))
+    np.testing.assert_array_equal(sharded.edge_mask, unsharded.edge_mask)
     assert sharded.sharding is None
 
 
@@ -320,6 +327,20 @@ def test_sharded_warm_run_matches_cold_fingerprint(grid, tmp_path):
     assert warm.stats()["disk"]["hits"].get("shard_labels", 0) >= 1
 
 
+def test_sharded_restore_seconds_sum_the_shards_and_the_labels(grid,
+                                                               tmp_path):
+    SparsifierSession(grid, cache_dir=tmp_path).sparsify(
+        "proposed", edge_fraction=0.1, rounds=2, shards=2)
+    warm = SparsifierSession(grid, cache_dir=tmp_path)
+    result = warm.sparsify("proposed", edge_fraction=0.1, rounds=2,
+                           shards=2)
+    labels = warm.artifacts.restore_seconds
+    shards = sum(entry["restore_seconds"]
+                 for entry in result.sharding["per_shard"])
+    assert labels > 0.0 and shards > 0.0
+    assert result.restore_seconds == pytest.approx(shards + labels)
+
+
 def test_restore_seconds_split_out_of_sparsify_seconds(grid, tmp_path):
     cold = SparsifierSession(grid, label="grid24", cache_dir=tmp_path)
     record_cold = cold.run("proposed", edge_fraction=0.1, rounds=2,
@@ -332,7 +353,7 @@ def test_restore_seconds_split_out_of_sparsify_seconds(grid, tmp_path):
         assert record.timings["sparsify_seconds"] >= 0.0
     # Session-less runs never touch the disk layer: no restore key.
     bare = RunRecord.from_result(
-        trace_reduction_sparsify(grid, edge_fraction=0.1, rounds=2),
+        sparsify(grid, "proposed", edge_fraction=0.1, rounds=2),
         method="proposed",
     )
     assert "restore_seconds" not in bare.timings
@@ -392,13 +413,12 @@ def test_parallel_map_tasks_may_nest_worker_pools():
 
 
 def test_sharded_sparsify_direct_entry(grid):
-    """The module-level entry point mirrors the facade routing."""
+    """The pipeline called on a validated config is the facade's run."""
     via_facade = sparsify(grid, "proposed", edge_fraction=0.1, rounds=2,
                           shards=2)
-    direct = sharded_sparsify(grid, "proposed", edge_fraction=0.1,
-                              rounds=2, shards=2)
+    config = get_method("proposed").make_config(edge_fraction=0.1,
+                                                rounds=2, shards=2)
+    direct = sharded_sparsify(grid, "proposed", config)
     np.testing.assert_array_equal(via_facade.edge_mask, direct.edge_mask)
-    # shards=1 through the direct entry falls back to the plain path.
-    one = sharded_sparsify(grid, "proposed", edge_fraction=0.1, rounds=2)
-    legacy = trace_reduction_sparsify(grid, edge_fraction=0.1, rounds=2)
-    np.testing.assert_array_equal(one.edge_mask, legacy.edge_mask)
+    np.testing.assert_array_equal(via_facade.recovered_edge_ids,
+                                  direct.recovered_edge_ids)

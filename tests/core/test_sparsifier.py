@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    SparsifierConfig,
-    evaluate_sparsifier,
-    trace_reduction_sparsify,
-)
-from repro.exceptions import GraphError
+from repro import sparsify
+from repro.core import SparsifierConfig, evaluate_sparsifier
+from repro.exceptions import GraphError, UnknownOptionError
 from repro.graph import connected_components, grid2d, triangular_mesh
 
 
@@ -19,7 +16,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def result(grid):
-    return trace_reduction_sparsify(grid, edge_fraction=0.10, rounds=3, seed=0)
+    return sparsify(grid, "proposed", edge_fraction=0.10, rounds=3, seed=0)
 
 
 def test_budget_respected(grid, result):
@@ -60,25 +57,25 @@ def test_rounds_log_trace_accounting(result):
 
 
 def test_single_round_is_tree_phase_only(grid):
-    result = trace_reduction_sparsify(grid, edge_fraction=0.05, rounds=1)
+    result = sparsify(grid, "proposed", edge_fraction=0.05, rounds=1)
     assert len(result.rounds_log) == 1
     assert result.rounds_log[0]["phase"] == "tree"
 
 
 def test_zero_fraction_returns_tree(grid):
-    result = trace_reduction_sparsify(grid, edge_fraction=0.0)
+    result = sparsify(grid, "proposed", edge_fraction=0.0)
     assert result.edge_count == len(result.tree_edge_ids)
 
 
 def test_full_budget_caps_at_graph(grid):
     """Asking for more edges than exist recovers everything available."""
-    result = trace_reduction_sparsify(grid, edge_fraction=10.0, rounds=2)
+    result = sparsify(grid, "proposed", edge_fraction=10.0, rounds=2)
     assert result.edge_count <= grid.edge_count
 
 
 def test_more_edges_lower_kappa(grid):
-    sparse = trace_reduction_sparsify(grid, edge_fraction=0.02, rounds=2)
-    dense = trace_reduction_sparsify(grid, edge_fraction=0.20, rounds=2)
+    sparse = sparsify(grid, "proposed", edge_fraction=0.02, rounds=2)
+    dense = sparsify(grid, "proposed", edge_fraction=0.20, rounds=2)
     q_sparse = evaluate_sparsifier(grid, sparse.sparsifier)
     q_dense = evaluate_sparsifier(grid, dense.sparsifier)
     assert q_dense.kappa < q_sparse.kappa
@@ -88,7 +85,7 @@ def test_beats_tree_alone(grid):
     from repro.graph import regularization_shift, regularized_laplacian
     from repro.linalg import cholesky, relative_condition_number
 
-    result = trace_reduction_sparsify(grid, edge_fraction=0.10, rounds=3)
+    result = sparsify(grid, "proposed", edge_fraction=0.10, rounds=3)
     shift = regularization_shift(grid)
     L_G = regularized_laplacian(grid, shift)
     tree = grid.subgraph(result.tree_edge_ids)
@@ -100,21 +97,21 @@ def test_beats_tree_alone(grid):
 
 def test_works_on_mesh():
     mesh = triangular_mesh(150, seed=5)
-    result = trace_reduction_sparsify(mesh, edge_fraction=0.10, rounds=2)
+    result = sparsify(mesh, "proposed", edge_fraction=0.10, rounds=2)
     count, _ = connected_components(result.sparsifier)
     assert count == 1
 
 
 def test_works_on_disconnected(forest_graph):
-    result = trace_reduction_sparsify(forest_graph, edge_fraction=0.2, rounds=2)
+    result = sparsify(forest_graph, "proposed", edge_fraction=0.2, rounds=2)
     count, _ = connected_components(result.sparsifier)
     assert count == 2
 
 
 def test_tree_method_options(grid):
     for method in ("mewst", "max_weight", "bfs"):
-        result = trace_reduction_sparsify(
-            grid, edge_fraction=0.02, rounds=1, tree_method=method
+        result = sparsify(
+            grid, "proposed", edge_fraction=0.02, rounds=1, tree_method=method
         )
         assert result.edge_count > 0
 
@@ -150,19 +147,19 @@ def test_spai_and_similarity_knobs_rejected_before_running(grid, method,
 
 
 def test_config_and_overrides_conflict(grid):
-    with pytest.raises(GraphError):
-        trace_reduction_sparsify(grid, SparsifierConfig(), edge_fraction=0.1)
+    with pytest.raises(UnknownOptionError):
+        sparsify(grid, "proposed", SparsifierConfig(), edge_fraction=0.1)
 
 
 def test_deterministic(grid):
-    a = trace_reduction_sparsify(grid, edge_fraction=0.05, rounds=2, seed=3)
-    b = trace_reduction_sparsify(grid, edge_fraction=0.05, rounds=2, seed=3)
+    a = sparsify(grid, "proposed", edge_fraction=0.05, rounds=2, seed=3)
+    b = sparsify(grid, "proposed", edge_fraction=0.05, rounds=2, seed=3)
     np.testing.assert_array_equal(a.edge_mask, b.edge_mask)
 
 
 def test_similarity_off_recovers_same_count(grid):
-    result = trace_reduction_sparsify(
-        grid, edge_fraction=0.05, rounds=2, use_similarity=False
+    result = sparsify(
+        grid, "proposed", edge_fraction=0.05, rounds=2, use_similarity=False
     )
     budget = int(round(0.05 * grid.n))
     assert len(result.recovered_edge_ids) >= budget - 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (
+from oracles import (
     effective_resistance,
     effective_resistances,
     trace_ratio,

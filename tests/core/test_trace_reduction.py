@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import truncated_trace_reduction_reference
-from repro.core import (
-    ApproxRanker,
+from oracles import (
     exact_trace_reduction,
     exact_trace_reduction_batch,
+    trace_ratio_exact,
+    truncated_trace_reduction_reference,
 )
-from repro.core.trace import trace_ratio_exact
+from repro.core import ApproxRanker
 from repro.graph import grid2d, regularization_shift, regularized_laplacian
 from repro.linalg import cholesky, sparse_approximate_inverse
 from repro.tree import mewst

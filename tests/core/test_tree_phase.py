@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from oracles import truncated_trace_reduction_reference
+from oracles import (
+    exact_trace_reduction_batch,
+    truncated_trace_reduction_reference,
+)
 from repro.core import tree_truncated_trace_reduction
-from repro.core.trace_reduction import exact_trace_reduction_batch
 from repro.graph import (
     grid2d,
     regularization_shift,

@@ -1,14 +1,19 @@
-"""Per-item loop oracles for the batched production paths.
+"""Exact references and per-item loop oracles for the production paths.
 
-Each function here is the straightforward loop form of one equation —
+The exact references compute by dense or per-edge solves what
+production only approximates or never computes: effective resistances
+(Eq. 4), the trace of ``L_S^{-1} L_G`` that Eq. 5 bounds kappa by, and
+the exact trace reduction of Eq. 11 (Sherman-Morrison, Eqs. 6-10).
+
+Each loop function is the straightforward form of one equation —
 one candidate edge (Eqs. 12, 15 and 20), one SPAI column (Algorithm 1)
 or one pulse load (the source term u(t) of Eq. 21) at a time — kept
 only to check the segmented array implementations in
 ``repro.core.tree_phase``, ``repro.core.ranking.ApproxRanker``,
 ``repro.linalg.spai`` and ``repro.powergrid.netlist`` against (Eq. 12,
-with exact solves, checks the ball truncation on its own).  The oracle
-rankers plug the loops into the sparsifier driver through the rankers'
-``score_batch`` methods.
+with exact solves, checks the ball truncation on its own).
+:class:`OracleApproxRanker` plugs the Eq. 20 loop into the sparsifier
+driver through the ranker's ``score_batch``.
 
 The shared set-up (Sec. 3.2) has its loops here too: components by
 Python BFS, Kruskal over a disjoint-set union, per-node rooting, the
@@ -34,7 +39,99 @@ from repro.tree import rooted
 from repro.tree.lca import batch_tree_resistances
 from repro.tree.spanning import effective_weights
 from repro.utils.arrays import concat_ranges
+from repro.utils.rng import as_rng
 from repro.utils.validation import check_square_sparse
+
+
+def effective_resistance(solve, p: int, q: int, n: int) -> float:
+    """Eq. 4: ``R_S(p, q) = e_pq^T L_S^{-1} e_pq`` via one solve.
+
+    *solve* applies ``L_S^{-1}`` (e.g. ``CholeskyFactor.solve``).
+    """
+    rhs = np.zeros(n)
+    rhs[p] += 1.0
+    rhs[q] -= 1.0
+    x = solve(rhs)
+    return float(x[p] - x[q])
+
+
+def effective_resistances(solve, pairs, n: int) -> np.ndarray:
+    """Effective resistance for each ``(p, q)`` pair (one solve each)."""
+    out = np.empty(len(pairs))
+    for k, (p, q) in enumerate(pairs):
+        out[k] = effective_resistance(solve, int(p), int(q), n)
+    return out
+
+
+def trace_ratio_exact(L_G, L_S) -> float:
+    """``Trace(L_S^{-1} L_G)`` by dense solve (small systems only).
+
+    Eq. 5: ``kappa(L_G, L_S) <= Trace(L_S^{-1} L_G)``, the quantity
+    Algorithm 2 drives down.
+    """
+    dense_g = L_G.toarray() if sp.issparse(L_G) else np.asarray(L_G)
+    dense_s = L_S.toarray() if sp.issparse(L_S) else np.asarray(L_S)
+    return float(np.trace(np.linalg.solve(dense_s, dense_g)))
+
+
+def trace_ratio_hutchinson(L_G, solve, probes=32, seed=0) -> float:
+    """Unbiased Hutchinson estimate of ``Trace(L_S^{-1} L_G)``.
+
+    ``E[z^T L_S^{-1} L_G z]`` over Rademacher probes ``z``, one solve
+    (*solve* applies ``L_S^{-1}``) per probe.
+    """
+    L_G = sp.csr_matrix(L_G)
+    n = L_G.shape[0]
+    rng = as_rng(seed)
+    total = 0.0
+    for _ in range(probes):
+        z = rng.choice((-1.0, 1.0), size=n)
+        total += float(z @ solve(L_G @ z))
+    return total / probes
+
+
+def trace_ratio(L_G, L_S, solve=None, dense_limit=1500, probes=32, seed=0):
+    """Exact trace for small systems, Hutchinson estimate otherwise."""
+    n = L_G.shape[0]
+    if n <= dense_limit:
+        return trace_ratio_exact(L_G, L_S)
+    if solve is None:
+        raise ValueError("large system: pass `solve` for the estimator")
+    return trace_ratio_hutchinson(L_G, solve, probes=probes, seed=seed)
+
+
+def exact_trace_reduction(graph, solve, p: int, q: int, w_pq: float):
+    """Eq. 11 for one candidate edge, via one solve with ``L_S``.
+
+    Recovering ``(p, q)`` lowers ``Trace(L_S^{-1} L_G)`` by
+    ``w_pq sum_(i,j) w_ij (e_ij^T L_S^{-1} e_pq)^2 / (1 + w_pq R_S(p, q))``.
+    With ``x = L_S^{-1} e_pq`` the numerator sum is
+    ``sum w_ij (x_i - x_j)^2`` and ``R_S(p, q) = x_p - x_q``.
+    """
+    n = graph.n
+    rhs = np.zeros(n)
+    rhs[p] += 1.0
+    rhs[q] -= 1.0
+    x = solve(rhs)
+    diffs = x[graph.u] - x[graph.v]
+    numerator = w_pq * float(np.sum(graph.w * diffs * diffs))
+    resistance = float(x[p] - x[q])
+    return numerator / (1.0 + w_pq * resistance)
+
+
+def exact_trace_reduction_batch(graph, solve, edge_ids) -> np.ndarray:
+    """Eq. 11 for a batch of candidate edge ids (one solve each)."""
+    edge_ids = np.asarray(edge_ids, dtype=np.int64)
+    out = np.empty(len(edge_ids))
+    for k, edge in enumerate(edge_ids):
+        out[k] = exact_trace_reduction(
+            graph,
+            solve,
+            int(graph.u[edge]),
+            int(graph.v[edge]),
+            float(graph.w[edge]),
+        )
+    return out
 
 
 class BallFinder:
@@ -398,20 +495,6 @@ def sparse_approximate_inverse(L, delta=0.1, keep_threshold=None):
                       shape=(n, n))
     Z.has_sorted_indices = True
     return Z
-
-
-class OracleTreePhaseRanker:
-    """:class:`~repro.core.ranking.TreePhaseRanker` on the Eq. 15 loop."""
-
-    def __init__(self, graph, forest, beta=5, joins=None):
-        # The loop keeps no joins, so a store passed in stays empty.
-        self.graph = graph
-        self.forest = forest
-        self.beta = beta
-
-    def score_batch(self, edge_ids):
-        return tree_truncated_trace_reduction(self.graph, self.forest,
-                                              edge_ids, self.beta)
 
 
 class OracleApproxRanker:

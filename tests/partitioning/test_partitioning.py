@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import trace_reduction_sparsify
+from repro import sparsify
 from repro.graph import (
     Graph,
     grid2d,
@@ -61,7 +61,7 @@ def test_fiedler_orthogonal_to_ones(barbell):
 def test_pcg_matches_direct_on_grid():
     grid = grid2d(20, 20, seed=81)
     direct = fiedler_vector(grid, method="direct", steps=5, seed=3)
-    sparsifier = trace_reduction_sparsify(grid, edge_fraction=0.10, rounds=2)
+    sparsifier = sparsify(grid, "proposed", edge_fraction=0.10, rounds=2)
     shift = regularization_shift(grid)
     factor = cholesky(regularized_laplacian(sparsifier.sparsifier, shift))
     iterative = fiedler_vector(

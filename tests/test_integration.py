@@ -11,12 +11,10 @@ import pytest
 from repro import (
     cholesky,
     evaluate_sparsifier,
-    fegrass_sparsify,
-    grass_sparsify,
     make_case,
     regularization_shift,
     regularized_laplacian,
-    trace_reduction_sparsify,
+    sparsify,
 )
 from repro.graph import CASE_REGISTRY
 from repro.partitioning import (
@@ -37,10 +35,10 @@ from repro.powergrid.transient import max_probe_difference
 def test_table1_pipeline_small(name):
     """Table 1's full measurement pipeline on three case families."""
     graph, _ = make_case(name, scale=0.08, seed=0)
-    proposed = trace_reduction_sparsify(
-        graph, edge_fraction=0.10, rounds=3, seed=1
+    proposed = sparsify(
+        graph, "proposed", edge_fraction=0.10, rounds=3, seed=1
     )
-    grass = grass_sparsify(graph, edge_fraction=0.10, rounds=3, seed=1)
+    grass = sparsify(graph, "grass", edge_fraction=0.10, rounds=3, seed=1)
     q_prop = evaluate_sparsifier(graph, proposed.sparsifier, rtol=1e-3)
     q_grass = evaluate_sparsifier(graph, grass.sparsifier, rtol=1e-3)
     assert q_prop.sparsifier_edges == q_grass.sparsifier_edges
@@ -75,7 +73,7 @@ def test_table3_pipeline_small():
     """Table 3's direct-vs-iterative Fiedler comparison."""
     graph, _ = make_case("tmt_sym", scale=0.15, seed=2)
     direct = fiedler_vector(graph, method="direct", steps=5, seed=3)
-    result = trace_reduction_sparsify(graph, edge_fraction=0.10, rounds=2)
+    result = sparsify(graph, "proposed", edge_fraction=0.10, rounds=2)
     shift = regularization_shift(graph)
     factor = cholesky(regularized_laplacian(result.sparsifier, shift))
     iterative = fiedler_vector(
@@ -91,12 +89,12 @@ def test_all_three_sparsifiers_run_on_all_families():
     """Every sparsifier handles every registered topology family."""
     for name in ("ecology2", "thermal2", "G3_circuit"):
         graph, _ = make_case(name, scale=0.04, seed=3)
-        for sparsify in (
-            lambda g: trace_reduction_sparsify(g, edge_fraction=0.05, rounds=2),
-            lambda g: grass_sparsify(g, edge_fraction=0.05, rounds=2),
-            lambda g: fegrass_sparsify(g, edge_fraction=0.05),
+        for method, options in (
+            ("proposed", dict(edge_fraction=0.05, rounds=2)),
+            ("grass", dict(edge_fraction=0.05, rounds=2)),
+            ("fegrass", dict(edge_fraction=0.05)),
         ):
-            result = sparsify(graph)
+            result = sparsify(graph, method, **options)
             assert result.edge_count >= graph.n - 1
 
 
@@ -116,5 +114,5 @@ def test_real_mtx_file_roundtrip(tmp_path):
     path = tmp_path / "case.mtx"
     write_graph_mtx(path, graph)
     loaded, _ = read_graph_mtx(path)
-    result = trace_reduction_sparsify(loaded, edge_fraction=0.05, rounds=2)
+    result = sparsify(loaded, "proposed", edge_fraction=0.05, rounds=2)
     assert result.edge_count > 0

@@ -13,7 +13,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.trace import trace_ratio_exact
+from oracles import trace_ratio_exact
 from repro.graph import (
     Graph,
     grid2d,
@@ -146,11 +146,11 @@ def test_trace_of_self_is_n(seed):
 @settings(max_examples=10, deadline=None)
 def test_sparsifier_always_valid_on_random_graphs(seed):
     """Algorithm 2 produces a connected, budget-respecting subgraph."""
-    from repro.core import trace_reduction_sparsify
+    from repro import sparsify
     from repro.graph import connected_components
 
     g = _random_connected_graph(seed, max_nodes=40)
-    result = trace_reduction_sparsify(g, edge_fraction=0.15, rounds=2, seed=0)
+    result = sparsify(g, "proposed", edge_fraction=0.15, rounds=2, seed=0)
     count, _ = connected_components(result.sparsifier)
     assert count == 1
     assert result.edge_count <= g.edge_count

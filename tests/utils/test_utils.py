@@ -12,9 +12,6 @@ from repro.utils import (
     Table,
     Timer,
     as_rng,
-    check_in_range,
-    check_integer,
-    check_positive,
     check_square_sparse,
     format_bytes,
     format_seconds,
@@ -63,26 +60,6 @@ class TestTimer:
 
 
 class TestValidation:
-    def test_check_positive_accepts(self):
-        check_positive("x", 1.5)
-
-    @pytest.mark.parametrize("bad", [0, -1, "a", None, float("nan")])
-    def test_check_positive_rejects(self, bad):
-        with pytest.raises(ValueError):
-            check_positive("x", bad)
-
-    def test_check_in_range(self):
-        check_in_range("x", 0.5, 0, 1)
-        with pytest.raises(ValueError):
-            check_in_range("x", 2, 0, 1)
-
-    def test_check_integer(self):
-        check_integer("k", 3)
-        with pytest.raises(ValueError):
-            check_integer("k", -1)
-        with pytest.raises(ValueError):
-            check_integer("k", 2.5)
-
     def test_check_square_sparse(self):
         check_square_sparse("A", sp.eye(3, format="csr"))
         with pytest.raises(TypeError):
