@@ -16,7 +16,7 @@ is a C++ binary [6] unavailable offline (DESIGN.md, substitution 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -12,8 +12,8 @@ together, one array operation per BFS level:
   Eq. 20 and similarity marking, through
   :func:`repro.core.ball_join.grown_joins`);
 * :func:`ball_union` — the union of the balls around many sources, as a
-  node mask (which stored joins a new round must drop, and the touched
-  region of the incremental delta path).
+  node mask (which stored joins a new round must drop; the incremental
+  delta path runs the same levels over an edge list).
 
 :func:`bfs_forest` is the untruncated search from every component root
 at once that roots spanning forests.

@@ -161,7 +161,9 @@ class DeltaRecord:
         ``{"batch", "inserted", "deleted", "touched_nodes",
         "reranked_edges", "forest_replacements", "kept_added",
         "kept_dropped", "graph_edges", "sparsifier_edges",
-        "drift_estimate", "rebuild", "seconds"}``.
+        "drift_estimate", "rebuild", "seconds", "phases"}``, where
+        ``phases`` maps ``*_seconds`` keys to the seconds of each step
+        of the batch, which add up to ``seconds``.
     """
 
     method: str

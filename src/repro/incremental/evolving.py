@@ -9,14 +9,20 @@ edge batches — leverage scores ``w_e * R_eff(e)`` change materially
 only near the mutated endpoints (Spielman & Srivastava,
 arXiv:0803.0929) — so :class:`EvolvingSparsifier` keeps them alive:
 
+* the state is arrays aligned with the ``(u, v)``-sorted graph — edge
+  keys and weights plus the kept and forest masks — and a batch
+  splices them with one ``searchsorted`` and one merge;
 * the spanning forest is repaired by one maximum spanning forest over
   a strict edge order — surviving forest edges first, then edges near
   the mutations, then (only after a forest-edge deletion) the rest — so
-  deleted tree edges get a local-first replacement search;
+  deleted tree edges get a local-first replacement search.  When no
+  forest edge was deleted and no insertion joins two forest
+  components, that forest is the old one, so the search is skipped and
+  the rooted forest is kept from batch to batch;
 * the touched region is the locality engine — only nodes within
   ``locality_beta`` hops of a mutated endpoint, in the old *or* new
   adjacency, are considered changed; one union BFS over the new
-  adjacency finds them all (:func:`~repro.graph.bfs.ball_union`);
+  graph's edge list finds them all;
 * off-tree kept edges are re-ranked only inside that touched
   neighborhood, by the tree-resistance leverage surrogate
   ``w_e * R_T(e)`` (one batched LCA query per mutation batch).
@@ -26,13 +32,15 @@ every change the local pass could *not* compensate; when the estimate
 exceeds ``drift_budget`` the sparsifier rebuilds from scratch — and a
 forced :meth:`~EvolvingSparsifier.rebuild` is fingerprint-identical to
 a direct :func:`repro.sparsify` on the mutated graph.  Every batch is
-logged in a :class:`~repro.incremental.delta.DeltaRecord`.
+logged in a :class:`~repro.incremental.delta.DeltaRecord`, with the
+seconds of each phase of the batch.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -41,7 +49,6 @@ from repro.api.records import RunRecord
 from repro.api.registry import get_method, sparsifier_methods
 from repro.api.session import SparsifierSession
 from repro.exceptions import IncrementalError
-from repro.graph.bfs import ball_union
 from repro.graph.graph import Graph
 from repro.incremental.delta import DeltaRecord, EdgeBatch, normalize_batch
 from repro.tree.lca import batch_tree_resistances
@@ -56,8 +63,9 @@ class EvolvingSparsifier:
     """A sparsifier that follows a graph through edge mutations.
 
     Owns a base :class:`~repro.api.session.SparsifierSession` (the full
-    trace-reduction build) plus delta state: the current edge map, the
-    maintained spanning forest and the kept-edge set.
+    trace-reduction build) plus delta state: the current graph, the
+    maintained spanning forest and the kept-edge set, as boolean masks
+    over the graph's ``(u, v)``-sorted edges.
     :meth:`apply_batch` folds one batch of insertions/deletions into
     all of them locally; :meth:`rebuild` (or the drift monitor) falls
     back to the full pipeline.
@@ -135,11 +143,8 @@ class EvolvingSparsifier:
         self._cache_dir = cache_dir
 
         self.n = graph.n
-        self._edges: dict = {
-            (int(u), int(v)): float(w)
-            for u, v, w in zip(graph.u, graph.v, graph.w)
-        }
-        self.graph = self._materialize()
+        self.graph = _sorted_graph(graph)
+        self._keys = self.graph.u * self.n + self.graph.v
         self.record = DeltaRecord(
             method=method,
             label=label,
@@ -147,8 +152,9 @@ class EvolvingSparsifier:
             drift_budget=self.drift_budget,
             graph={"nodes": self.graph.n, "edges": self.graph.edge_count},
         )
-        self._kept: set = set()
-        self._tree: set = set()
+        self._kept = np.zeros(self.graph.edge_count, dtype=bool)
+        self._tree = np.zeros(self.graph.edge_count, dtype=bool)
+        self._forest = None
         self._offtree_target = 0
         self._log_drift = 0.0
         self.base_record = self._full_build()
@@ -159,7 +165,7 @@ class EvolvingSparsifier:
     @property
     def sparsifier(self) -> Graph:
         """The maintained sparsifier ``P`` as a graph on all ``n`` nodes."""
-        return self.graph.subgraph(self._edge_ids(self._kept))
+        return self.graph.subgraph(self._kept)
 
     @property
     def drift_estimate(self) -> float:
@@ -169,7 +175,16 @@ class EvolvingSparsifier:
     @property
     def forest_edges(self) -> tuple:
         """Sorted ``(u, v)`` pairs of the maintained spanning forest."""
-        return tuple(sorted(self._tree))
+        return self._pairs(self._tree)
+
+    @property
+    def kept_edges(self) -> tuple:
+        """Sorted ``(u, v)`` pairs of the maintained sparsifier."""
+        return self._pairs(self._kept)
+
+    def _pairs(self, mask: np.ndarray) -> tuple:
+        return tuple(zip(self.graph.u[mask].tolist(),
+                         self.graph.v[mask].tolist()))
 
     def summary(self) -> dict:
         """One JSON-ready dict of the current evolving state."""
@@ -178,8 +193,8 @@ class EvolvingSparsifier:
             "label": self.label,
             "nodes": self.n,
             "edges": self.graph.edge_count,
-            "sparsifier_edges": len(self._kept),
-            "forest_edges": len(self._tree),
+            "sparsifier_edges": int(np.count_nonzero(self._kept)),
+            "forest_edges": int(np.count_nonzero(self._tree)),
             "batches": self.record.batches,
             "rebuilds": self.record.rebuilds,
             "drift_estimate": self.drift_estimate,
@@ -189,33 +204,16 @@ class EvolvingSparsifier:
     # ------------------------------------------------------------------
     # the full pipeline (base build / rebuild fallback)
     # ------------------------------------------------------------------
-    def _materialize(self) -> Graph:
-        """The current edge map as a canonical ``(u, v)``-sorted graph."""
-        return Graph.from_edges(
-            self.n,
-            [(u, v, w) for (u, v), w in sorted(self._edges.items())],
-        )
-
-    def _edge_ids(self, pairs) -> np.ndarray:
-        """Sorted ids of ``(u, v)`` pairs in the materialized graph.
-
-        The graph is materialized in ``(u, v)`` order, so its
-        ``u * n + v`` keys are sorted and one ``searchsorted`` finds
-        every pair.
-        """
-        graph = self.graph
-        pairs = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
-        keys = graph.u * self.n + graph.v
-        wanted = pairs[:, 0] * self.n + pairs[:, 1]
-        return np.sort(np.searchsorted(keys, wanted))
-
     def _full_build(self) -> RunRecord:
         """Run the registered method from scratch on the current graph.
 
         Resets the forest, the kept set, the off-tree budget and the
-        drift estimate.  The emitted
-        :class:`~repro.api.records.RunRecord` is fingerprint-identical
-        to a direct :func:`repro.sparsify` of the current graph.
+        drift estimate.  The rooted forest is the build's own when the
+        session's artifact store holds it (``proposed`` roots its tree
+        there); otherwise the first batch that needs it roots it.  The
+        emitted :class:`~repro.api.records.RunRecord` is
+        fingerprint-identical to a direct :func:`repro.sparsify` of the
+        current graph.
         """
         session = SparsifierSession(
             self.graph, self.label,
@@ -225,17 +223,29 @@ class EvolvingSparsifier:
         record = RunRecord.from_result(
             result, method=self.method, label=self.label
         )
-        u, v = self.graph.u, self.graph.v
-        kept_ids = np.nonzero(result.edge_mask)[0]
-        self._kept = {
-            (int(u[e]), int(v[e])) for e in kept_ids
-        }
-        self._tree = {
-            (int(u[e]), int(v[e])) for e in result.tree_edge_ids
-        }
-        self._offtree_target = len(self._kept) - len(self._tree)
+        self._kept = np.array(result.edge_mask, dtype=bool)
+        self._tree = np.zeros(self.graph.edge_count, dtype=bool)
+        self._tree[result.tree_edge_ids] = True
+        self._forest = self._stored_forest(session)
+        self._offtree_target = int(np.count_nonzero(self._kept)
+                                   - np.count_nonzero(self._tree))
         self._log_drift = 0.0
         return record
+
+    def _stored_forest(self, session: SparsifierSession):
+        """The build's :class:`RootedForest` of the maintained forest,
+        when the session's store holds one, else None.
+
+        ``proposed`` stores the forest it roots under
+        ``("forest", (tree_method,))`` (``core/sparsifier.py``).
+        """
+        slot = ("forest", (getattr(self.config, "tree_method", None),))
+        if slot not in session.artifacts:
+            return None
+        forest = session.artifacts.get(*slot, build=None)
+        if not np.array_equal(forest.edge_ids, np.flatnonzero(self._tree)):
+            return None
+        return forest
 
     def rebuild(self) -> RunRecord:
         """Force a from-scratch rebuild on the current graph.
@@ -258,10 +268,11 @@ class EvolvingSparsifier:
             "kept_added": 0,
             "kept_dropped": 0,
             "graph_edges": self.graph.edge_count,
-            "sparsifier_edges": len(self._kept),
+            "sparsifier_edges": int(np.count_nonzero(self._kept)),
             "drift_estimate": self.drift_estimate,
             "rebuild": True,
             "seconds": timer.elapsed,
+            "phases": {"rebuild_seconds": timer.elapsed},
         })
         return record
 
@@ -280,7 +291,10 @@ class EvolvingSparsifier:
 
         Returns the per-batch :class:`DeltaRecord` entry, including
         ``rebuild=True`` when the drift monitor fell back to the full
-        pipeline.
+        pipeline, and ``phases``: the seconds of each step of the batch
+        (``check``, ``materialize``, ``region``, ``forest``,
+        ``rerank``, ``drift``, ``rebuild``, as ``*_seconds`` keys),
+        which add up to ``seconds``.
         """
         eb = normalize_batch(inserts, deletes, batch=batch)
         timer = Timer()
@@ -290,28 +304,31 @@ class EvolvingSparsifier:
         return self.record.append(entry)
 
     def _apply(self, eb: EdgeBatch) -> dict:
-        self._check_batch(eb)
+        laps = _Laps()
+        deleted = self._check_batch(eb)
+        laps.split("check")
         deleted_kept = [
-            (pair, self._edges[pair])
-            for pair in eb.deletes if pair in self._kept
+            (pair, float(self.graph.w[e]))
+            for pair, e in zip(eb.deletes, deleted.tolist())
+            if self._kept[e]
         ]
-        tree_deleted = any(pair in self._tree for pair in eb.deletes)
-        for pair in eb.deletes:
-            del self._edges[pair]
-            self._kept.discard(pair)
-            self._tree.discard(pair)
-        for u, v, w in eb.inserts:
-            self._edges[(u, v)] = w
-        self.graph = self._materialize()
+        tree_deleted = bool(self._tree[deleted].any())
+        inserted = self._splice(deleted, eb.inserts)
+        laps.split("materialize")
 
-        touched = np.asarray(eb.touched_nodes, dtype=np.int64)
-        region = self._touched_region(touched)
-        replacements = self._repair_forest(region, tree_deleted)
-        inserted_pairs = {(u, v) for u, v, _ in eb.inserts}
-        reranked, added, dropped, displaced, scores = self._rerank(
-            region, inserted_pairs
-        )
-        self._accumulate_drift(eb, deleted_kept, dropped, scores)
+        region = self._touched_region(
+            np.asarray(eb.touched_nodes, dtype=np.int64))
+        in_region = np.zeros(self.n, dtype=bool)
+        in_region[region] = True
+        near = in_region[self.graph.u] | in_region[self.graph.v]
+        laps.split("region")
+        replacements = self._repair_forest(near, tree_deleted, inserted)
+        laps.split("forest")
+        reranked, added, dropped, displaced, scored = self._rerank(
+            region, near, inserted)
+        laps.split("rerank")
+        self._accumulate_drift(eb, inserted, deleted_kept, dropped, scored)
+        laps.split("drift")
 
         # The entry logs the estimate that made the rebuild decision;
         # a rebuild resets the live estimate back to 1.
@@ -320,7 +337,7 @@ class EvolvingSparsifier:
         if drift_at_batch > self.drift_budget:
             self.base_record = self._full_build()
             rebuilt = True
-        return {
+        entry = {
             "inserted": len(eb.inserts),
             "deleted": len(eb.deletes),
             "touched_nodes": len(region),
@@ -329,30 +346,92 @@ class EvolvingSparsifier:
             "kept_added": len(added),
             "kept_dropped": len(dropped) + len(displaced),
             "graph_edges": self.graph.edge_count,
-            "sparsifier_edges": len(self._kept),
+            "sparsifier_edges": int(np.count_nonzero(self._kept)),
             "drift_estimate": drift_at_batch,
             "rebuild": rebuilt,
         }
+        laps.split("rebuild")
+        entry["phases"] = laps.seconds
+        return entry
 
-    def _check_batch(self, eb: EdgeBatch) -> None:
-        """Validate a normalized batch against the current edge map."""
+    def _edge_ids(self, pairs) -> np.ndarray:
+        """Ids of ``(u, v)`` pairs (``u < v``) in the current graph, or
+        ``-1`` for a pair it does not hold.
+
+        The graph is ``(u, v)``-sorted, so its ``u * n + v`` keys are
+        sorted and one ``searchsorted`` finds every pair.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        wanted = pairs[:, 0] * self.n + pairs[:, 1]
+        slots = np.searchsorted(self._keys, wanted)
+        found = ((pairs[:, 0] >= 0) & (pairs[:, 1] < self.n)
+                 & (slots < len(self._keys)))
+        found[found] = self._keys[slots[found]] == wanted[found]
+        return np.where(found, slots, -1)
+
+    def _check_batch(self, eb: EdgeBatch) -> np.ndarray:
+        """Validate a normalized batch against the current graph.
+
+        Returns the ids of the deleted edges, in batch order.
+        """
         for u, v, _ in eb.inserts:
             if not (0 <= u and v < self.n):
                 raise IncrementalError(
                     f"edge ({u}, {v}) out of range for n={self.n}"
                 )
-        for pair in eb.deletes:
-            if pair not in self._edges:
+        deleted = self._edge_ids(eb.deletes)
+        for pair, e in zip(eb.deletes, deleted.tolist()):
+            if e < 0:
                 raise IncrementalError(
                     f"cannot delete absent edge {pair}"
                 )
-        deleted = set(eb.deletes)
-        for u, v, _ in eb.inserts:
-            if (u, v) in self._edges and (u, v) not in deleted:
+        present = self._edge_ids([(u, v) for u, v, _ in eb.inserts]) >= 0
+        removed = set(eb.deletes)
+        for (u, v, _), exists in zip(eb.inserts, present.tolist()):
+            if exists and (u, v) not in removed:
                 raise IncrementalError(
                     f"edge ({u}, {v}) already exists; delete it first to "
                     "re-weight"
                 )
+        return deleted
+
+    def _splice(self, deleted: np.ndarray, inserts) -> np.ndarray:
+        """Delete edge ids *deleted* and merge *inserts* into the graph.
+
+        One ``searchsorted`` places the inserted keys among the
+        surviving sorted keys, and one merge writes the keys, weights
+        and the kept and forest masks (inserted edges start in
+        neither), so the graph stays ``(u, v)``-sorted.  Returns the
+        new ids of the inserted edges, in batch order.
+        """
+        n = self.n
+        survive = np.ones(len(self._keys), dtype=bool)
+        survive[deleted] = False
+        keys = np.asarray([u * n + v for u, v, _ in inserts], dtype=np.int64)
+        weights = np.asarray([w for _, _, w in inserts], dtype=np.float64)
+        order = np.argsort(keys)
+        slots = (np.searchsorted(self._keys[survive], keys[order])
+                 + np.arange(len(order)))
+        fresh = np.zeros(int(np.count_nonzero(survive)) + len(order),
+                         dtype=bool)
+        fresh[slots] = True
+        stay = ~fresh
+
+        def merged(old, new):
+            out = np.empty(len(fresh), dtype=old.dtype)
+            out[stay] = old[survive]
+            out[fresh] = new
+            return out
+
+        self._keys = merged(self._keys, keys[order])
+        self._kept = merged(self._kept, False)
+        self._tree = merged(self._tree, False)
+        u, v = np.divmod(self._keys, n)
+        self.graph = Graph(n, u, v, merged(self.graph.w, weights[order]),
+                           validate=False)
+        ids = np.empty(len(order), dtype=np.int64)
+        ids[order] = slots
+        return ids
 
     def _touched_region(self, touched: np.ndarray) -> np.ndarray:
         """Nodes whose local state a batch may have changed.
@@ -362,138 +441,146 @@ class EvolvingSparsifier:
         *touched* holds both endpoints of every deleted edge, so the old
         adjacency adds no node (``docs/architecture.md``, "Touched
         region of the delta path"): one union BFS from the touched nodes
-        in the new adjacency finds them all.  Returns the sorted node
-        ids.
+        in the new graph finds them all.  Each level marks both
+        endpoints of every edge with a marked endpoint, read straight
+        off the edge arrays (no adjacency is sorted per batch).  Returns
+        the sorted node ids.
         """
-        indptr, neighbors, _ = self.graph.adjacency()
-        return np.flatnonzero(
-            ball_union(indptr, neighbors, touched, self.locality_beta))
+        u, v = self.graph.u, self.graph.v
+        inside = np.zeros(self.n, dtype=bool)
+        inside[touched] = True
+        for _ in range(self.locality_beta):
+            reached = inside[u] | inside[v]
+            inside[u[reached]] = True
+            inside[v[reached]] = True
+        return np.flatnonzero(inside)
 
-    def _repair_forest(self, region: np.ndarray, tree_deleted: bool) -> int:
+    def _repair_forest(self, near: np.ndarray, tree_deleted: bool,
+                       inserted: np.ndarray) -> int:
         """Restore the spanning forest after a batch, local-first.
 
         One maximum spanning forest over a strict edge order: the
-        surviving forest edges, then the non-forest edges incident to
-        the touched *region* (by descending feGRASS effective weight,
-        ties on ``(u, v)``), then — only when a tree edge was deleted —
-        every other edge by the same key.  Under a strict order the
-        forest is unique, so it is the one Kruskal's algorithm builds
-        walking that order: every surviving edge plus the replacements
-        counted here.  Insertions can only ever *add* forest edges
-        between previously separate components, and those are always
-        local.
+        surviving forest edges, then the non-forest edges *near* the
+        touched region (by descending feGRASS effective weight, ties on
+        ``(u, v)``), then — only when a tree edge was deleted — every
+        other edge by the same key.  Under a strict order the forest is
+        unique, so it is the one Kruskal's algorithm builds walking that
+        order: every surviving edge plus the replacements counted here.
+
+        When no forest edge was deleted (a re-weight deletes one) and no
+        inserted edge joins two components of the rooted forest,
+        Kruskal adds nothing: the old forest spans every component of
+        the old graph, so every other edge closes a cycle
+        (``docs/architecture.md``, "Forest upkeep on the delta path").
+        The rooted forest then carries over, renumbered; after a
+        repair it is re-rooted when next needed.
         """
         graph = self.graph
-        forest = self._edge_ids(self._tree)
-        in_forest = np.zeros(graph.edge_count, dtype=bool)
-        in_forest[forest] = True
-        local = np.isin(graph.u, region) | np.isin(graph.v, region)
-        # The materialized graph is (u, v)-sorted: edge ids break ties.
+        forest = self._forest
+        if forest is not None and not tree_deleted:
+            labels = forest.component_labels
+            ends = labels[graph.u[inserted]], labels[graph.v[inserted]]
+            if np.array_equal(*ends):
+                self._forest = forest.renumbered(
+                    graph, np.flatnonzero(self._tree))
+                return 0
+        in_forest = self._tree
         by_key = np.argsort(-effective_weights(graph), kind="stable")
         by_key = by_key[~in_forest[by_key]]
-        ranked = [forest, by_key[local[by_key]]]
+        ranked = [np.flatnonzero(in_forest), by_key[near[by_key]]]
         if tree_deleted:
             # A deleted tree edge's replacement may live outside the
             # locality radius; the completion picks nothing when the
             # local edges already reconnected everything.
-            ranked.append(by_key[~local[by_key]])
+            ranked.append(by_key[~near[by_key]])
         order = np.concatenate(ranked)
         picked = order[maximum_spanning_forest(
             graph.subgraph(order), key=-np.arange(len(order), dtype=float)
         )]
         fresh = picked[~in_forest[picked]]
-        self._tree.update(zip(graph.u[fresh].tolist(),
-                              graph.v[fresh].tolist()))
-        self._kept.update(self._tree)
+        self._tree[fresh] = True
+        self._kept |= self._tree
+        self._forest = None
         return len(fresh)
 
-    def _rerank(self, region: np.ndarray, inserted_pairs: set):
+    def _rooted(self) -> RootedForest:
+        """The rooted maintained forest, rooted now if a repair
+        invalidated it."""
+        if self._forest is None:
+            self._forest = RootedForest(self.graph,
+                                        np.flatnonzero(self._tree))
+        return self._forest
+
+    def _rerank(self, region: np.ndarray, near: np.ndarray,
+                inserted: np.ndarray):
         """Re-rank off-tree edges inside the touched region.
 
-        Scores every non-forest edge with an endpoint in *region* by
-        the leverage surrogate ``w_e * R_T(e)`` (tree resistances from
-        one batched LCA query) and adjusts the kept set toward
-        the off-tree budget of the last full build: top-up with the
-        best unkept local edges, trim the worst kept local edges, and
-        swap in inserted edges that beat a kept local edge.  Only
-        *mutation-caused* changes move the kept set — surviving edges
-        are never displaced by one another (their base ranking came
-        from the full trace-reduction run, which the tree-resistance
-        surrogate must not relitigate).
+        Scores every non-forest edge *near* the *region* (with an
+        endpoint in it) by the leverage surrogate ``w_e * R_T(e)``
+        (tree resistances from one batched LCA query) and adjusts the
+        kept set toward the off-tree budget of the last full build:
+        top-up with the best unkept local edges, trim the worst kept
+        local edges, and swap in inserted edges that beat a kept local
+        edge.  Only *mutation-caused* changes move the kept set —
+        surviving edges are never displaced by one another (their base
+        ranking came from the full trace-reduction run, which the
+        tree-resistance surrogate must not relitigate).  Every ordering
+        breaks score ties on ``(u, v)``, which is edge id order.
 
-        Returns ``(scored_count, added_pairs, dropped_pairs,
-        displaced_pairs, scores)`` where *scores* maps local ``(u, v)``
-        pairs to their leverage; *displaced* pairs left through a swap
-        (compensated by the incoming edge), *dropped* pairs through a
-        trim (charged to the drift monitor).
+        Returns ``(scored_count, added, dropped, displaced, scored)``:
+        edge id arrays, where *displaced* edges left through a swap
+        (compensated by the incoming edge) and *dropped* edges through
+        a trim (charged to the drift monitor), and *scored* is the pair
+        ``(local, scores)`` of the scored edge ids and their leverages.
         """
+        none = np.empty(0, dtype=np.int64)
         if len(region) == 0:
-            return 0, [], [], [], {}
+            return 0, none, none, none, (none, np.empty(0))
         graph = self.graph
-        forest = RootedForest(graph, self._edge_ids(self._tree))
-        self._forest = forest
-        u_arr, v_arr, w_arr = graph.u, graph.v, graph.w
-        tree_mask = np.zeros(graph.edge_count, dtype=bool)
-        tree_mask[forest.edge_ids] = True
-        local = np.nonzero(
-            (np.isin(u_arr, region) | np.isin(v_arr, region)) & ~tree_mask
-        )[0]
+        forest = self._rooted()
+        local = np.flatnonzero(near & ~self._tree)
         if len(local) == 0:
-            return 0, [], [], [], {}
+            return 0, none, none, none, (none, np.empty(0))
         resist, _ = batch_tree_resistances(
-            forest, u_arr[local], v_arr[local]
+            forest, graph.u[local], graph.v[local]
         )
-        scores = {
-            (int(u_arr[e]), int(v_arr[e])): float(w_arr[e] * resist[k])
-            for k, e in enumerate(local)
-        }
+        scores = graph.w[local] * resist
 
-        added, dropped = [], []
-        offtree = len(self._kept) - len(self._tree)
+        kept = self._kept
+        added, dropped = none, none
+        offtree = int(np.count_nonzero(kept) - np.count_nonzero(self._tree))
         if offtree < self._offtree_target:
-            candidates = sorted(
-                (p for p in scores if p not in self._kept),
-                key=lambda p: (-scores[p], p),
-            )
-            for pair in candidates[: self._offtree_target - offtree]:
-                self._kept.add(pair)
-                added.append(pair)
+            spare = np.flatnonzero(~kept[local])
+            best = spare[np.argsort(-scores[spare], kind="stable")]
+            added = local[best[:self._offtree_target - offtree]]
+            kept[added] = True
         elif offtree > self._offtree_target:
-            droppable = sorted(
-                (p for p in scores
-                 if p in self._kept and p not in self._tree),
-                key=lambda p: (scores[p], p),
-            )
-            for pair in droppable[: offtree - self._offtree_target]:
-                self._kept.discard(pair)
-                dropped.append(pair)
+            held = np.flatnonzero(kept[local])
+            worst = held[np.argsort(scores[held], kind="stable")]
+            dropped = local[worst[:offtree - self._offtree_target]]
+            kept[dropped] = False
         # Swap pass: a freshly inserted edge that beats a kept local
         # edge displaces it.  This is what makes a high-leverage
         # insertion *compensated* — it enters the sparsifier instead of
         # being charged to the drift monitor, and the exchange itself
         # is quality-neutral-or-better (incoming leverage strictly
         # exceeds outgoing), so displaced edges are not charged either.
-        displaced = []
-        kept_local = sorted(
-            (p for p in scores if p in self._kept and p not in self._tree),
-            key=lambda p: (scores[p], p),
-        )
-        incoming = sorted(
-            (p for p in inserted_pairs
-             if p in scores and p not in self._kept),
-            key=lambda p: (-scores[p], p),
-        )
-        for worst, best in zip(kept_local, incoming):
-            if scores[best] <= scores[worst]:
-                break
-            self._kept.discard(worst)
-            self._kept.add(best)
-            displaced.append(worst)
-            added.append(best)
-        return len(local), added, dropped, displaced, scores
+        held = np.flatnonzero(kept[local])
+        held = held[np.argsort(scores[held], kind="stable")]
+        incoming = np.flatnonzero(np.isin(local, inserted) & ~kept[local])
+        incoming = incoming[np.argsort(-scores[incoming], kind="stable")]
+        pairs = min(len(held), len(incoming))
+        beats = scores[incoming[:pairs]] > scores[held[:pairs]]
+        swaps = pairs if beats.all() else int(np.argmin(beats))
+        displaced = local[held[:swaps]]
+        kept[displaced] = False
+        kept[local[incoming[:swaps]]] = True
+        added = np.concatenate([added, local[incoming[:swaps]]])
+        return len(local), added, dropped, displaced, (local, scores)
 
-    def _accumulate_drift(self, eb: EdgeBatch, deleted_kept: list,
-                          dropped: list, scores: dict) -> None:
+    def _accumulate_drift(self, eb: EdgeBatch, inserted: np.ndarray,
+                          deleted_kept: list, dropped: np.ndarray,
+                          scored: tuple) -> None:
         """Fold this batch's uncompensated changes into the drift log.
 
         Each change the local pass did not absorb — an inserted edge
@@ -504,31 +591,39 @@ class EvolvingSparsifier:
         A deleted kept edge whose endpoints fall into different
         components has unbounded leverage and forces a rebuild.
         """
-        forest = getattr(self, "_forest", None)
-        inserted_pairs = {(u, v) for u, v, _ in eb.inserts}
+        graph = self.graph
+        local, scores = scored
+
+        def score(e):
+            slot = int(np.searchsorted(local, e))
+            if slot < len(local) and local[slot] == e:
+                return float(scores[slot])
+            return None
+
         charges = []
-        for u, v, w in eb.inserts:
-            if (u, v) not in self._kept:
-                charges.append((u, v, w, scores.get((u, v))))
-        for u, v in dropped:
-            if (u, v) in inserted_pairs:
+        for (u, v, w), e in zip(eb.inserts, inserted.tolist()):
+            if not self._kept[e]:
+                charges.append((u, v, w, score(e)))
+        fresh = set(inserted.tolist())
+        for e in dropped.tolist():
+            if e in fresh:
                 # Already charged above as an uncompensated insertion.
                 continue
-            charges.append((u, v, self._edges[(u, v)], scores[(u, v)]))
+            charges.append((int(graph.u[e]), int(graph.v[e]),
+                            float(graph.w[e]), score(e)))
         for (u, v), w in deleted_kept:
             charges.append((u, v, w, None))
         if not charges:
             return
-        adjacency = self._kept_adjacency()
-        for u, v, w, score in charges:
-            leverage = score
+        rows = self._kept_adjacency()
+        for u, v, w, leverage in charges:
             if leverage is None:
-                leverage = self._tree_leverage(forest, u, v, w)
+                leverage = self._tree_leverage(u, v, w)
             # Any u-v path in the kept subgraph upper-bounds effective
             # resistance, and the best detour is usually far shorter
             # than the forest path (local off-tree kept edges bypass
             # the change), so take the tighter of the two bounds.
-            detour = _detour_resistance(adjacency, u, v)
+            detour = _detour_resistance(rows, u, v)
             if detour is not None:
                 leverage = (
                     w * detour if leverage is None
@@ -541,22 +636,16 @@ class EvolvingSparsifier:
                 return
             self._log_drift += math.log1p(leverage)
 
-    def _kept_adjacency(self) -> dict:
-        """Neighbours of each node in the kept subgraph, with ``1/w``
-        edge lengths, in the edge map's order."""
-        adjacency: dict = {}
-        for (a, b), w in self._edges.items():
-            if (a, b) not in self._kept:
-                continue
-            adjacency.setdefault(a, []).append((b, 1.0 / w))
-            adjacency.setdefault(b, []).append((a, 1.0 / w))
-        return adjacency
+    def _kept_adjacency(self):
+        """CSR rows ``(indptr, neighbors, lengths)`` of the kept
+        subgraph, with ``1/w`` edge lengths."""
+        kept = self.graph.subgraph(self._kept)
+        indptr, neighbors, edge_ids = kept.adjacency()
+        return indptr, neighbors, 1.0 / kept.w[edge_ids]
 
-    def _tree_leverage(self, forest, u: int, v: int, w: float):
+    def _tree_leverage(self, u: int, v: int, w: float):
         """``w * R_T(u, v)`` in the current forest, or None across cuts."""
-        if forest is None or forest.graph is not self.graph:
-            forest = RootedForest(self.graph, self._edge_ids(self._tree))
-            self._forest = forest
+        forest = self._rooted()
         if forest.component_labels[u] != forest.component_labels[v]:
             return None
         resist, _ = batch_tree_resistances(
@@ -565,23 +654,49 @@ class EvolvingSparsifier:
         return float(w * resist[0])
 
 
-def _detour_resistance(adjacency: dict, u: int, v: int):
-    """Resistance of the best u-v path in a kept-subgraph adjacency.
+class _Laps:
+    """Back-to-back phases of one batch: :meth:`split` closes the phase
+    running since the previous split (or since construction)."""
 
-    Dijkstra with the ``1/w`` edge lengths of
-    :meth:`EvolvingSparsifier._kept_adjacency`; series resistance of any
-    path upper-bounds the effective resistance between its endpoints.
-    Returns ``None`` when no path exists.
+    def __init__(self) -> None:
+        self.seconds: dict = {}
+        self._mark = time.perf_counter()
+
+    def split(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.seconds[f"{phase}_seconds"] = now - self._mark
+        self._mark = now
+
+
+def _sorted_graph(graph: Graph) -> Graph:
+    """*graph* with its edges in ``(u, v)`` order, validated."""
+    order = np.argsort(graph.u * graph.n + graph.v)
+    return Graph(graph.n, graph.u[order], graph.v[order], graph.w[order])
+
+
+def _detour_resistance(rows, u: int, v: int):
+    """Resistance of the best u-v path in the kept subgraph.
+
+    Dijkstra over the CSR *rows* of
+    :meth:`EvolvingSparsifier._kept_adjacency` (``1/w`` edge lengths),
+    stopping when *v* is settled; series resistance of any path
+    upper-bounds the effective resistance between its endpoints.  The
+    settled distance is the least left-to-right float sum over all
+    u-v paths, so any Dijkstra returns the same float.  Returns
+    ``None`` when no path exists.
     """
+    indptr, neighbors, lengths = rows
     dist = {u: 0.0}
     heap = [(0.0, u)]
     while heap:
         d, node = heapq.heappop(heap)
         if node == v:
             return d
-        if d > dist.get(node, math.inf):
+        if d > dist[node]:
             continue
-        for nbr, length in adjacency.get(node, ()):
+        lo, hi = indptr[node], indptr[node + 1]
+        for nbr, length in zip(neighbors[lo:hi].tolist(),
+                               lengths[lo:hi].tolist()):
             nd = d + length
             if nd < dist.get(nbr, math.inf):
                 dist[nbr] = nd

@@ -13,7 +13,7 @@ from repro.powergrid.benchmarks import (
     PG_CASE_REGISTRY,
     PGCaseSpec,
 )
-from repro.powergrid.mna import conductance_matrix, capacitance_vector
+from repro.powergrid.mna import conductance_matrix
 from repro.powergrid.dc import dc_solve
 from repro.powergrid.transient import (
     TransientResult,
@@ -32,7 +32,6 @@ __all__ = [
     "PG_CASE_REGISTRY",
     "PGCaseSpec",
     "conductance_matrix",
-    "capacitance_vector",
     "dc_solve",
     "TransientResult",
     "simulate_transient_direct",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.linalg.cholesky import cholesky
 from repro.linalg.pcg import pcg
 from repro.powergrid.mna import conductance_matrix

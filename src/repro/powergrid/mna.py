@@ -9,31 +9,19 @@ where ``L_G`` is the wire-conductance Laplacian.  Backward Euler at
 step ``h`` gives Eq. (21) of the paper:
 
     (G + C/h) x(t+h) = (C/h) x(t) + u(t+h)
+
+``repro.powergrid.transient`` assembles ``G + C/h`` from
+:func:`conductance_matrix` and the netlist's ``capacitance`` itself.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse as sp
-
 from repro.graph.laplacian import laplacian
 from repro.powergrid.netlist import PowerGridNetlist
 
-__all__ = ["conductance_matrix", "capacitance_vector", "backward_euler_matrix"]
+__all__ = ["conductance_matrix"]
 
 
 def conductance_matrix(netlist: PowerGridNetlist, fmt: str = "csc"):
     """``G = L_graph + diag(pad conductances)`` (nonsingular SDD)."""
     return laplacian(netlist.graph, shift=netlist.pad_conductance, fmt=fmt)
-
-
-def capacitance_vector(netlist: PowerGridNetlist) -> np.ndarray:
-    """Per-node capacitance (the diagonal of the C matrix)."""
-    return netlist.capacitance
-
-
-def backward_euler_matrix(netlist: PowerGridNetlist, step: float, fmt="csc"):
-    """``A = G + C/h`` for a backward-Euler step of size *step*."""
-    G = conductance_matrix(netlist, fmt="csc")
-    A = G + sp.diags(netlist.capacitance / step)
-    return A.asformat(fmt)

@@ -8,7 +8,7 @@ from repro.tree.spanning import (
 )
 from repro.tree.rooted import RootedForest
 from repro.tree.lca import batch_tree_resistances
-from repro.tree.stretch import edge_stretches, total_stretch, average_stretch
+from repro.tree.stretch import edge_stretches, total_stretch
 
 __all__ = [
     "maximum_spanning_forest",
@@ -19,5 +19,4 @@ __all__ = [
     "batch_tree_resistances",
     "edge_stretches",
     "total_stretch",
-    "average_stretch",
 ]

@@ -19,6 +19,8 @@ would, and the floats match that walk bit for bit.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import depth_first_order
@@ -128,6 +130,29 @@ class RootedForest:
         mask = np.zeros(self.graph.edge_count, dtype=bool)
         mask[self.edge_ids] = True
         return mask
+
+    def renumbered(self, graph: Graph, edge_ids) -> "RootedForest":
+        """This forest over *graph*, which holds the same forest edges,
+        with the same endpoints and weights, at ids *edge_ids*.
+
+        The ids must keep the edges' order: the k-th smallest old id
+        and the k-th smallest new id name the same edge, as when both
+        graphs list their edges in ``(u, v)`` order.  Rooting reads only
+        the forest's own edges in that order, so every node-indexed
+        array but ``parent_edge`` carries over unchanged, and the result
+        equals a fresh ``RootedForest(graph, edge_ids)`` whenever the
+        forest still spans *graph*.
+        """
+        forest = copy.copy(self)
+        forest.graph = graph
+        forest.edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        rank = np.empty(self.graph.edge_count, dtype=np.int64)
+        rank[self.edge_ids] = np.arange(len(self.edge_ids))
+        below = self.parent_edge >= 0
+        forest.parent_edge = self.parent_edge.copy()
+        forest.parent_edge[below] = forest.edge_ids[
+            rank[self.parent_edge[below]]]
+        return forest
 
     # ------------------------------------------------------------------
     # Euler tour intervals (subtree membership in O(1))

@@ -16,7 +16,7 @@ from repro.graph.graph import Graph
 from repro.tree.lca import batch_tree_resistances
 from repro.tree.rooted import RootedForest
 
-__all__ = ["edge_stretches", "total_stretch", "average_stretch"]
+__all__ = ["edge_stretches", "total_stretch"]
 
 
 def edge_stretches(graph: Graph, forest: RootedForest) -> np.ndarray:
@@ -32,10 +32,3 @@ def edge_stretches(graph: Graph, forest: RootedForest) -> np.ndarray:
 def total_stretch(graph: Graph, forest: RootedForest) -> float:
     """Sum of stretches over all edges."""
     return float(edge_stretches(graph, forest).sum())
-
-
-def average_stretch(graph: Graph, forest: RootedForest) -> float:
-    """Mean stretch per edge."""
-    if graph.edge_count == 0:
-        return 0.0
-    return total_stretch(graph, forest) / graph.edge_count

@@ -7,17 +7,17 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 import oracles
 import repro
-import repro.incremental.evolving as evolving_module
 from repro.api import sparsify as api_sparsify
 from repro.api.records import RunRecord
 from repro.core.metrics import evaluate_sparsifier
 from repro.exceptions import IncrementalError
 from repro.graph import grid2d
-from repro.incremental import EvolvingSparsifier, sparsify_delta
+from repro.incremental import DeltaRecord, EvolvingSparsifier, sparsify_delta
+from repro.tree.rooted import RootedForest
 
 OPTIONS = {"edge_fraction": 0.2}
 
@@ -25,6 +25,11 @@ OPTIONS = {"edge_fraction": 0.2}
 def _evolving(graph, **overrides):
     kwargs = {**OPTIONS, **overrides}
     return EvolvingSparsifier(graph, "proposed", **kwargs)
+
+
+def _untimed(entry):
+    """A delta-log entry without its wall-clock fields."""
+    return {k: x for k, x in entry.items() if k not in ("seconds", "phases")}
 
 
 def _is_spanning_forest(n, pairs):
@@ -63,8 +68,8 @@ class TestLifecycle:
         entry = evolving.apply_batch(inserts=[(0, 27, 1.0)],
                                      deletes=[(0, 1)])
         assert evolving.graph.edge_count == before
-        assert (0, 27) in evolving._edges
-        assert (0, 1) not in evolving._edges
+        assert (0, 27) in evolving.graph.edge_key_set()
+        assert (0, 1) not in evolving.graph.edge_key_set()
         assert entry["inserted"] == 1 and entry["deleted"] == 1
         assert entry["touched_nodes"] >= 3
         assert evolving.record.batches == 1
@@ -72,7 +77,8 @@ class TestLifecycle:
     def test_delete_then_insert_reweights_in_one_batch(self, small_grid):
         evolving = _evolving(small_grid)
         evolving.apply_batch(inserts=[(0, 1, 9.0)], deletes=[(0, 1)])
-        assert evolving._edges[(0, 1)] == 9.0
+        graph = evolving.graph
+        assert graph.w[graph.edge_lookup()[(0, 1)]] == 9.0
 
     def test_rejects_duplicate_insert_and_absent_delete(self, small_grid):
         evolving = _evolving(small_grid)
@@ -122,7 +128,8 @@ class TestForestMaintenance:
         for step in range(5):
             u = int(rng.integers(0, medium_grid.n))
             v = int((u + 21 + step) % medium_grid.n)
-            if u == v or (min(u, v), max(u, v)) in evolving._edges:
+            if u == v or ((min(u, v), max(u, v))
+                          in evolving.graph.edge_key_set()):
                 continue
             pair = (min(u, v), max(u, v))
             evolving.apply_batch(inserts=[(pair[0], pair[1], 1.0)])
@@ -132,13 +139,14 @@ class TestForestMaintenance:
         assert _is_spanning_forest(medium_grid.n,
                                    evolving.forest_edges)
 
-    def test_delta_path_matches_the_loop_oracle(self, monkeypatch):
+    def test_delta_path_matches_the_loop_oracle(self):
         """A stream deleting forest edges, replayed on the old loops.
 
-        The oracle repairs the forest with a DSU, maps pairs through
-        ``edge_lookup`` dicts, roots one node at a time and answers
-        LCAs with Tarjan's DFS; every entry but ``seconds``, the forest
-        and the kept set must match after every batch.
+        The oracle keeps the dict edge map, repairs the forest with a
+        DSU, maps pairs through ``edge_lookup`` dicts, roots one node at
+        a time and answers LCAs with Tarjan's DFS; every entry but its
+        timings, the forest and the kept set must match after every
+        batch.
         """
         graph = grid2d(10, 10, weights="uniform", seed=3)
         kwargs = {**OPTIONS, "drift_budget": 1e4}
@@ -152,27 +160,23 @@ class TestForestMaintenance:
             inserts = []
             while len(inserts) < 2:
                 u, v = sorted(int(x) for x in rng.integers(0, graph.n, 2))
-                if u != v and (u, v) not in evolving._edges and all(
-                        (u, v) != (a, b) for a, b, _ in inserts):
+                if u != v and (u, v) not in evolving.graph.edge_key_set() \
+                        and all((u, v) != (a, b) for a, b, _ in inserts):
                     inserts.append((u, v, float(rng.choice([0.5, 1.0]))))
             stream.append((inserts, deletes))
             entry = evolving.apply_batch(inserts=inserts, deletes=deletes)
-            trail.append(({k: x for k, x in entry.items() if k != "seconds"},
-                          evolving.forest_edges, set(evolving._kept)))
+            trail.append((_untimed(entry), evolving.forest_edges,
+                          evolving.kept_edges))
         assert sum(entry["forest_replacements"] for entry, _, _ in trail) > 0
         rebuilds = sum(entry["rebuild"] for entry, _, _ in trail)
         assert 0 < rebuilds < len(trail)
 
-        monkeypatch.setattr(evolving_module, "RootedForest",
-                            oracles.RootedForest)
-        monkeypatch.setattr(evolving_module, "batch_tree_resistances",
-                            oracles.tree_resistances)
         oracle = oracles.OracleEvolvingSparsifier(graph, "proposed", **kwargs)
         for (inserts, deletes), (entry, forest, kept) in zip(stream, trail):
             got = oracle.apply_batch(inserts=inserts, deletes=deletes)
-            assert {k: x for k, x in got.items() if k != "seconds"} == entry
+            assert _untimed(got) == entry
             assert oracle.forest_edges == forest
-            assert oracle._kept == kept
+            assert oracle.kept_edges == kept
 
 
 class _RegionSpy(EvolvingSparsifier):
@@ -204,13 +208,13 @@ class TestTouchedRegion:
                               drift_budget=1e6, **OPTIONS)
         evolving.sizes = []
         for _ in range(4):
-            edges = sorted(evolving._edges)
+            edges = sorted(evolving.graph.edge_key_set())
             deletes = sorted({edges[int(k)] for k in rng.integers(
                 0, len(edges), size=rng.integers(0, 4))})
             inserts, count = [], rng.integers(1, 4)
             while len(inserts) < count:
                 u, v = sorted(int(x) for x in rng.integers(0, graph.n, 2))
-                if (u != v and ((u, v) not in evolving._edges
+                if (u != v and ((u, v) not in evolving.graph.edge_key_set()
                                 or (u, v) in deletes)
                         and all((u, v) != (a, b) for a, b, _ in inserts)):
                     inserts.append((u, v, 1.0))
@@ -218,8 +222,169 @@ class TestTouchedRegion:
         assert len(evolving.sizes) == 4 and min(evolving.sizes) > 0
 
 
-class _PerChargeDrift(EvolvingSparsifier):
-    """The drift monitor with a fresh kept-subgraph search per charge.
+class _ForestSpy(EvolvingSparsifier):
+    """Logs the branch each batch's forest upkeep took: ``"kept"`` when
+    no spanning-forest search ran and the rooted forest carried over,
+    ``"repaired"`` when the search ran."""
+
+    def __init__(self, *args, **kwargs):
+        self.branches = []
+        super().__init__(*args, **kwargs)
+
+    def _repair_forest(self, near, tree_deleted, inserted):
+        fresh = super()._repair_forest(near, tree_deleted, inserted)
+        self.branches.append("repaired" if self._forest is None else "kept")
+        return fresh
+
+
+def _two_components(rng):
+    """Two random connected graphs side by side (nodes ``0..a-1`` and
+    ``a..n-1``): a random tree on each plus a few chords."""
+    sizes = (int(rng.integers(7, 11)), int(rng.integers(7, 11)))
+    edges, start = {}, 0
+    for size in sizes:
+        pairs = [(start + int(rng.integers(0, node)), start + node)
+                 for node in range(1, size)]
+        pairs += [tuple(sorted(start + int(x)
+                               for x in rng.choice(size, 2, replace=False)))
+                  for _ in range(size // 2)]
+        for pair in pairs:
+            edges[pair] = float(rng.choice([0.5, 1.0, 2.0]))
+        start += size
+    graph = repro.Graph.from_edges(
+        start, [(a, b, w) for (a, b), w in edges.items()])
+    return graph, sizes[0]
+
+
+def _pair(rng, graph, *, inner=False):
+    """A node pair that is not an edge of *graph*; with *inner*, one
+    whose ends lie in one component of it."""
+    _, labels = connected_components(graph.to_scipy_adjacency(),
+                                     directed=False)
+    present = graph.edge_key_set()
+    while True:
+        a, b = sorted(int(x) for x in rng.integers(0, graph.n, 2))
+        if (a != b and (a, b) not in present
+                and (labels[a] == labels[b] or not inner)):
+            return a, b
+
+
+def _assert_cached_forest_is_fresh(evolving):
+    """The carried-over rooted forest equals a fresh rooting."""
+    cached = evolving._forest
+    if cached is None:
+        return
+    fresh = RootedForest(evolving.graph, np.flatnonzero(evolving._tree))
+    assert cached.graph is evolving.graph
+    assert cached.component_count == fresh.component_count
+    for name in ("edge_ids", "parent", "parent_edge", "depth", "rdist",
+                 "component_labels", "roots"):
+        np.testing.assert_array_equal(getattr(cached, name),
+                                      getattr(fresh, name))
+    assert len(cached.ancestors) == len(fresh.ancestors)
+    for mine, theirs in zip(cached.ancestors, fresh.ancestors):
+        np.testing.assert_array_equal(mine, theirs)
+
+
+PHASES = {f"{name}_seconds" for name in (
+    "check", "materialize", "region", "forest", "rerank", "drift",
+    "rebuild")}
+
+
+class TestArrayDeltaPath:
+    @settings(deadline=None, max_examples=12)
+    @given(seed=st.integers(0, 2**16),
+           method=st.sampled_from(["proposed", "er_sampling"]))
+    def test_matches_the_dict_reference(self, seed, method):
+        """Random streams on two components: an off-tree insertion, a
+        forest-edge deletion, a forest edge re-weighted, an insertion
+        that merges the components, the deletion of that bridge (drift
+        becomes inf, then a rebuild), an explicit rebuild, then random
+        batches.  After every batch the array path's entry (timings
+        aside), forest, kept set and drift estimate equal the dict
+        reference's, the carried-over rooted forest equals a fresh
+        rooting, and the phases add up to the batch's seconds."""
+        rng = np.random.default_rng(seed)
+        graph, split = _two_components(rng)
+        options = {"edge_fraction": 0.3, "drift_budget": 1e6}
+        evolving = _ForestSpy(graph, method, **options)
+        reference = oracles.DictEvolvingSparsifier(graph, method, **options)
+        # proposed roots its tree in the build's artifact store, and the
+        # delta path adopts that forest instead of rooting its own.
+        assert (evolving._forest is not None) == (method == "proposed")
+
+        def weight():
+            return float(rng.choice([0.5, 1.0, 2.0, 4.0]))
+
+        def forest_edge():
+            forest = evolving.forest_edges
+            return forest[int(rng.integers(0, len(forest)))]
+
+        def inner_insert():
+            return [(*_pair(rng, evolving.graph, inner=True), weight())], []
+
+        def reweight():
+            pair = forest_edge()
+            return [(*pair, weight())], [pair]
+
+        def merge():
+            bridge = (int(rng.integers(0, split)),
+                      int(rng.integers(split, graph.n)))
+            return [(*bridge, weight())], []
+
+        def cut():
+            return [], [merged[0][:2]]
+
+        def mixed():
+            edges = sorted(evolving.graph.edge_key_set())
+            deletes = sorted({edges[int(k)] for k in rng.integers(
+                0, len(edges), size=int(rng.integers(0, 3)))})
+            inserts = [(*_pair(rng, evolving.graph), weight())
+                       for _ in range(int(rng.integers(1, 3)))]
+            inserts = list({pair[:2]: pair for pair in inserts}.values())
+            return inserts, deletes
+
+        steps = [inner_insert, lambda: ([], [forest_edge()]), reweight,
+                 inner_insert, merge, cut, "rebuild", inner_insert,
+                 mixed, mixed, mixed]
+        merged = None
+        for step in steps:
+            if step == "rebuild":
+                evolving.rebuild()
+                reference.rebuild()
+                got, expected = (evolving.record.entries[-1],
+                                 reference.record.entries[-1])
+            else:
+                inserts, deletes = step()
+                if step is merge:
+                    merged = inserts
+                got = evolving.apply_batch(inserts=inserts, deletes=deletes)
+                expected = reference.apply_batch(inserts=inserts,
+                                                 deletes=deletes)
+            assert _untimed(got) == _untimed(expected)
+            assert evolving.forest_edges == reference.forest_edges
+            assert evolving.kept_edges == reference.kept_edges
+            assert evolving.drift_estimate == reference.drift_estimate
+            for name in ("u", "v", "w"):
+                np.testing.assert_array_equal(
+                    getattr(evolving.graph, name),
+                    getattr(reference.graph, name))
+            _assert_cached_forest_is_fresh(evolving)
+            if step != "rebuild":
+                assert set(got["phases"]) == PHASES
+            assert sum(got["phases"].values()) == pytest.approx(
+                got["seconds"], rel=0.05)
+        cut_entry = evolving.record.entries[steps.index(cut)]
+        assert cut_entry["drift_estimate"] == math.inf
+        assert cut_entry["rebuild"] is True
+        assert {"kept", "repaired"} <= set(evolving.branches)
+        assert DeltaRecord.from_json(evolving.record.to_json()) \
+            == evolving.record
+
+
+class _PerChargeDrift(oracles.DictEvolvingSparsifier):
+    """The dict delta path's drift monitor with a fresh kept-subgraph
+    search per charge.
 
     Each charge's detour is a scipy Dijkstra over a CSR matrix of the
     kept edges built for that charge alone; ``charges`` counts the
@@ -298,8 +463,8 @@ class TestRebuildAndDrift:
     def test_drift_matches_a_per_charge_reference(self, monkeypatch):
         """Batches of several charges each: uncompensated insertions and
         deleted kept edges.  Every entry's ``drift_estimate`` equals the
-        per-charge reference's, and the kept-subgraph adjacency is built
-        once per batch."""
+        per-charge reference's, and the kept subgraph's CSR rows are
+        built once per batch."""
         graph = grid2d(12, 12, weights="uniform", seed=5)
         kwargs = {**OPTIONS, "drift_budget": 1e6}
         built = []
@@ -311,7 +476,8 @@ class TestRebuildAndDrift:
         reference = _PerChargeDrift(graph, "proposed", **kwargs)
         rng = np.random.default_rng(7)
         for _ in range(8):
-            offtree = sorted(evolving._kept - set(evolving.forest_edges))
+            offtree = sorted(set(evolving.kept_edges)
+                             - set(evolving.forest_edges))
             forest = evolving.forest_edges
             deletes = sorted(
                 {offtree[int(k)] for k in rng.integers(0, len(offtree), 2)}
@@ -319,8 +485,8 @@ class TestRebuildAndDrift:
             inserts = []
             while len(inserts) < 3:
                 u, v = sorted(int(x) for x in rng.integers(0, graph.n, 2))
-                if u != v and (u, v) not in evolving._edges and all(
-                        (u, v) != (a, b) for a, b, _ in inserts):
+                if u != v and (u, v) not in evolving.graph.edge_key_set() \
+                        and all((u, v) != (a, b) for a, b, _ in inserts):
                     inserts.append((u, v, 0.05))
             built.clear()
             got = evolving.apply_batch(inserts=inserts, deletes=deletes)
@@ -328,7 +494,7 @@ class TestRebuildAndDrift:
             expected = reference.apply_batch(inserts=inserts,
                                              deletes=deletes)
             assert got["drift_estimate"] == expected["drift_estimate"]
-            assert evolving._kept == reference._kept
+            assert evolving.kept_edges == reference.kept_edges
         assert min(reference.charges) >= 3
         assert evolving.drift_estimate > 1.0
 
@@ -344,7 +510,7 @@ class TestRebuildAndDrift:
             u = int(rng.integers(0, medium_grid.n))
             v = int((u + 19) % medium_grid.n)
             pair = (min(u, v), max(u, v))
-            if u == v or pair in evolving._edges:
+            if u == v or pair in evolving.graph.edge_key_set():
                 continue
             evolving.apply_batch(inserts=[(pair[0], pair[1], 1.0)])
         kappa = evaluate_sparsifier(

@@ -13,14 +13,20 @@ only to check the segmented array implementations in
 ``repro.linalg.spai`` and ``repro.powergrid.netlist`` against (Eq. 12,
 with exact solves, checks the ball truncation on its own).
 :class:`OracleApproxRanker` plugs the Eq. 20 loop into the sparsifier
-driver through the ranker's ``score_batch``.
+driver through the ranker's ``score_batch``, and
+:func:`backward_euler_matrix` assembles Eq. 21's system matrix from its
+definition for the transient solvers' check.
 
 The shared set-up (Sec. 3.2) has its loops here too: components by
 Python BFS, Kruskal over a disjoint-set union, per-node rooting, the
-Euler-tour DFS and Tarjan's offline LCA, plus the DSU forest repair and
-the per-node touched region of the incremental delta path.
-``repro.graph.components``, ``repro.tree`` and
-``repro.incremental.evolving`` must match them bit for bit.
+Euler-tour DFS and Tarjan's offline LCA.  ``repro.graph.components``
+and ``repro.tree`` must match them bit for bit.
+
+:class:`DictEvolvingSparsifier` is the incremental delta path on a dict
+edge map and pair sets, re-sorting, re-rooting and re-walking the whole
+graph every batch; :class:`OracleEvolvingSparsifier` runs it with the
+DSU forest repair, the per-node touched region and the loop rooting and
+LCA.  ``repro.incremental.evolving`` must match both bit for bit.
 
 :class:`BallFinder` grows one BFS ball per call, the oracle of
 ``repro.graph.bfs``'s multi-source searches; :class:`PerPickMarker` and
@@ -30,16 +36,26 @@ the batched marking walk (``repro.core.sparsifier._pick_edges``).
 
 from __future__ import annotations
 
+import heapq
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import FactorizationError, NotATreeError
+from repro.api.records import RunRecord
+from repro.api.session import SparsifierSession
+from repro.exceptions import (FactorizationError, IncrementalError,
+                              NotATreeError)
+from repro.graph.bfs import ball_union
+from repro.graph.graph import Graph
 from repro.incremental.evolving import EvolvingSparsifier
-from repro.tree import rooted
+from repro.powergrid.mna import conductance_matrix
+from repro.tree import rooted, spanning
 from repro.tree.lca import batch_tree_resistances
 from repro.tree.spanning import effective_weights
 from repro.utils.arrays import concat_ranges
 from repro.utils.rng import as_rng
+from repro.utils.timers import Timer
 from repro.utils.validation import check_square_sparse
 
 
@@ -516,6 +532,13 @@ class OracleApproxRanker:
                                            beta=self.beta)
 
 
+def backward_euler_matrix(netlist, step):
+    """Eq. 21's system matrix ``G + C/h`` for a backward-Euler step of
+    size *step*, assembled from its definition."""
+    G = conductance_matrix(netlist, fmt="csc")
+    return (G + sp.diags(netlist.capacitance / step)).tocsc()
+
+
 def pulse_value(pattern, t):
     """One trapezoidal pulse train at scalar time *t*, in Python floats."""
     if t < pattern.delay:
@@ -847,14 +870,322 @@ def touched_region(graphs, touched, beta):
     return np.asarray(sorted(region), dtype=np.int64)
 
 
-class OracleEvolvingSparsifier(EvolvingSparsifier):
-    """The delta path with dict edge lookups, per-node balls and a DSU
-    forest repair.
+class DictEvolvingSparsifier(EvolvingSparsifier):
+    """The delta path on a dict edge map and ``(u, v)`` pair sets.
 
-    Swap :class:`RootedForest` and :func:`tree_resistances` into
-    ``repro.incremental.evolving`` while it runs to get the whole old
-    delta path.
+    The reference of :class:`repro.incremental.EvolvingSparsifier`'s
+    array path.  Every batch re-sorts the edge map into a new graph,
+    re-roots the forest, runs the forest repair's spanning-forest
+    search and builds the kept subgraph's adjacency in a Python loop.
+    Every entry but its timings, the forest, the kept set and the drift
+    estimate must equal the array path's after every batch.
     """
+
+    forest_class = rooted.RootedForest
+    tree_resistances = staticmethod(batch_tree_resistances)
+
+    def __init__(self, graph, *args, **kwargs):
+        self.n = graph.n
+        self._edges = {
+            (int(u), int(v)): float(w)
+            for u, v, w in zip(graph.u, graph.v, graph.w)
+        }
+        super().__init__(self._materialize(), *args, **kwargs)
+
+    @property
+    def sparsifier(self):
+        return self.graph.subgraph(self._edge_ids(self._kept))
+
+    @property
+    def forest_edges(self):
+        return tuple(sorted(self._tree))
+
+    @property
+    def kept_edges(self):
+        return tuple(sorted(self._kept))
+
+    def summary(self):
+        return {**super().summary(), "sparsifier_edges": len(self._kept),
+                "forest_edges": len(self._tree)}
+
+    def _materialize(self):
+        return Graph.from_edges(
+            self.n,
+            [(u, v, w) for (u, v), w in sorted(self._edges.items())],
+        )
+
+    def _edge_ids(self, pairs):
+        graph = self.graph
+        pairs = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+        keys = graph.u * self.n + graph.v
+        wanted = pairs[:, 0] * self.n + pairs[:, 1]
+        return np.sort(np.searchsorted(keys, wanted))
+
+    def _full_build(self):
+        session = SparsifierSession(
+            self.graph, self.label,
+            persistent=self._persistent, cache_dir=self._cache_dir,
+        )
+        result = session.sparsify(self.method, self.config)
+        record = RunRecord.from_result(
+            result, method=self.method, label=self.label
+        )
+        u, v = self.graph.u, self.graph.v
+        self._kept = {
+            (int(u[e]), int(v[e])) for e in np.nonzero(result.edge_mask)[0]
+        }
+        self._tree = {
+            (int(u[e]), int(v[e])) for e in result.tree_edge_ids
+        }
+        self._offtree_target = len(self._kept) - len(self._tree)
+        self._log_drift = 0.0
+        return record
+
+    def rebuild(self):
+        timer = Timer()
+        with timer:
+            record = self._full_build()
+        self.base_record = record
+        self.record.append({
+            "inserted": 0,
+            "deleted": 0,
+            "touched_nodes": 0,
+            "reranked_edges": 0,
+            "forest_replacements": 0,
+            "kept_added": 0,
+            "kept_dropped": 0,
+            "graph_edges": self.graph.edge_count,
+            "sparsifier_edges": len(self._kept),
+            "drift_estimate": self.drift_estimate,
+            "rebuild": True,
+            "seconds": timer.elapsed,
+        })
+        return record
+
+    def _apply(self, eb):
+        self._check_batch(eb)
+        deleted_kept = [
+            (pair, self._edges[pair])
+            for pair in eb.deletes if pair in self._kept
+        ]
+        tree_deleted = any(pair in self._tree for pair in eb.deletes)
+        for pair in eb.deletes:
+            del self._edges[pair]
+            self._kept.discard(pair)
+            self._tree.discard(pair)
+        for u, v, w in eb.inserts:
+            self._edges[(u, v)] = w
+        self.graph = self._materialize()
+
+        touched = np.asarray(eb.touched_nodes, dtype=np.int64)
+        region = self._touched_region(touched)
+        replacements = self._repair_forest(region, tree_deleted)
+        inserted_pairs = {(u, v) for u, v, _ in eb.inserts}
+        reranked, added, dropped, displaced, scores = self._rerank(
+            region, inserted_pairs
+        )
+        self._accumulate_drift(eb, deleted_kept, dropped, scores)
+
+        drift_at_batch = self.drift_estimate
+        rebuilt = False
+        if drift_at_batch > self.drift_budget:
+            self.base_record = self._full_build()
+            rebuilt = True
+        return {
+            "inserted": len(eb.inserts),
+            "deleted": len(eb.deletes),
+            "touched_nodes": len(region),
+            "reranked_edges": reranked,
+            "forest_replacements": replacements,
+            "kept_added": len(added),
+            "kept_dropped": len(dropped) + len(displaced),
+            "graph_edges": self.graph.edge_count,
+            "sparsifier_edges": len(self._kept),
+            "drift_estimate": drift_at_batch,
+            "rebuild": rebuilt,
+        }
+
+    def _check_batch(self, eb):
+        for u, v, _ in eb.inserts:
+            if not (0 <= u and v < self.n):
+                raise IncrementalError(
+                    f"edge ({u}, {v}) out of range for n={self.n}"
+                )
+        for pair in eb.deletes:
+            if pair not in self._edges:
+                raise IncrementalError(f"cannot delete absent edge {pair}")
+        deleted = set(eb.deletes)
+        for u, v, _ in eb.inserts:
+            if (u, v) in self._edges and (u, v) not in deleted:
+                raise IncrementalError(
+                    f"edge ({u}, {v}) already exists; delete it first to "
+                    "re-weight"
+                )
+
+    def _touched_region(self, touched):
+        indptr, neighbors, _ = self.graph.adjacency()
+        return np.flatnonzero(
+            ball_union(indptr, neighbors, touched, self.locality_beta))
+
+    def _repair_forest(self, region, tree_deleted):
+        graph = self.graph
+        forest = self._edge_ids(self._tree)
+        in_forest = np.zeros(graph.edge_count, dtype=bool)
+        in_forest[forest] = True
+        local = np.isin(graph.u, region) | np.isin(graph.v, region)
+        by_key = np.argsort(-effective_weights(graph), kind="stable")
+        by_key = by_key[~in_forest[by_key]]
+        ranked = [forest, by_key[local[by_key]]]
+        if tree_deleted:
+            ranked.append(by_key[~local[by_key]])
+        order = np.concatenate(ranked)
+        picked = order[spanning.maximum_spanning_forest(
+            graph.subgraph(order), key=-np.arange(len(order), dtype=float)
+        )]
+        fresh = picked[~in_forest[picked]]
+        self._tree.update(zip(graph.u[fresh].tolist(),
+                              graph.v[fresh].tolist()))
+        self._kept.update(self._tree)
+        return len(fresh)
+
+    def _rerank(self, region, inserted_pairs):
+        if len(region) == 0:
+            return 0, [], [], [], {}
+        graph = self.graph
+        forest = self.forest_class(graph, self._edge_ids(self._tree))
+        self._forest = forest
+        u_arr, v_arr, w_arr = graph.u, graph.v, graph.w
+        tree_mask = np.zeros(graph.edge_count, dtype=bool)
+        tree_mask[forest.edge_ids] = True
+        local = np.nonzero(
+            (np.isin(u_arr, region) | np.isin(v_arr, region)) & ~tree_mask
+        )[0]
+        if len(local) == 0:
+            return 0, [], [], [], {}
+        resist, _ = self.tree_resistances(
+            forest, u_arr[local], v_arr[local]
+        )
+        scores = {
+            (int(u_arr[e]), int(v_arr[e])): float(w_arr[e] * resist[k])
+            for k, e in enumerate(local)
+        }
+
+        added, dropped = [], []
+        offtree = len(self._kept) - len(self._tree)
+        if offtree < self._offtree_target:
+            candidates = sorted(
+                (p for p in scores if p not in self._kept),
+                key=lambda p: (-scores[p], p),
+            )
+            for pair in candidates[: self._offtree_target - offtree]:
+                self._kept.add(pair)
+                added.append(pair)
+        elif offtree > self._offtree_target:
+            droppable = sorted(
+                (p for p in scores
+                 if p in self._kept and p not in self._tree),
+                key=lambda p: (scores[p], p),
+            )
+            for pair in droppable[: offtree - self._offtree_target]:
+                self._kept.discard(pair)
+                dropped.append(pair)
+        displaced = []
+        kept_local = sorted(
+            (p for p in scores if p in self._kept and p not in self._tree),
+            key=lambda p: (scores[p], p),
+        )
+        incoming = sorted(
+            (p for p in inserted_pairs
+             if p in scores and p not in self._kept),
+            key=lambda p: (-scores[p], p),
+        )
+        for worst, best in zip(kept_local, incoming):
+            if scores[best] <= scores[worst]:
+                break
+            self._kept.discard(worst)
+            self._kept.add(best)
+            displaced.append(worst)
+            added.append(best)
+        return len(local), added, dropped, displaced, scores
+
+    def _accumulate_drift(self, eb, deleted_kept, dropped, scores):
+        forest = getattr(self, "_forest", None)
+        inserted_pairs = {(u, v) for u, v, _ in eb.inserts}
+        charges = []
+        for u, v, w in eb.inserts:
+            if (u, v) not in self._kept:
+                charges.append((u, v, w, scores.get((u, v))))
+        for u, v in dropped:
+            if (u, v) in inserted_pairs:
+                continue
+            charges.append((u, v, self._edges[(u, v)], scores[(u, v)]))
+        for (u, v), w in deleted_kept:
+            charges.append((u, v, w, None))
+        if not charges:
+            return
+        adjacency = self._kept_adjacency()
+        for u, v, w, score in charges:
+            leverage = score
+            if leverage is None:
+                leverage = self._tree_leverage(forest, u, v, w)
+            detour = dict_detour_resistance(adjacency, u, v)
+            if detour is not None:
+                leverage = (
+                    w * detour if leverage is None
+                    else min(leverage, w * detour)
+                )
+            if leverage is None:
+                self._log_drift = math.inf
+                return
+            self._log_drift += math.log1p(leverage)
+
+    def _kept_adjacency(self):
+        adjacency: dict = {}
+        for (a, b), w in self._edges.items():
+            if (a, b) not in self._kept:
+                continue
+            adjacency.setdefault(a, []).append((b, 1.0 / w))
+            adjacency.setdefault(b, []).append((a, 1.0 / w))
+        return adjacency
+
+    def _tree_leverage(self, forest, u, v, w):
+        if forest is None or forest.graph is not self.graph:
+            forest = self.forest_class(self.graph,
+                                       self._edge_ids(self._tree))
+            self._forest = forest
+        if forest.component_labels[u] != forest.component_labels[v]:
+            return None
+        resist, _ = self.tree_resistances(
+            forest, np.asarray([u]), np.asarray([v])
+        )
+        return float(w * resist[0])
+
+
+def dict_detour_resistance(adjacency, u, v):
+    """Dijkstra over a dict adjacency of ``(neighbor, 1/w)`` lists:
+    the resistance of the best u-v path, or None without one."""
+    dist = {u: 0.0}
+    heap = [(0.0, u)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node == v:
+            return d
+        if d > dist.get(node, math.inf):
+            continue
+        for nbr, length in adjacency.get(node, ()):
+            nd = d + length
+            if nd < dist.get(nbr, math.inf):
+                dist[nbr] = nd
+                heapq.heappush(heap, (nd, nbr))
+    return None
+
+
+class OracleEvolvingSparsifier(DictEvolvingSparsifier):
+    """The dict delta path with per-node balls, a DSU forest repair,
+    per-node rooting and Tarjan's LCA."""
+
+    forest_class = RootedForest
+    tree_resistances = staticmethod(tree_resistances)
 
     def _touched_region(self, touched):
         return touched_region([self.graph], touched, self.locality_beta)

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
+import oracles
 from repro.exceptions import SimulationError
 from repro.graph import Graph
 from repro.powergrid import (
     CurrentLoad,
     PowerGridNetlist,
     PulsePattern,
-    capacitance_vector,
     conductance_matrix,
+    dc_solve,
+    simulate_transient_direct,
 )
-from repro.powergrid.mna import backward_euler_matrix
 
 _PS = 1e-12
 
@@ -44,18 +45,18 @@ def test_conductance_is_spd(tiny_netlist):
     assert np.linalg.eigvalsh(G).min() > 0
 
 
-def test_capacitance_vector(tiny_netlist):
-    np.testing.assert_allclose(
-        capacitance_vector(tiny_netlist), [1e-12, 2e-12, 3e-12]
-    )
-
-
 def test_backward_euler_matrix(tiny_netlist):
+    """The direct transient's first step solves Eq. 21 with the system
+    matrix ``G + C/h`` assembled from its definition."""
     h = 10 * _PS
-    A = backward_euler_matrix(tiny_netlist, h).toarray()
-    G = conductance_matrix(tiny_netlist).toarray()
+    result = simulate_transient_direct(tiny_netlist, t_end=2 * h, step=h,
+                                       probes=range(3))
+    x0, _ = dc_solve(tiny_netlist, method="direct")
+    A = oracles.backward_euler_matrix(tiny_netlist, h).toarray()
+    rhs = tiny_netlist.capacitance / h * x0 + tiny_netlist.source_vector(h)
     np.testing.assert_allclose(
-        A, G + np.diag(tiny_netlist.capacitance / h)
+        [result.probes[p][1] for p in range(3)],
+        np.linalg.solve(A, rhs), rtol=1e-9,
     )
 
 

@@ -32,7 +32,7 @@ BATCHES = (
 
 
 def _strip_seconds(entry: dict) -> dict:
-    return {k: v for k, v in entry.items() if k != "seconds"}
+    return {k: v for k, v in entry.items() if k not in ("seconds", "phases")}
 
 
 def _local_replay():
