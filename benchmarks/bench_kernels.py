@@ -60,7 +60,7 @@ def setting(scale):
 
 def test_cholesky_superlu(benchmark, setting):
     _, _, _, _, laplacian_t, _, _ = setting
-    benchmark(lambda: cholesky(laplacian_t, backend="superlu"))
+    benchmark(lambda: cholesky(laplacian_t))
 
 
 def test_spai_default_delta(benchmark, setting):

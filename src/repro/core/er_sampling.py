@@ -45,7 +45,6 @@ class ErSamplingConfig(BaseSparsifierConfig):
     """Knobs of the effective-resistance sampling baseline."""
 
     sketch_size: int | None = None   # JL rows k (None = ceil(8 log n))
-    include_tree: bool = True        # union the sample with a MEWST
     reg_rel: float = 1e-6
 
     def validate(self) -> None:
@@ -120,12 +119,9 @@ def _run(graph: Graph, config: ErSamplingConfig,
     sparsifier a plain subgraph (weights unchanged).
     """
     rng = as_rng(config.seed)
-    if config.include_tree:
-        tree_ids = shared_artifact(
-            artifacts, "tree", ("mewst",), lambda: mewst(graph)
-        )
-    else:
-        tree_ids = np.empty(0, dtype=np.int64)
+    tree_ids = shared_artifact(
+        artifacts, "tree", ("mewst",), lambda: mewst(graph)
+    )
 
     def _resistances():
         # The expensive part: sketch_size Laplacian solves.  Capturing

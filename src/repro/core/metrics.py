@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.exceptions import GraphError
+from repro.graph.components import connected_components
 from repro.graph.graph import Graph
 from repro.graph.laplacian import regularization_shift, regularized_laplacian
 from repro.linalg.cholesky import cholesky
@@ -61,7 +63,27 @@ def evaluate_sparsifier(
         PCG relative-residual tolerance (paper: 1e-3 for Table 1).
     rhs:
         Right-hand side; random by default, as in the paper.
+
+    Raises
+    ------
+    repro.exceptions.GraphError
+        When *sparsifier* does not span *graph*: its node count differs,
+        or it has more connected components.  The shift would keep the
+        pencil nonsingular and report a kappa that measures only the
+        shift.
     """
+    if sparsifier.n != graph.n:
+        raise GraphError(
+            f"sparsifier has {sparsifier.n} nodes but the graph has "
+            f"{graph.n}"
+        )
+    graph_parts, _ = connected_components(graph)
+    sparsifier_parts, _ = connected_components(sparsifier)
+    if sparsifier_parts > graph_parts:
+        raise GraphError(
+            f"sparsifier has {sparsifier_parts} connected components but "
+            f"the graph has {graph_parts}; it does not span the graph"
+        )
     shift = regularization_shift(graph, reg_rel)
     laplacian_g = regularized_laplacian(graph, shift, fmt="csr")
     laplacian_p = regularized_laplacian(sparsifier, shift)

@@ -56,10 +56,6 @@ class SimilarityMarker:
         """
         self._adjacency = subgraph.adjacency()[:2]
 
-    def is_marked(self, edge_id: int) -> bool:
-        """True when the edge has been excluded."""
-        return bool(self.marked[edge_id])
-
     def similar_edges(self, edge_ids):
         """The edges each candidate would mark if it were picked.
 

@@ -75,23 +75,6 @@ class Graph:
         u, v, w = zip(*edges)
         return cls(n, u, v, w, validate=validate)
 
-    @classmethod
-    def from_scipy_adjacency(cls, adjacency, validate=True) -> "Graph":
-        """Build a graph from a symmetric sparse adjacency matrix.
-
-        Entries are interpreted as edge weights; only the strict upper
-        triangle is read, so the matrix must be structurally symmetric.
-        """
-        coo = sp.coo_matrix(adjacency)
-        mask = coo.row < coo.col
-        return cls(
-            coo.shape[0],
-            coo.row[mask],
-            coo.col[mask],
-            coo.data[mask],
-            validate=validate,
-        )
-
     # ------------------------------------------------------------------
     # invariants
     # ------------------------------------------------------------------
@@ -117,11 +100,6 @@ class Graph:
     def edge_count(self) -> int:
         """Number of (undirected) edges."""
         return len(self.u)
-
-    @property
-    def node_count(self) -> int:
-        """Number of nodes (alias of :attr:`n`)."""
-        return self.n
 
     def weighted_degrees(self) -> np.ndarray:
         """Per-node sum of incident edge weights (the Laplacian diagonal)."""
@@ -165,11 +143,6 @@ class Graph:
         """Neighbors of *node* as an array (convenience accessor)."""
         indptr, nbr, _ = self.adjacency()
         return nbr[indptr[node] : indptr[node + 1]]
-
-    def incident_edges(self, node: int) -> np.ndarray:
-        """Edge ids incident to *node*."""
-        indptr, _, eid = self.adjacency()
-        return eid[indptr[node] : indptr[node + 1]]
 
     # ------------------------------------------------------------------
     # derived graphs / matrices

@@ -1,12 +1,11 @@
-"""Sparse linear algebra: Cholesky, SPAI (Algorithm 1), PCG, eigen-tools."""
+"""Sparse linear algebra: Cholesky, SPAI (Algorithm 1), PCG, eigen-tools.
 
-from repro.linalg.ordering import (
-    natural_ordering,
-    rcm_ordering,
-    minimum_degree_ordering,
-)
-from repro.linalg.etree import elimination_tree, ereach, postorder
-from repro.linalg.triangular import solve_lower_csc, solve_upper_from_lower_csc
+There is one factorization: :func:`cholesky` is scipy's SuperLU in
+symmetric mode, and it raises
+:class:`~repro.exceptions.FactorizationError` when SuperLU pivots
+asymmetrically rather than falling back to another factorization.
+"""
+
 from repro.linalg.cholesky import CholeskyFactor, cholesky
 from repro.linalg.spai import sparse_approximate_inverse
 from repro.linalg.pcg import pcg, PCGResult
@@ -17,14 +16,6 @@ from repro.linalg.eigen import (
 )
 
 __all__ = [
-    "natural_ordering",
-    "rcm_ordering",
-    "minimum_degree_ordering",
-    "elimination_tree",
-    "ereach",
-    "postorder",
-    "solve_lower_csc",
-    "solve_upper_from_lower_csc",
     "CholeskyFactor",
     "cholesky",
     "sparse_approximate_inverse",

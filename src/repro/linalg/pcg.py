@@ -31,13 +31,6 @@ class PCGResult:
     rhs_norm: float
     residual_history: list = field(default_factory=list)
 
-    @property
-    def relative_residual(self) -> float:
-        """Final ``||b - A x|| / ||b||`` (0 for a zero right-hand side)."""
-        if self.rhs_norm == 0:
-            return 0.0
-        return self.residual_norm / self.rhs_norm
-
 
 def _as_operator(A):
     if sp.issparse(A):

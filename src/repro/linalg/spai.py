@@ -128,7 +128,9 @@ def dependency_levels(n, dep_col, dep_row):
     etree depth (found by pointer jumping from the etree parents, the
     first row of each column) already is such a level; any other lower
     triangular pattern is settled by raising late columns until none is
-    out of order.
+    out of order.  The elimination tree and the ancestor structure of
+    ``L^{-1}`` are those of T. Davis, *Direct Methods for Sparse Linear
+    Systems*.
 
     Parameters
     ----------

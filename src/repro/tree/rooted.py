@@ -2,12 +2,13 @@
 
 :class:`RootedForest` wraps a spanning forest of a graph with parent
 pointers, hop depths and *resistive* root distances (sum of ``1/w``
-along the root path).  It provides tree effective resistances
+along the root path).  Those give tree effective resistances
 
     ``R_T(p, q) = rdist[p] + rdist[q] - 2 rdist[lca(p, q)]``
 
-(Eq. 4 restricted to trees) and tree paths, both of which the tree phase
-of Algorithm 2 consumes.
+(Eq. 4 restricted to trees; :func:`repro.tree.lca.batch_tree_resistances`
+answers them in batches), and the Euler intervals locate tree paths;
+the tree phase of Algorithm 2 consumes both.
 
 Everything is array code.  Rooting is one breadth-first search from all
 roots at once; depths and the ``2**k``-th ancestor tables (which answer
@@ -189,20 +190,8 @@ class RootedForest:
             self._tout = self._tin + size
         return self._tin, self._tout
 
-    def edge_on_path(self, child: int, p: int, q: int) -> bool:
-        """True when the tree edge (parent(child), child) is on path(p, q).
-
-        The edge separates ``child``'s subtree from the rest of the
-        tree, so it lies on the path iff exactly one endpoint is inside
-        that subtree.
-        """
-        tin, tout = self.euler_intervals()
-        in_p = tin[child] <= tin[p] < tout[child]
-        in_q = tin[child] <= tin[q] < tout[child]
-        return bool(in_p != in_q)
-
     # ------------------------------------------------------------------
-    # LCA and paths
+    # LCA
     # ------------------------------------------------------------------
     def lca_naive(self, p: int, q: int) -> int:
         """LCA by climbing parent pointers (reference implementation)."""
@@ -218,45 +207,6 @@ class RootedForest:
             p = parent[p]
             q = parent[q]
         return int(p)
-
-    def tree_resistance(self, p: int, q: int, lca: int = None) -> float:
-        """Effective resistance between *p* and *q* through the forest."""
-        if lca is None:
-            lca = self.lca_naive(p, q)
-        return float(self.rdist[p] + self.rdist[q] - 2.0 * self.rdist[lca])
-
-    def path_edges(self, p: int, q: int, lca: int = None) -> np.ndarray:
-        """Global edge ids on the unique forest path from *p* to *q*."""
-        if lca is None:
-            lca = self.lca_naive(p, q)
-        edges = []
-        node = p
-        while node != lca:
-            edges.append(int(self.parent_edge[node]))
-            node = int(self.parent[node])
-        tail = []
-        node = q
-        while node != lca:
-            tail.append(int(self.parent_edge[node]))
-            node = int(self.parent[node])
-        edges.extend(reversed(tail))
-        return np.asarray(edges, dtype=np.int64)
-
-    def path_nodes(self, p: int, q: int, lca: int = None) -> np.ndarray:
-        """Nodes on the forest path from *p* to *q* (inclusive)."""
-        if lca is None:
-            lca = self.lca_naive(p, q)
-        front = []
-        node = p
-        while node != lca:
-            front.append(int(node))
-            node = int(self.parent[node])
-        back = []
-        node = q
-        while node != lca:
-            back.append(int(node))
-            node = int(self.parent[node])
-        return np.asarray(front + [int(lca)] + list(reversed(back)), dtype=np.int64)
 
 
 def _checked_edge_ids(tree_edge_ids, edge_count: int) -> np.ndarray:

@@ -28,11 +28,3 @@ class Timer:
 
     def __exit__(self, *exc_info) -> None:
         self.elapsed = time.perf_counter() - self.start
-
-    def restart(self) -> None:
-        """Reset the start time to *now*."""
-        self.start = time.perf_counter()
-
-    def lap(self) -> float:
-        """Return seconds elapsed since construction/``restart``."""
-        return time.perf_counter() - self.start

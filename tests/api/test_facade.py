@@ -198,7 +198,7 @@ def test_non_integer_options_raise_graph_error(grid, method, option, value):
 
 @pytest.mark.parametrize("method, option", [
     ("proposed", "use_similarity"), ("grass", "use_similarity"),
-    ("fegrass", "use_similarity"), ("er_sampling", "include_tree"),
+    ("fegrass", "use_similarity"),
 ])
 def test_non_bool_flags_raise_graph_error(grid, method, option):
     for value in ("no", 0, None):

@@ -74,12 +74,12 @@ def test_quality_beats_tree_alone(grid):
     assert quality.kappa < kappa_tree
 
 
-def test_without_tree_backbone(grid):
-    result = sparsify(
-        grid, "er_sampling", edge_fraction=0.3, include_tree=False, seed=3
-    )
-    assert len(result.tree_edge_ids) == 0
-    assert result.edge_count == int(round(0.3 * grid.n))
+def test_tree_backbone_is_not_optional(grid):
+    """Without its spanning forest the sample is no valid sparsifier, so
+    the option that dropped the forest is gone."""
+    with pytest.raises(UnknownOptionError, match="include_tree"):
+        sparsify(grid, "er_sampling", edge_fraction=0.3,
+                 include_tree=False)
 
 
 def test_er_sketch_bits_match_explicit_loop(grid):

@@ -5,7 +5,13 @@ import pytest
 
 from repro import sparsify
 from repro.core import evaluate_sparsifier, pcg_performance
-from repro.graph import grid2d, regularization_shift, regularized_laplacian
+from repro.exceptions import GraphError
+from repro.graph import (
+    Graph,
+    grid2d,
+    regularization_shift,
+    regularized_laplacian,
+)
 from repro.linalg import cholesky
 from repro.tree import mewst
 
@@ -55,3 +61,26 @@ def test_lower_kappa_fewer_iterations(grid):
     q_dense = evaluate_sparsifier(grid, dense.sparsifier, rtol=1e-8)
     assert q_dense.kappa <= q_sparse.kappa
     assert q_dense.pcg_iterations <= q_sparse.pcg_iterations
+
+
+def test_rejects_a_sparsifier_that_does_not_span(grid):
+    """A subgraph with more components than G, or on other nodes, has no
+    meaningful kappa: the shift alone would keep its pencil finite."""
+    tree_ids = mewst(grid)
+    split = grid.subgraph(tree_ids[1:])  # a forest of two trees
+    with pytest.raises(GraphError, match="2 connected components but "
+                                         "the graph has 1"):
+        evaluate_sparsifier(grid, split)
+    smaller = Graph.from_edges(grid.n - 1, [(0, 1, 1.0)])
+    with pytest.raises(GraphError, match="nodes but the graph has"):
+        evaluate_sparsifier(grid, smaller)
+
+
+def test_accepts_a_forest_of_a_disconnected_graph():
+    """Spanning means one component per component of G."""
+    pair = Graph.from_edges(6, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 1.0),
+                                (3, 4, 1.0), (4, 5, 3.0), (3, 5, 1.0)])
+    forest = pair.subgraph(mewst(pair))
+    report = evaluate_sparsifier(pair, forest)
+    assert report.kappa >= 1.0
+    assert report.pcg_converged

@@ -51,11 +51,11 @@ def test_marks_parallel_edges(ladder):
     marker.attach_subgraph(ladder)
     _mark(marker, 1, 5)
     lookup = ladder.edge_lookup()
-    assert marker.is_marked(lookup[(1, 5)])
-    assert marker.is_marked(lookup[(0, 4)])
-    assert marker.is_marked(lookup[(2, 6)])
+    assert marker.marked[lookup[(1, 5)]]
+    assert marker.marked[lookup[(0, 4)]]
+    assert marker.marked[lookup[(2, 6)]]
     # A far rung is outside gamma=1 balls.
-    assert not marker.is_marked(lookup[(3, 7)])
+    assert not marker.marked[lookup[(3, 7)]]
 
 
 def test_gamma_zero_marks_only_direct_edge(ladder):
@@ -63,8 +63,8 @@ def test_gamma_zero_marks_only_direct_edge(ladder):
     marker.attach_subgraph(ladder)
     _mark(marker, 1, 5)
     lookup = ladder.edge_lookup()
-    assert marker.is_marked(lookup[(1, 5)])
-    assert not marker.is_marked(lookup[(0, 4)])
+    assert marker.marked[lookup[(1, 5)]]
+    assert not marker.marked[lookup[(0, 4)]]
 
 
 def test_marks_accumulate(ladder):
@@ -73,8 +73,8 @@ def test_marks_accumulate(ladder):
     _mark(marker, 0, 4)
     _mark(marker, 3, 7)
     lookup = ladder.edge_lookup()
-    assert marker.is_marked(lookup[(0, 4)])
-    assert marker.is_marked(lookup[(3, 7)])
+    assert marker.marked[lookup[(0, 4)]]
+    assert marker.marked[lookup[(3, 7)]]
 
 
 def test_mark_count_returned(ladder):
@@ -102,10 +102,10 @@ def test_balls_in_subgraph_not_graph(ladder):
     lookup = ladder.edge_lookup()
     # Ball(1) = {0,1,2} along the rail; ball(5) = {4,5,6}; graph edges
     # joining them are exactly the rungs (0,4), (1,5), (2,6).
-    assert marker.is_marked(lookup[(0, 4)])
-    assert marker.is_marked(lookup[(1, 5)])
-    assert marker.is_marked(lookup[(2, 6)])
-    assert not marker.is_marked(lookup[(3, 7)])
+    assert marker.marked[lookup[(0, 4)]]
+    assert marker.marked[lookup[(1, 5)]]
+    assert marker.marked[lookup[(2, 6)]]
+    assert not marker.marked[lookup[(3, 7)]]
 
 
 def test_mark_similar_counts_only_new_marks(ladder):

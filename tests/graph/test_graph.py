@@ -16,20 +16,13 @@ def test_edges_are_canonicalized():
 
 
 def test_edge_and_node_counts(small_grid):
-    assert small_grid.node_count == 64
+    assert small_grid.n == 64
     assert small_grid.edge_count == 2 * 8 * 7
 
 
 def test_from_edges_roundtrip(triangle_graph):
     assert triangle_graph.edge_count == 3
     assert triangle_graph.n == 3
-
-
-def test_from_scipy_adjacency(triangle_graph):
-    adjacency = triangle_graph.to_scipy_adjacency()
-    back = Graph.from_scipy_adjacency(adjacency)
-    assert back.edge_key_set() == triangle_graph.edge_key_set()
-    np.testing.assert_allclose(np.sort(back.w), np.sort(triangle_graph.w))
 
 
 def test_validation_rejects_self_loop():
@@ -83,11 +76,6 @@ def test_adjacency_edge_ids_consistent(small_grid):
             edge = eid[k]
             endpoints = {small_grid.u[edge], small_grid.v[edge]}
             assert endpoints == {node, nbr[k]}
-
-
-def test_incident_edges(triangle_graph):
-    ids = triangle_graph.incident_edges(0)
-    assert len(ids) == 2
 
 
 def test_subgraph_by_mask(small_grid):

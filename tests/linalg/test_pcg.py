@@ -78,7 +78,7 @@ def test_relative_residual_criterion(system):
     A, b = system
     result = pcg(A, b, rtol=1e-3, maxiter=5000)
     assert result.converged
-    assert result.relative_residual <= 1e-3
+    assert result.residual_norm / result.rhs_norm <= 1e-3
 
 
 def test_history_recording(system):

@@ -54,7 +54,6 @@ from repro.tree import rooted, spanning
 from repro.tree.lca import batch_tree_resistances
 from repro.tree.spanning import effective_weights
 from repro.utils.arrays import concat_ranges
-from repro.utils.rng import as_rng
 from repro.utils.timers import Timer
 from repro.utils.validation import check_square_sparse
 
@@ -88,32 +87,6 @@ def trace_ratio_exact(L_G, L_S) -> float:
     dense_g = L_G.toarray() if sp.issparse(L_G) else np.asarray(L_G)
     dense_s = L_S.toarray() if sp.issparse(L_S) else np.asarray(L_S)
     return float(np.trace(np.linalg.solve(dense_s, dense_g)))
-
-
-def trace_ratio_hutchinson(L_G, solve, probes=32, seed=0) -> float:
-    """Unbiased Hutchinson estimate of ``Trace(L_S^{-1} L_G)``.
-
-    ``E[z^T L_S^{-1} L_G z]`` over Rademacher probes ``z``, one solve
-    (*solve* applies ``L_S^{-1}``) per probe.
-    """
-    L_G = sp.csr_matrix(L_G)
-    n = L_G.shape[0]
-    rng = as_rng(seed)
-    total = 0.0
-    for _ in range(probes):
-        z = rng.choice((-1.0, 1.0), size=n)
-        total += float(z @ solve(L_G @ z))
-    return total / probes
-
-
-def trace_ratio(L_G, L_S, solve=None, dense_limit=1500, probes=32, seed=0):
-    """Exact trace for small systems, Hutchinson estimate otherwise."""
-    n = L_G.shape[0]
-    if n <= dense_limit:
-        return trace_ratio_exact(L_G, L_S)
-    if solve is None:
-        raise ValueError("large system: pass `solve` for the estimator")
-    return trace_ratio_hutchinson(L_G, solve, probes=probes, seed=seed)
 
 
 def exact_trace_reduction(graph, solve, p: int, q: int, w_pq: float):

@@ -4,7 +4,8 @@ These encode the paper's mathematical invariants on randomly generated
 graphs — the properties that must hold for *any* input, not just the
 fixtures: Laplacian PSD-ness, Rayleigh-quotient domination of subgraphs,
 trace/kappa ordering, SPAI nonnegativity, tree-resistance metric
-axioms, and PCG's Galerkin property.
+axioms, PCG's Galerkin property, and a valid sparsifier from every
+registered method under every option.
 """
 
 import numpy as np
@@ -14,8 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import trace_ratio_exact
+from repro import sparsify
+from repro.api import get_method, list_methods
+from repro.exceptions import GraphError
 from repro.graph import (
     Graph,
+    connected_components,
     grid2d,
     laplacian,
     regularization_shift,
@@ -25,10 +30,10 @@ from repro.linalg import cholesky, pcg, sparse_approximate_inverse
 from repro.tree import RootedForest, batch_tree_resistances, mewst
 
 
-def _random_connected_graph(seed, max_nodes=24):
+def _random_connected_graph(seed, max_nodes=24, min_nodes=4):
     """Random spanning tree + random extra edges (always connected)."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, max_nodes))
+    n = int(rng.integers(min_nodes, max_nodes))
     edges = {}
     for node in range(1, n):
         parent = int(rng.integers(0, node))
@@ -142,16 +147,105 @@ def test_trace_of_self_is_n(seed):
     assert trace_ratio_exact(L, L) == pytest.approx(g.n, rel=1e-8)
 
 
-@given(seed=st.integers(0, 300))
-@settings(max_examples=10, deadline=None)
-def test_sparsifier_always_valid_on_random_graphs(seed):
-    """Algorithm 2 produces a connected, budget-respecting subgraph."""
-    from repro import sparsify
-    from repro.graph import connected_components
+#: Each option's grid: both ends of every range and every choice.  All
+#: values pass ``validate()``; an option missing here fails the tests
+#: below with a ``KeyError``.
+OPTION_GRID = {
+    "edge_fraction": [0.0, 0.1, 5.0],
+    "seed": [0, 7],
+    "shards": [1, 4],
+    "boundary_policy": ["keep", "sample"],
+    "workers": [0, 1, 2],
+    "rounds": [1, 6],
+    "beta": [1, 8],
+    "delta": [0.0, 0.99],
+    "gamma": [0, 4],
+    "tree_method": ["mewst", "max_weight", "bfs"],
+    "use_similarity": [True, False],
+    "reg_rel": [1e-12, 1e-2],
+    "power_steps": [1, 4],
+    "probe_vectors": [1, 4],
+    "sketch_size": [None, 1, 64],
+}
 
-    g = _random_connected_graph(seed, max_nodes=40)
-    result = sparsify(g, "proposed", edge_fraction=0.15, rounds=2, seed=0)
-    count, _ = connected_components(result.sparsifier)
-    assert count == 1
-    assert result.edge_count <= g.edge_count
-    assert result.edge_mask[result.tree_edge_ids].all()
+
+def _graph_with_components(rng, sizes):
+    """Random connected components of *sizes* (a size-1 component is an
+    isolated node), their node ids shuffled together."""
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    triples, offset = [], 0
+    for size in sizes:
+        part = _random_connected_graph(int(rng.integers(0, 1 << 30)),
+                                       max_nodes=size + 1, min_nodes=size)
+        triples += [(int(perm[offset + a]), int(perm[offset + b]), float(w))
+                    for a, b, w in zip(part.u, part.v, part.w)]
+        offset += size
+    return Graph.from_edges(n, triples)
+
+
+def _valid_run(graph, method, options):
+    """Run *method*; assert the output is a valid sparsifier of *graph*.
+
+    Valid means: a subset of G's edges, spanning and connecting each
+    component of G, and within the budget.  The budget is
+    ``round(edge_fraction * n)`` edges on top of the spanning forests,
+    per shard in a sharded run, plus the cut edges the boundary policy
+    keeps.  Every grid value passes ``validate()``, so the one typed
+    error allowed is for more shards than nodes.
+    """
+    if options.get("shards", 1) > graph.n:
+        with pytest.raises(GraphError, match="cannot cut"):
+            sparsify(graph, method, **options)
+        return
+    result = sparsify(graph, method, **options)
+    sparsifier = result.sparsifier
+    assert sparsifier.n == graph.n
+    assert sparsifier.edge_key_set() <= graph.edge_key_set()
+    graph_parts, _ = connected_components(graph)
+    assert connected_components(sparsifier)[0] == graph_parts
+    kept = set(np.flatnonzero(result.edge_mask).tolist())
+    assert set(result.tree_edge_ids.tolist()) <= kept
+    assert set(result.recovered_edge_ids.tolist()) <= kept
+    fraction = result.config.edge_fraction
+    if result.sharding is None:
+        budget = round(fraction * graph.n)
+        assert len(result.recovered_edge_ids) <= budget
+        assert result.edge_count <= graph.n - graph_parts + budget
+    else:
+        per_shard = result.sharding["per_shard"]
+        cut = result.sharding["cut"]
+        assert len(result.recovered_edge_ids) <= sum(
+            round(fraction * shard["nodes"]) for shard in per_shard)
+        assert cut["kept_edges"] <= cut["edges"]
+        assert result.edge_count <= (len(result.tree_edge_ids)
+                                     + len(result.recovered_edge_ids)
+                                     + cut["kept_edges"])
+
+
+@pytest.mark.parametrize("method", list_methods())
+def test_every_option_value_gives_a_valid_sparsifier(method):
+    """Each option at each grid value, the others at their defaults, on
+    three components and two isolated nodes."""
+    graph = _graph_with_components(np.random.default_rng(11),
+                                   [9, 6, 3, 1, 1])
+    _valid_run(graph, method, {})
+    for name in get_method(method).option_names():
+        for value in OPTION_GRID[name]:
+            _valid_run(graph, method, {name: value})
+
+
+@given(seed=st.integers(0, 300), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sparsifier_always_valid_on_random_graphs(seed, data):
+    """Every registered method, with every option drawn from its grid,
+    returns a valid sparsifier of a graph of one to three components
+    plus up to two isolated nodes."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 14, size=rng.integers(1, 4)).tolist()
+    graph = _graph_with_components(rng, sizes + [1] * rng.integers(0, 3))
+    method = data.draw(st.sampled_from(list_methods()), label="method")
+    options = {name: data.draw(st.sampled_from(OPTION_GRID[name]),
+                               label=name)
+               for name in get_method(method).option_names()}
+    _valid_run(graph, method, options)

@@ -71,8 +71,11 @@ def test_batch_resistances_match_single(small_grid, small_grid_tree):
     rng = np.random.default_rng(2)
     qu, qv = _random_queries(small_grid.n, 50, rng)
     resistances, lcas = batch_tree_resistances(small_grid_tree, qu, qv)
+    rdist = small_grid_tree.rdist
     for k in range(len(qu)):
-        expected = small_grid_tree.tree_resistance(int(qu[k]), int(qv[k]))
+        p, q = int(qu[k]), int(qv[k])
+        lca = small_grid_tree.lca_naive(p, q)
+        expected = rdist[p] + rdist[q] - 2.0 * rdist[lca]
         assert resistances[k] == pytest.approx(expected)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import NotATreeError
 from repro.graph import Graph
-from repro.tree import RootedForest, mewst
+from repro.tree import RootedForest, batch_tree_resistances, mewst
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +37,8 @@ def test_path_structure(path_forest):
 
 def test_tree_resistance_on_path(path_forest):
     g, forest = path_forest
-    assert forest.tree_resistance(0, 4) == pytest.approx(3.75)
-    assert forest.tree_resistance(1, 3) == pytest.approx(0.75)
-    assert forest.tree_resistance(2, 2) == pytest.approx(0.0)
+    resistances, _ = batch_tree_resistances(forest, [0, 1, 2], [4, 3, 2])
+    np.testing.assert_allclose(resistances, [3.75, 0.75, 0.0])
 
 
 def test_lca_naive(path_forest):
@@ -53,14 +52,6 @@ def test_lca_on_star():
     forest = RootedForest(g, np.arange(3))
     assert forest.lca_naive(1, 2) == 0
     assert forest.lca_naive(1, 1) == 1
-
-
-def test_path_edges_and_nodes(path_forest):
-    g, forest = path_forest
-    edges = forest.path_edges(1, 4)
-    assert edges.tolist() == [1, 2, 3]
-    nodes = forest.path_nodes(1, 4)
-    assert nodes.tolist() == [1, 2, 3, 4]
 
 
 def test_forest_components(forest_graph):
@@ -91,20 +82,6 @@ def test_euler_intervals_subtree_property(small_grid_tree):
             assert tin[parent] <= tin[node] < tout[node] <= tout[parent]
     # Intervals are a permutation of 0..n-1 on tin.
     assert sorted(tin.tolist()) == list(range(n))
-
-
-def test_edge_on_path_matches_path_edges(small_grid_tree, small_grid):
-    forest = small_grid_tree
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        p, q = rng.integers(0, small_grid.n, size=2)
-        path = set(forest.path_edges(int(p), int(q)).tolist())
-        for node in range(small_grid.n):
-            edge = forest.parent_edge[node]
-            if edge < 0:
-                continue
-            on_path = forest.edge_on_path(node, int(p), int(q))
-            assert on_path == (edge in path)
 
 
 @pytest.mark.parametrize("ids, message", [

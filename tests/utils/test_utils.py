@@ -50,14 +50,6 @@ class TestTimer:
             time.sleep(0.02)
         assert t.elapsed >= 0.015
 
-    def test_lap_and_restart(self):
-        t = Timer()
-        with t:
-            first = t.lap()
-            t.restart()
-            second = t.lap()
-        assert first >= 0.0 and second >= 0.0
-
 
 class TestValidation:
     def test_check_square_sparse(self):
