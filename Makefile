@@ -82,13 +82,14 @@ perfbench-smoke:
 			|| exit 1; \
 	done
 
-# The documentation gate: no module in src/ imports a name it never
-# reads (unless it re-exports it in __all__ or marks it noqa: F401),
+# The documentation gate: no module in src/, tests/, benchmarks/ or
+# tools/ imports a name it never reads (unless it re-exports it in
+# __all__ or marks it noqa: F401),
 # the generated API reference must match the registries, the public
 # API must be fully docstringed, and every runnable block in README.md
 # + docs/*.md plus every example must execute cleanly.
 docs-check:
-	$(PYTHON) tools/check_imports.py
+	$(PYTHON) tools/check_imports.py src tests benchmarks tools
 	$(PYTHONPATH_PREFIX) $(PYTHON) tools/gen_api_docs.py --check
 	$(PYTHONPATH_PREFIX) $(PYTHON) tools/check_docstrings.py
 	$(PYTHONPATH_PREFIX) $(PYTHON) tools/check_docs.py

@@ -7,7 +7,9 @@ and no fallback.  For an SPD matrix SuperLU returns
 ``A[p][:, p] = L U`` with unit-diagonal ``L`` and ``U = D L^T``; we
 expose the true Cholesky factor ``L_chol = L sqrt(D)`` so that
 downstream code (Algorithm 1's sparse approximate inverse) sees an
-ordinary lower Cholesky factor.
+ordinary lower Cholesky factor.  Only Algorithm 1 reads it, so the
+factor forms it on first access; solves, ``nnz`` and
+:meth:`CholeskyFactor.memory_bytes` never pay for the product.
 
 If SuperLU's row and column permutations disagree, it pivoted
 asymmetrically and the Cholesky reading is invalid: :func:`cholesky`
@@ -38,23 +40,39 @@ class CholeskyFactor:
     and direct transient solver both require).
     """
 
-    def __init__(self, L, perm, lu):
-        self.L = L                     # csc, lower triangular, diag first
+    def __init__(self, lu, perm, pivots):
         self.perm = np.asarray(perm, dtype=np.int64)
         self._lu = lu                  # the SuperLU object that solves
-        self.n = L.shape[0]
+        self._pivots = pivots          # D, the diagonal of SuperLU's U
+        self._L = None
+        self.n = lu.shape[0]
         self.iperm = np.empty(self.n, dtype=np.int64)
         self.iperm[self.perm] = np.arange(self.n)
+        # The product L sqrt(D) drops any zero SuperLU stores; so does
+        # this count.
+        self._nnz = int(np.count_nonzero(lu.L.data))
 
     # ------------------------------------------------------------------
     @property
+    def L(self):
+        """Lower Cholesky factor: csc, sorted indices, diagonal first.
+
+        Formed from SuperLU's unit factor on first access and kept.
+        """
+        if self._L is None:
+            L = (self._lu.L @ sp.diags(np.sqrt(self._pivots))).tocsc()
+            L.sort_indices()
+            self._L = L
+        return self._L
+
+    @property
     def nnz(self) -> int:
         """Nonzeros in the lower factor."""
-        return int(self.L.nnz)
+        return self._nnz
 
     def memory_bytes(self) -> int:
         """Approximate storage of the factor (values + row indices)."""
-        return int(self.L.nnz) * (8 + 4) + 8 * self.n
+        return self._nnz * (8 + 4) + 8 * self.n
 
     # ------------------------------------------------------------------
     def solve(self, b) -> np.ndarray:
@@ -99,10 +117,8 @@ def cholesky(matrix) -> CholeskyFactor:
     diag = lu.U.diagonal()
     if np.any(diag <= 0):
         raise FactorizationError("matrix is not positive definite")
-    L = (lu.L @ sp.diags(np.sqrt(diag))).tocsc()
-    L.sort_indices()
     # scipy convention: A[ipc][:, ipc] = L U with ipc the inverse of
     # perm_c (verified numerically in tests); our perm is that inverse.
     perm = np.empty(n, dtype=np.int64)
     perm[lu.perm_c] = np.arange(n)
-    return CholeskyFactor(L, perm, lu)
+    return CholeskyFactor(lu, perm, diag)

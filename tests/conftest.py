@@ -1,6 +1,5 @@
 """Shared fixtures: small deterministic graphs and factored Laplacians."""
 
-import numpy as np
 import pytest
 
 from repro.graph import (

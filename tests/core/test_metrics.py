@@ -2,18 +2,23 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from repro import sparsify
+from repro import list_methods, sparsify
 from repro.core import evaluate_sparsifier, pcg_performance
 from repro.exceptions import GraphError
 from repro.graph import (
     Graph,
     grid2d,
+    make_case,
     regularization_shift,
     regularized_laplacian,
 )
 from repro.linalg import cholesky
 from repro.tree import mewst
+
+TABLE1_CASES = ["ecology2", "thermal2", "parabolic", "tmt_sym", "G3_circuit",
+                "NACA0015", "M6", "333SP", "AS365", "NLR"]
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +89,20 @@ def test_accepts_a_forest_of_a_disconnected_graph():
     report = evaluate_sparsifier(pair, forest)
     assert report.kappa >= 1.0
     assert report.pcg_converged
+
+
+@pytest.mark.parametrize("case", TABLE1_CASES)
+def test_kappa_is_the_top_eigenvalue_of_the_dense_pencil(case):
+    """Every method's reported kappa equals the largest generalized
+    eigenvalue of the dense pencil ``(L_G, L_P)`` (n = 400-800)."""
+    graph, _ = make_case(case, scale=0.05, seed=0)
+    n = graph.n
+    shift = regularization_shift(graph, 1e-6)  # evaluate's reg_rel
+    dense_g = regularized_laplacian(graph, shift).toarray()
+    for method in list_methods():
+        sparsifier = sparsify(graph, method).sparsifier
+        report = evaluate_sparsifier(graph, sparsifier)
+        dense_p = regularized_laplacian(sparsifier, shift).toarray()
+        top = sla.eigh(dense_g, dense_p, eigvals_only=True,
+                       subset_by_index=[n - 1, n - 1])[0]
+        assert report.kappa == pytest.approx(top, rel=1e-7), method

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import oracles
 from repro.core import ApproxRanker, tree_truncated_trace_reduction
 from repro.graph import (
-    grid2d,
     regularization_shift,
     regularized_laplacian,
     triangular_mesh,

@@ -11,7 +11,6 @@ from oracles import (
 )
 from repro.graph import (
     Graph,
-    laplacian,
     regularization_shift,
     regularized_laplacian,
 )

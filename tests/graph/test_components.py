@@ -1,7 +1,5 @@
 """Tests for connected-component utilities."""
 
-import numpy as np
-
 from repro.graph import Graph, connected_components, is_connected
 from repro.graph.components import component_roots
 

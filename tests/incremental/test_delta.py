@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import IncrementalError
-from repro.incremental import DeltaRecord, EdgeBatch, normalize_batch
+from repro.incremental import DeltaRecord, normalize_batch
 
 
 class TestNormalizeBatch:

@@ -83,6 +83,19 @@ def test_nnz_and_memory(small_grid):
     assert factor.memory_bytes() > 0
 
 
+def test_scaled_factor_is_formed_only_when_read(small_grid):
+    """Solves, ``nnz`` and ``memory_bytes()`` read SuperLU's factor; the
+    scaled ``L`` is formed on first access, with the same nonzeros."""
+    factor = cholesky(_spd_matrix(small_grid))
+    nnz, memory = factor.nnz, factor.memory_bytes()
+    factor.solve(np.ones(small_grid.n))
+    assert factor._L is None
+    L = factor.L
+    assert factor.L is L
+    assert nnz == L.nnz
+    assert memory == L.nnz * (8 + 4) + 8 * small_grid.n
+
+
 def test_permutation_is_valid(small_grid):
     factor = cholesky(_spd_matrix(small_grid))
     assert sorted(factor.perm.tolist()) == list(range(small_grid.n))

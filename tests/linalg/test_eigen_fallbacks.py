@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.exceptions import ConvergenceError
 from repro.graph import grid2d, regularization_shift, regularized_laplacian
 from repro.linalg import (
     cholesky,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ServiceError, UnknownOptionError
-from repro.graph import grid2d, make_case, write_graph_mtx
+from repro.graph import make_case, write_graph_mtx
 from repro.service import Job, JobSpec, graph_source_key, load_graph_source
 
 

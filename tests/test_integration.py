@@ -5,7 +5,6 @@ experiment's code path runs here in a couple of minutes, so a plain
 ``pytest tests/`` exercises the table/figure machinery too.
 """
 
-import numpy as np
 import pytest
 
 from repro import (

@@ -21,7 +21,6 @@ from repro.exceptions import GraphError
 from repro.graph import (
     Graph,
     connected_components,
-    grid2d,
     laplacian,
     regularization_shift,
     regularized_laplacian,

@@ -1,6 +1,5 @@
 """Tests for the disjoint-set union of the Kruskal and Tarjan oracles."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError, NotATreeError
-from repro.graph import Graph, grid2d, triangular_mesh
+from repro.graph import Graph, triangular_mesh
 from repro.tree import RootedForest, batch_tree_resistances, mewst
 
 

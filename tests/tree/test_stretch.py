@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.graph import Graph
 from repro.tree import (
     RootedForest,
     bfs_spanning_forest,

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fail on module-level imports in ``src/`` that their module never reads.
+"""Fail on module-level imports that their module never reads.
 
 A name bound by a module-level ``import`` (inside a top-level ``try`` or
 ``if`` too) must be read somewhere in its module: in code, in an
@@ -10,8 +10,9 @@ effect, such as registering the sparsifier methods).  ``from __future__``
 and star imports are skipped.
 
 Uses the standard library's ``ast`` only, so it needs no linter
-installed.  ``make docs-check`` runs it; pass paths to check other
-files or directories::
+installed.  It checks ``src/`` by default; pass files or directories
+to check others (``make docs-check`` passes ``src tests benchmarks
+tools``)::
 
     python tools/check_imports.py [PATH ...]
 """
