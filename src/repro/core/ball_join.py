@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.bfs import ball_sets, ball_union
-from repro.utils.arrays import concat_ranges, unique_slots
+from repro.utils.arrays import gather_ranges, segment_dots, unique_slots
 
 __all__ = ["ball_pair_edges", "score_in_blocks"]
 
@@ -66,7 +66,8 @@ class LookupTable:
 
     :meth:`lookup` fills the table for ``span`` rows at a time, reads it,
     and clears it again, so a lookup costs one gather instead of a
-    search and the table is reusable across calls.  Rows are candidate
+    search and the table is reusable across calls; :meth:`dots` reads
+    it as dot products, one compiled pass per fill.  Rows are candidate
     indices and columns node ids below *n*.
 
     Parameters
@@ -111,25 +112,84 @@ class LookupTable:
             One result array per query pair (``fill`` where no entry
             matches).
         """
-        n, span, table = self.n, self.span, self._table
+        n, table = self.n, self._table
         outs = [np.empty(len(q_rows), dtype=table.dtype)
                 for q_rows, _ in queries]
+        for base, bounds in self._filled(rows, cols, values,
+                                         [q_rows for q_rows, _ in queries]):
+            for out, (q_rows, q_cols), (lo, hi) in zip(outs, queries, bounds):
+                out[lo:hi] = table[(q_rows[lo:hi] - base) * n + q_cols[lo:hi]]
+        return outs
+
+    def dots(self, rows, cols, values, q_rows, lengths, q_cols, q_values):
+        """Dot products of query vectors with rows of the table.
+
+        Query ``k`` holds ``lengths[k]`` consecutive products: its result
+        is ``sum(q_values[j] * T[q_rows[k], q_cols[j]])`` over them,
+        added in order from ``0.0``, where ``T`` is the table filled with
+        *values* at ``(rows, cols)`` and ``fill`` elsewhere.  Each block
+        of filled rows takes one compiled pass
+        (:func:`~repro.utils.arrays.segment_dots`).
+
+        Parameters
+        ----------
+        rows, cols, values : numpy.ndarray
+            The entries, as for :meth:`lookup`; ``float64`` table.
+        q_rows : numpy.ndarray
+            Table row of each query, ascending.
+        lengths : numpy.ndarray
+            Products per query.
+        q_cols, q_values : numpy.ndarray
+            Column and coefficient of every product, query by query.
+
+        Returns
+        -------
+        numpy.ndarray
+            One ``float64`` result per query.
+
+        Raises
+        ------
+        IndexError
+            When a product's column lies outside ``[0, n)``: it would
+            read another row's cell.
+        """
+        n, span = self.n, self.span
+        if len(q_cols) and (q_cols.min() < 0 or q_cols.max() >= n):
+            raise IndexError(f"query columns must lie in [0, {n})")
+        ptr = np.zeros(len(q_rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=ptr[1:])
+        # Blocks start at multiples of span, so a row's place in its
+        # block is its remainder.
+        cells = q_cols + np.repeat((q_rows % span) * n, lengths)
+        out = np.empty(len(q_rows))
+        for _, ((lo, hi),) in self._filled(rows, cols, values, [q_rows]):
+            out[lo:hi] = segment_dots(ptr[lo:hi + 1], cells, q_values,
+                                      self._table)
+        return out
+
+    def _filled(self, rows, cols, values, query_rows):
+        """Fill the table ``span`` rows at a time and clear it after.
+
+        Yields ``(base, bounds)`` per block of rows ``base .. base +
+        span - 1`` while the table holds those rows' entries, row
+        ``base + i`` at table row ``i``; ``bounds`` gives, for each
+        array of *query_rows* (ascending), the ``(lo, hi)`` slice of the
+        queries in the block.
+        """
+        n, span, table = self.n, self.span, self._table
         last = max([int(rows[-1]) if len(rows) else 0]
-                   + [int(q_rows[-1]) for q_rows, _ in queries if len(q_rows)])
+                   + [int(q[-1]) for q in query_rows if len(q)])
         starts = np.arange(0, last + span + 1, span)
         entry_bounds = np.searchsorted(rows, starts)
-        query_bounds = [np.searchsorted(q_rows, starts) for q_rows, _ in queries]
+        query_bounds = [np.searchsorted(q, starts) for q in query_rows]
         for block, base in enumerate(starts[:-1]):
             lo, hi = entry_bounds[block], entry_bounds[block + 1]
             cells = (rows[lo:hi] - base) * n + cols[lo:hi]
             table[cells] = values[lo:hi]
-            for out, (q_rows, q_cols), bounds in zip(outs, queries,
-                                                     query_bounds):
-                q_lo, q_hi = bounds[block], bounds[block + 1]
-                out[q_lo:q_hi] = table[(q_rows[q_lo:q_hi] - base) * n
-                                       + q_cols[q_lo:q_hi]]
-            table[cells] = self.fill
-        return outs
+            try:
+                yield base, [(b[block], b[block + 1]) for b in query_bounds]
+            finally:
+                table[cells] = self.fill
 
 
 def ball_pair_edges(adjacency, positions, p_owner, p_nodes, q_owner,
@@ -163,17 +223,16 @@ def ball_pair_edges(adjacency, positions, p_owner, p_nodes, q_owner,
         first appears in the p entries.
     """
     indptr, neighbors, edge_ids = adjacency
-    starts = indptr[p_nodes]
-    lengths = indptr[p_nodes + 1] - starts
-    flat = concat_ranges(starts, lengths)
+    lengths, reached, incident = gather_ranges(indptr, p_nodes, neighbors,
+                                               edge_ids)
     src_entry = np.repeat(np.arange(len(p_nodes)), lengths)
     owner = p_owner[src_entry]
     nbr_entry, src_in_q = positions.lookup(
         q_owner, q_nodes, np.arange(len(q_nodes), dtype=np.int32),
-        [(owner, neighbors[flat]), (owner, p_nodes[src_entry])],
+        [(owner, reached), (owner, p_nodes[src_entry])],
     )
     hit = np.flatnonzero(nbr_entry >= 0)
-    eids = edge_ids[flat[hit]]
+    eids = incident[hit]
     # One key per (candidate, edge): the first occurrence wins and the
     # survivors come out in ascending edge order within a candidate.
     _, _, first = unique_slots(owner[hit] * np.int64(len(edge_ids)) + eids)
@@ -239,10 +298,8 @@ def grown_joins(graph, adjacency, p, q, radius: int):
 
 def _ball_entries(ptr, members, which):
     """Entries ``(owner, node)`` of ball ``which[k]`` for every owner ``k``."""
-    starts = ptr[which]
-    lengths = ptr[which + 1] - starts
-    owner = np.repeat(np.arange(len(which)), lengths)
-    return owner, members[concat_ranges(starts, lengths)]
+    lengths, nodes = gather_ranges(ptr, which, members)
+    return np.repeat(np.arange(len(which)), lengths), nodes
 
 
 class JoinStore:
@@ -259,8 +316,9 @@ class JoinStore:
 
     Joins are appended block by block (:meth:`append`) and become
     readable at :meth:`commit`.  The store never holds more than
-    ``JOIN_IDS_PER_EDGE * graph.edge_count`` ids; a join that does not
-    fit is left out and sets :attr:`full`.
+    ``JOIN_IDS_PER_EDGE * graph.edge_count`` ids (nor more than its
+    ``int32`` offsets reach); a join that does not fit is left out and
+    sets :attr:`full`.
 
     Parameters
     ----------
@@ -274,7 +332,7 @@ class JoinStore:
     edge_ids : numpy.ndarray
         The stored candidates, distinct, in store order.
     ptr : numpy.ndarray
-        ``int64`` offsets: the join of ``edge_ids[k]`` is
+        ``int32`` offsets: the join of ``edge_ids[k]`` is
         ``ids[ptr[k]:ptr[k + 1]]``.
     ids : numpy.ndarray
         The joins' ``int32`` edge ids.
@@ -286,13 +344,15 @@ class JoinStore:
 
     def __init__(self, graph) -> None:
         self.graph = graph
-        self.capacity = JOIN_IDS_PER_EDGE * graph.edge_count
+        # int32 offsets, like the ids: gather_ranges wants one index dtype.
+        self.capacity = min(JOIN_IDS_PER_EDGE * graph.edge_count,
+                            np.iinfo(np.int32).max)
         self.reset(None)
 
     def reset(self, adjacency) -> None:
         """Empty the store and point it at the subgraph *adjacency*."""
         self.adjacency = adjacency
-        self._set(np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64),
+        self._set(np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int32),
                   np.empty(0, dtype=np.int32))
 
     def _set(self, edge_ids, ptr, ids) -> None:
@@ -343,7 +403,7 @@ class JoinStore:
         lengths = np.diff(self.ptr)
         ids = self.ids[np.repeat(keep, lengths)]
         lengths = lengths[keep]
-        ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        ptr = np.zeros(len(lengths) + 1, dtype=np.int32)
         np.cumsum(lengths, out=ptr[1:])
         self.adjacency = adjacency
         self._set(self.edge_ids[keep], ptr, ids)
@@ -388,7 +448,7 @@ class JoinStore:
         edge_ids, lengths, ids = zip(*self._pending)
         self._pending = []
         ptr = np.concatenate([self.ptr, self.ptr[-1] + np.cumsum(
-            np.concatenate(lengths))])
+            np.concatenate(lengths), dtype=np.int32)])
         full = self.full
         self._set(np.concatenate((self.edge_ids,) + edge_ids), ptr,
                   np.concatenate((self.ids,) + ids))
@@ -407,10 +467,8 @@ class JoinStore:
         ``owner`` indexes *slots*, ascending; ``eids`` are ``int64``,
         ascending per owner.
         """
-        starts = self.ptr[slots]
-        lengths = self.ptr[slots + 1] - starts
-        return (np.repeat(np.arange(len(slots)), lengths),
-                self.ids[concat_ranges(starts, lengths)].astype(np.int64))
+        lengths, ids = gather_ranges(self.ptr, slots, self.ids)
+        return np.repeat(np.arange(len(slots)), lengths), ids.astype(np.int64)
 
 
 def block_spans(costs) -> list:

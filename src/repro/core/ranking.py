@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.arrays import concat_ranges, unique_slots
+from repro.utils.arrays import gather_ranges, unique_slots
 from repro.core.ball_join import (
     BLOCK_ENTRIES,
     LookupTable,
@@ -62,8 +62,9 @@ class ApproxRanker:
        store's cap grow their endpoints' balls together and are joined
        in spans cut from the grown balls' exact counts
        (:func:`repro.core.ball_join.grown_joins`), without being stored;
-    2. ``s`` is evaluated only at the joined edges' endpoints, reading
-       ``u`` through a dense per-candidate table;
+    2. ``s`` is evaluated only at the joined edges' endpoints, as dot
+       products of ``Z`` columns with ``u`` filled into a dense
+       per-candidate table (:meth:`~repro.core.ball_join.LookupTable.dots`);
     3. one ``bincount`` per span reduces the numerators.
 
     :meth:`score_bounds` gives, for every candidate with a stored join,
@@ -341,16 +342,18 @@ class ApproxRanker:
         """
         n = self.graph.n
         count = len(p)
-        (p_owner, p_flat), (q_owner, q_flat) = map(self._columns, (p, q))
+        owner_keys = np.arange(count) * n
+        (p_lengths, p_rows, p_values), (q_lengths, q_rows, q_values) = map(
+            self._columns, (p, q))
         keys = np.concatenate([
-            p_owner * n + self._z_indices[p_flat],
-            q_owner * n + self._z_indices[q_flat],
+            np.repeat(owner_keys, p_lengths) + p_rows,
+            np.repeat(owner_keys, q_lengths) + q_rows,
         ])
         keys, slot, _ = unique_slots(keys)
         # Accumulating +z~_p before -z~_q per row reproduces the dense
         # scatter ``u[rows_p] += z~_p; u[rows_q] -= z~_q`` exactly.
         u_values = np.bincount(slot, weights=np.concatenate(
-            [self._z_data[p_flat], -self._z_data[q_flat]]
+            [p_values, -q_values]
         ))
         u_owner, u_rows = np.divmod(keys, n)
         resistance = np.bincount(u_owner, weights=u_values * u_values,
@@ -359,25 +362,21 @@ class ApproxRanker:
 
     def _inner_products(self, owner, nodes, u_table, u_owner, u_rows,
                         u_values):
-        """``z~_a . u`` for entries ``(owner, a)`` sorted by owner."""
-        entry, flat = self._columns(nodes)
-        (u_at,) = u_table.lookup(
-            u_owner, u_rows, u_values,
-            [(owner[entry], self._z_indices[flat])],
-        )
-        return np.bincount(entry, weights=self._z_data[flat] * u_at,
-                           minlength=len(nodes))
+        """``z~_a . u`` for entries ``(owner, a)`` sorted by owner.
+
+        Each sum runs over ``z~_a``'s stored entries in ascending row
+        order from ``0.0`` (:meth:`LookupTable.dots`).
+        """
+        lengths, rows, values = self._columns(nodes)
+        return u_table.dots(u_owner, u_rows, u_values, owner, lengths,
+                            rows, values)
 
     def _columns(self, nodes):
-        """Storage positions of the ``Z`` columns of *nodes*.
+        """The ``Z`` columns of *nodes*, concatenated.
 
-        Returns ``(entry, flat)``: for every stored entry, the index of
-        its node in *nodes* and its position in ``Z.indices`` /
-        ``Z.data``, column by column in storage (ascending row) order.
+        Returns ``(lengths, rows, values)``: each column's entry count,
+        and the row index and value of every entry, column by column in
+        storage (ascending row) order.
         """
-        cols = self._iperm[nodes]
-        starts = self._z_indptr[cols]
-        lengths = self._z_indptr[cols + 1] - starts
-        return (np.repeat(np.arange(len(nodes)), lengths),
-                concat_ranges(starts, lengths))
-
+        return gather_ranges(self._z_indptr, self._iperm[nodes],
+                             self._z_indices, self._z_data)

@@ -240,10 +240,8 @@ def _ranked_on_demand(ranker, candidates, score, marked, first):
     ids, scores, head = candidates[:0], np.empty(0), 0
     while True:
         batch = candidates[np.sort(batch)]
-        ids = np.concatenate([ids[head:], batch])
-        scores = np.concatenate([scores[head:], score(batch)])
-        order = np.lexsort((ids, -scores))
-        ids, scores, head = ids[order], scores[order], 0
+        ids, scores = _merged(ids[head:], scores[head:], batch, score(batch))
+        head = 0
         open_ids = candidates[open_]
         k = 0
         while True:
@@ -267,6 +265,29 @@ def _ranked_on_demand(ranker, candidates, score, marked, first):
             size *= 2
             take = size
         batch, open_ = open_[:take], open_[take:]
+
+
+def _merged(ids, scores, new_ids, new_scores):
+    """Merge a scored batch into scored candidates already in walk order.
+
+    *new_ids* are ascending.  The batch alone is sorted, and one stable
+    sort over the two sorted runs merges them (a merge sort finds the
+    runs), so each stall costs about one pass over the pool instead of
+    a full sort.  A score tied across the two runs comes out pool first;
+    if that leaves a tie out of edge-id order, the ties are put back in
+    order by sorting on ``(score, id)`` as the walk order is defined.
+    """
+    order = np.argsort(-new_scores, kind="stable")
+    ids = np.concatenate([ids, new_ids[order]])
+    scores = np.concatenate([scores, new_scores[order]])
+    order = np.argsort(-scores, kind="stable")
+    ids, scores = ids[order], scores[order]
+    # An adjacent pair is in walk order when its score falls or its id
+    # rises (the test is written so that NaN scores count as tied).
+    if np.any(~(scores[:-1] > scores[1:]) & (ids[:-1] > ids[1:])):
+        order = np.lexsort((ids, -scores))
+        ids, scores = ids[order], scores[order]
+    return ids, scores
 
 
 def _pick_edges(ranked, marker, per_round, use_similarity):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.arrays import concat_ranges
+from repro.utils.arrays import gather_ranges
 from repro.core.ball_join import LookupTable, ball_pair_edges, score_in_blocks
 from repro.graph.graph import Graph
 from repro.tree.lca import batch_tree_resistances
@@ -132,23 +132,21 @@ def _tree_balls(tree, weights, sources, start_values, ends, sign, beta):
     value = np.asarray(start_values, dtype=np.float64)
     levels = [(owner, node, value)]
     for _ in range(beta):
-        starts = indptr[node]
-        lengths = indptr[node + 1] - starts
-        flat = concat_ranges(starts, lengths)
+        lengths, reached, via = gather_ranges(indptr, node, neighbors,
+                                              edge_ids)
         pred = np.repeat(node, lengths)
-        fresh = neighbors[flat] != np.repeat(came_from, lengths)
+        fresh = reached != np.repeat(came_from, lengths)
         if not fresh.any():
             break
-        flat = flat[fresh]
         pred = pred[fresh]
         owner = np.repeat(owner, lengths)[fresh]
         value = np.repeat(value, lengths)[fresh]
-        node = neighbors[flat]
+        node = reached[fresh]
         child = np.where(depth[node] > depth[pred], node, pred)
         lo, hi = tin[child], tout[child]
         in_p = (lo <= tin_p[owner]) & (tin_p[owner] < hi)
         in_q = (lo <= tin_q[owner]) & (tin_q[owner] < hi)
-        value = np.where(in_p != in_q, value + sign / weights[edge_ids[flat]],
+        value = np.where(in_p != in_q, value + sign / weights[via[fresh]],
                          value)
         came_from = pred
         levels.append((owner, node, value))

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
-from repro.utils.arrays import concat_ranges
+from repro.utils.arrays import gather_ranges
 
 __all__ = ["ball_sets", "ball_union", "bfs_forest"]
 
@@ -60,10 +60,8 @@ def ball_sets(indptr, neighbors, sources, layers: int):
     frontier = visited
     for _ in range(layers):
         owner, node = np.divmod(frontier, n)
-        starts = indptr[node]
-        lengths = indptr[node + 1] - starts
-        flat = concat_ranges(starts, lengths)
-        reached = np.sort(np.repeat(owner, lengths) * n + neighbors[flat])
+        lengths, reached = gather_ranges(indptr, node, neighbors)
+        reached = np.sort(np.repeat(owner, lengths) * n + reached)
         slots = np.searchsorted(visited, reached)
         fresh = visited[np.minimum(slots, len(visited) - 1)] != reached
         fresh[1:] &= reached[1:] != reached[:-1]

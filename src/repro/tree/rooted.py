@@ -13,9 +13,10 @@ the tree phase of Algorithm 2 consumes both.
 Everything is array code.  Rooting is one breadth-first search from all
 roots at once; depths and the ``2**k``-th ancestor tables (which answer
 LCA queries by binary lifting) come from pointer jumping; ``rdist``
-accumulates one BFS level at a time, so each node adds its edge term to
-its parent's finished value exactly as a per-node walk from the root
-would, and the floats match that walk bit for bit.
+comes from one compiled Dijkstra over the parent -> child edges, in
+which each node adds its edge term to its parent's finished value
+exactly as a per-node walk from the root would, so the floats match
+that walk bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import copy
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import depth_first_order
+from scipy.sparse.csgraph import depth_first_order, dijkstra
 
 from repro.exceptions import NotATreeError
 from repro.graph.bfs import bfs_forest
@@ -93,7 +94,7 @@ class RootedForest:
         self.roots = component_roots(labels)
 
         indptr, nbr, _ = self.tree.adjacency()
-        order, parent = bfs_forest(indptr, nbr, self.roots)
+        _, parent = bfs_forest(indptr, nbr, self.roots)
         self.parent = parent
         self.depth, self.ancestors = forest_depths(parent)
 
@@ -104,17 +105,17 @@ class RootedForest:
         self.parent_edge = np.full(graph.n, -1, dtype=np.int64)
         self.parent_edge[child] = tree_edge_ids
 
-        # rdist one BFS level at a time.  The order is sorted by depth,
-        # so a node adds its term to its parent's finished sum, just as
-        # a walk down from the root would.
-        below = parent >= 0
-        step = np.zeros(graph.n)
-        step[below] = 1.0 / graph.w[self.parent_edge[below]]
-        self.rdist = np.zeros(graph.n)
-        starts = np.flatnonzero(np.diff(self.depth[order])) + 1
-        levels = np.split(order, starts)
-        for level in levels[1:]:
-            self.rdist[level] = self.rdist[parent[level]] + step[level]
+        # rdist by one compiled Dijkstra from all roots over the
+        # parent -> child edges weighted 1/w.  A node's one in-edge comes
+        # from its parent, so its distance is the parent's finished sum
+        # plus its own term, one addition, just as a walk down from the
+        # root would make it.
+        below = np.flatnonzero(parent >= 0)
+        steps = sp.csr_matrix(
+            (1.0 / graph.w[self.parent_edge[below]], (parent[below], below)),
+            shape=(graph.n, graph.n),
+        )
+        self.rdist = dijkstra(steps, indices=self.roots, min_only=True)
         self._tin = None
         self._tout = None
 

@@ -1,10 +1,24 @@
-"""Array helpers shared across layers."""
+"""Array helpers shared across layers.
+
+:func:`gather_ranges` and :func:`segment_dots` run scipy's compiled
+sparse kernels ``csr_row_index`` and ``csr_matvec`` on plain arrays.
+They live in scipy's private ``scipy.sparse._sparsetools``, which this
+is the one module to import (``tools/check_imports.py`` fails on any
+other): the kernels check nothing, so both helpers check every index
+they will read before the call.  A scipy without these kernels fails
+at import; there is no fallback path.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec, csr_row_index
 
-__all__ = ["concat_ranges", "unique_slots", "forest_depths"]
+__all__ = ["concat_ranges", "gather_ranges", "segment_dots", "unique_slots",
+           "forest_depths"]
+
+#: Index dtypes the compiled kernels take without copying their inputs.
+_INDEX_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 
 
 def concat_ranges(starts, lengths):
@@ -44,6 +58,152 @@ def concat_ranges(starts, lengths):
     if len(starts) > 1:
         out[cum[:-1]] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
     return out.cumsum()
+
+
+def gather_ranges(indptr, rows, first, second=None):
+    """Concatenated CSR ranges of one or two aligned arrays.
+
+    For every ``r`` in *rows*, in order, copies
+    ``first[indptr[r]:indptr[r + 1]]`` (and the same range of *second*):
+    ``first[concat_ranges(indptr[rows], lengths)]``, but copied range by
+    range in one compiled pass (scipy's ``csr_row_index``) instead of
+    built from cumsums and then gathered.
+
+    Parameters
+    ----------
+    indptr : numpy.ndarray
+        ``int32`` or ``int64`` range offsets.
+    rows : array_like of int
+        Ranges to copy, each in ``[0, len(indptr) - 1)``; repeats and
+        any order are fine.
+    first : numpy.ndarray
+        Array the ranges index; same dtype as *indptr*.
+    second : numpy.ndarray, optional
+        Array of any dtype aligned with *first* (same length).
+
+    Returns
+    -------
+    lengths : numpy.ndarray
+        Length of each range, in *indptr*'s dtype.
+    firsts : numpy.ndarray
+        The concatenated ranges of *first*.
+    seconds : numpy.ndarray
+        The same ranges of *second*; returned only when it is given.
+
+    Raises
+    ------
+    TypeError
+        When *indptr* is not ``int32``/``int64``, *first* differs from it
+        in dtype (the kernel would copy both whole arrays), or *rows*
+        are not integers.
+    IndexError
+        When a row lies outside ``[0, len(indptr) - 1)``.
+    ValueError
+        When *first* and *second* differ in length, or a requested range
+        is reversed or reaches outside them.
+    """
+    indptr = np.asarray(indptr)
+    if indptr.dtype not in _INDEX_DTYPES or first.dtype != indptr.dtype:
+        raise TypeError(
+            f"indptr and first must share an int32 or int64 dtype, got "
+            f"{indptr.dtype} and {first.dtype}"
+        )
+    if second is not None and len(second) != len(first):
+        raise ValueError(
+            f"aligned arrays differ in length: {len(first)} and {len(second)}"
+        )
+    rows = np.asarray(rows)
+    if len(rows) and rows.dtype.kind not in "iu":
+        raise TypeError(f"rows must be integers, got {rows.dtype}")
+    if len(rows) and (rows.min() < 0 or rows.max() >= len(indptr) - 1):
+        raise IndexError(
+            f"rows must lie in [0, {len(indptr) - 1}), got "
+            f"{rows.min() if rows.min() < 0 else rows.max()}"
+        )
+    rows = rows.astype(indptr.dtype, copy=False)
+    starts = indptr[rows]
+    ends = indptr[rows + 1]
+    lengths = ends - starts
+    if len(rows) and (starts.min() < 0 or lengths.min() < 0
+                      or ends.max() > len(first)):
+        raise ValueError(
+            f"a range of indptr is reversed or reaches outside the "
+            f"{len(first)} entries"
+        )
+    total = int(lengths.sum())
+    firsts = np.empty(total, dtype=first.dtype)
+    if second is None:
+        # The kernel copies two arrays; alias both to the one wanted.
+        if total:
+            csr_row_index(len(rows), rows, indptr, first, first, firsts,
+                          firsts)
+        return lengths, firsts
+    seconds = np.empty(total, dtype=second.dtype)
+    if total:
+        csr_row_index(len(rows), rows, indptr, first, second, firsts,
+                      seconds)
+    return lengths, firsts, seconds
+
+
+def segment_dots(indptr, indices, data, x):
+    """``sum(data[j] * x[indices[j]])`` over each range of *indptr*.
+
+    Segment ``i`` runs over ``j`` in ``indptr[i]:indptr[i + 1]``, adding
+    its products in ascending ``j`` from ``0.0``: the bits of
+    ``np.bincount(segment, weights=data[range] * x[indices[range]])``,
+    in one compiled pass (scipy's ``csr_matvec``) instead of four.
+
+    Parameters
+    ----------
+    indptr : numpy.ndarray
+        ``int32`` or ``int64`` offsets into *indices* and *data*,
+        non-decreasing; need not start at 0.
+    indices : numpy.ndarray
+        Positions into *x*, same dtype as *indptr*; those the segments
+        read must lie in ``[0, len(x))``.
+    data : numpy.ndarray
+        ``float64`` coefficients aligned with *indices*.
+    x : numpy.ndarray
+        ``float64`` values.
+
+    Returns
+    -------
+    numpy.ndarray
+        One ``float64`` sum per segment.
+
+    Raises
+    ------
+    TypeError
+        On dtypes the kernel would have to convert.
+    ValueError
+        When *indptr* decreases or reaches outside *indices*.
+    IndexError
+        When a position the segments read lies outside *x*.
+    """
+    indptr = np.asarray(indptr)
+    if indptr.dtype not in _INDEX_DTYPES or indices.dtype != indptr.dtype:
+        raise TypeError(
+            f"indptr and indices must share an int32 or int64 dtype, got "
+            f"{indptr.dtype} and {indices.dtype}"
+        )
+    if data.dtype != np.float64 or x.dtype != np.float64:
+        raise TypeError(f"data and x must be float64, got {data.dtype} "
+                        f"and {x.dtype}")
+    out = np.zeros(max(len(indptr) - 1, 0))
+    if len(out) == 0:
+        return out
+    lo, hi = int(indptr[0]), int(indptr[-1])
+    if (lo < 0 or hi > min(len(indices), len(data))
+            or np.diff(indptr).min() < 0):
+        raise ValueError(
+            f"indptr must be non-decreasing within the {len(indices)} "
+            f"entries"
+        )
+    read = indices[lo:hi]
+    if hi > lo and (read.min() < 0 or read.max() >= len(x)):
+        raise IndexError(f"indices must lie in [0, {len(x)})")
+    csr_matvec(len(out), len(x), indptr, indices, data, x, out)
+    return out
 
 
 def unique_slots(keys):

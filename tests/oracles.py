@@ -13,7 +13,10 @@ only to check the segmented array implementations in
 ``repro.linalg.spai`` and ``repro.powergrid.netlist`` against (Eq. 12,
 with exact solves, checks the ball truncation on its own).
 :class:`OracleApproxRanker` plugs the Eq. 20 loop into the sparsifier
-driver through the ranker's ``score_batch``, and
+driver through the ranker's ``score_batch``.  :class:`NumpyApproxRanker`
+and :func:`level_rdist` keep the numpy forms that scipy's compiled
+kernels replaced in the Eq. 20 s-values and in ``RootedForest.rdist``,
+which production must match bit for bit, and
 :func:`backward_euler_matrix` assembles Eq. 21's system matrix from its
 definition for the transient solvers' check.
 
@@ -46,14 +49,15 @@ from repro.api.records import RunRecord
 from repro.api.session import SparsifierSession
 from repro.exceptions import (FactorizationError, IncrementalError,
                               NotATreeError)
-from repro.graph.bfs import ball_union
+from repro.core.ranking import ApproxRanker
+from repro.graph.bfs import ball_union, bfs_forest
 from repro.graph.graph import Graph
 from repro.incremental.evolving import EvolvingSparsifier
 from repro.powergrid.mna import conductance_matrix
 from repro.tree import rooted, spanning
 from repro.tree.lca import batch_tree_resistances
 from repro.tree.spanning import effective_weights
-from repro.utils.arrays import concat_ranges
+from repro.utils.arrays import concat_ranges, unique_slots
 from repro.utils.timers import Timer
 from repro.utils.validation import check_square_sparse
 
@@ -484,6 +488,66 @@ def sparse_approximate_inverse(L, delta=0.1, keep_threshold=None):
                       shape=(n, n))
     Z.has_sorted_indices = True
     return Z
+
+
+class NumpyApproxRanker(ApproxRanker):
+    """:class:`~repro.core.ranking.ApproxRanker` with its Eq. 20 s-value
+    path in numpy: ``Z`` columns gathered through :func:`concat_ranges`
+    and fancy indexing, and each ``z~_a . u`` as a table lookup, a
+    multiply and a ``bincount``.  The same products summed in the same
+    order from ``0.0``, so production must match it bit for bit.
+    """
+
+    def _differences(self, p, q):
+        n = self.graph.n
+        count = len(p)
+        (p_owner, p_flat), (q_owner, q_flat) = map(self._flat_columns,
+                                                   (p, q))
+        keys, slot, _ = unique_slots(np.concatenate([
+            p_owner * n + self._z_indices[p_flat],
+            q_owner * n + self._z_indices[q_flat],
+        ]))
+        u_values = np.bincount(slot, weights=np.concatenate(
+            [self._z_data[p_flat], -self._z_data[q_flat]]
+        ))
+        u_owner, u_rows = np.divmod(keys, n)
+        resistance = np.bincount(u_owner, weights=u_values * u_values,
+                                 minlength=count)
+        return u_owner, u_rows, u_values, resistance
+
+    def _inner_products(self, owner, nodes, u_table, u_owner, u_rows,
+                        u_values):
+        entry, flat = self._flat_columns(nodes)
+        (u_at,) = u_table.lookup(
+            u_owner, u_rows, u_values,
+            [(owner[entry], self._z_indices[flat])],
+        )
+        return np.bincount(entry, weights=self._z_data[flat] * u_at,
+                           minlength=len(nodes))
+
+    def _flat_columns(self, nodes):
+        """``(entry, flat)``: node index and ``Z`` storage position of
+        every entry of the columns of *nodes*."""
+        cols = self._iperm[nodes]
+        starts = self._z_indptr[cols]
+        lengths = self._z_indptr[cols + 1] - starts
+        return (np.repeat(np.arange(len(nodes)), lengths),
+                concat_ranges(starts, lengths))
+
+
+def level_rdist(forest):
+    """``RootedForest.rdist`` accumulated one BFS level at a time."""
+    graph = forest.graph
+    indptr, nbr, _ = forest.tree.adjacency()
+    order, parent = bfs_forest(indptr, nbr, forest.roots)
+    below = parent >= 0
+    step = np.zeros(graph.n)
+    step[below] = 1.0 / graph.w[forest.parent_edge[below]]
+    rdist = np.zeros(graph.n)
+    starts = np.flatnonzero(np.diff(forest.depth[order])) + 1
+    for level in np.split(order, starts)[1:]:
+        rdist[level] = rdist[parent[level]] + step[level]
+    return rdist
 
 
 class OracleApproxRanker:

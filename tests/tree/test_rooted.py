@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from repro.exceptions import NotATreeError
-from repro.graph import Graph
+from repro.graph import Graph, grid2d
 from repro.tree import RootedForest, batch_tree_resistances, mewst
 
 
@@ -33,6 +34,41 @@ def test_path_structure(path_forest):
     np.testing.assert_allclose(
         forest.rdist, [0.0, 1.0, 1.5, 1.75, 3.75]
     )
+
+
+def _assert_rdist_is_the_level_loops(forest):
+    expected = oracles.level_rdist(forest)
+    assert np.array_equal(forest.rdist.view(np.int64),
+                          expected.view(np.int64))
+
+
+def test_rdist_on_a_long_path_is_the_level_loops():
+    """One compiled Dijkstra makes the per-level sums' bits, 999 levels
+    deep, with weights whose reciprocals round."""
+    rng = np.random.default_rng(5)
+    n = 1000
+    weights = rng.uniform(0.1, 10.0, n - 1)
+    # From the root, node 0, the path visits the others out of id order.
+    order = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+    g = Graph.from_edges(n, [(int(order[k]), int(order[k + 1]), weights[k])
+                             for k in range(n - 1)])
+    forest = RootedForest(g, np.arange(n - 1))
+    assert forest.depth.max() == n - 1
+    _assert_rdist_is_the_level_loops(forest)
+
+
+def test_rdist_on_a_forest_of_several_roots_is_the_level_loops():
+    """A grid, a path, a star and an isolated node: four roots."""
+    grid = grid2d(9, 7, weights="uniform", seed=4)
+    edges = [(int(a), int(b), float(w))
+             for a, b, w in zip(grid.u, grid.v, grid.w)]
+    base = grid.n
+    edges += [(base + k, base + k + 1, 0.3 + k) for k in range(6)]
+    edges += [(base + 7, base + 8 + k, 1.0 / (k + 3)) for k in range(5)]
+    g = Graph.from_edges(base + 14, edges)
+    forest = RootedForest(g, mewst(g))
+    assert forest.component_count == 4
+    _assert_rdist_is_the_level_loops(forest)
 
 
 def test_tree_resistance_on_path(path_forest):

@@ -16,7 +16,7 @@ from repro.utils import (
     format_bytes,
     format_seconds,
 )
-from repro.utils.arrays import concat_ranges
+from repro.utils.arrays import concat_ranges, gather_ranges, segment_dots
 from repro.utils.reporting import format_count
 
 
@@ -149,3 +149,102 @@ class TestConcatRanges:
             [np.arange(s, s + l) for s, l in ranges] or [np.empty(0)]
         ).astype(np.int64)
         np.testing.assert_array_equal(concat_ranges(starts, lengths), expected)
+
+
+@st.composite
+def _ranges(draw):
+    """A CSR offset array (int32 or int64, empty rows included) and a
+    list of its rows to copy, possibly empty, repeating, in any order."""
+    lengths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=12))
+    indptr = np.zeros(len(lengths) + 1,
+                      dtype=draw(st.sampled_from([np.int32, np.int64])))
+    np.cumsum(lengths, out=indptr[1:])
+    rows = draw(st.lists(st.integers(0, len(lengths) - 1), max_size=20))
+    return indptr, np.asarray(rows, dtype=np.int64)
+
+
+class TestGatherRanges:
+    """scipy's compiled row copy against the numpy gather it replaced."""
+
+    @given(case=_ranges(), seed=st.integers(0, 2 ** 16),
+           bad=st.sampled_from([-1, 0]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_concat_ranges_and_fancy_indexing(self, case, seed,
+                                                      bad):
+        indptr, rows = case
+        rng = np.random.default_rng(seed)
+        first = rng.integers(-9, 9, int(indptr[-1])).astype(indptr.dtype)
+        second = rng.standard_normal(int(indptr[-1]))
+        starts = indptr[rows]
+        flat = concat_ranges(starts, indptr[rows + 1] - starts)
+        lengths, firsts, seconds = gather_ranges(indptr, rows, first, second)
+        assert np.array_equal(lengths, np.diff(indptr)[rows])
+        assert firsts.dtype == first.dtype and seconds.dtype == np.float64
+        assert np.array_equal(firsts, first[flat])
+        assert np.array_equal(seconds.view(np.int64),
+                              second[flat].view(np.int64))
+        only_lengths, only = gather_ranges(indptr, rows, first)
+        assert np.array_equal(only_lengths, lengths)
+        assert np.array_equal(only, first[flat])
+        # A row past either end raises instead of reading outside.
+        beyond = np.append(rows, bad if bad < 0 else len(indptr) - 1)
+        with pytest.raises(IndexError):
+            gather_ranges(indptr, beyond, first, second)
+
+    def test_rejects_what_the_kernel_would_misread(self):
+        indptr = np.array([0, 2, 5], dtype=np.int64)
+        first = np.arange(5, dtype=np.int64)
+        with pytest.raises(TypeError):  # the kernel would copy both
+            gather_ranges(indptr, [0], first.astype(np.int32))
+        with pytest.raises(TypeError):
+            gather_ranges(indptr, np.array([0.0]), first)
+        with pytest.raises(ValueError):  # not aligned
+            gather_ranges(indptr, [0], first, np.zeros(4))
+        with pytest.raises(ValueError):  # a range past the arrays
+            gather_ranges(np.array([0, 2, 6]), [1], first)
+        with pytest.raises(ValueError):  # a reversed range
+            gather_ranges(np.array([0, 3, 1]), [1], first)
+
+
+class TestSegmentDots:
+    """scipy's compiled row dot products against gather, multiply and
+    ``bincount``: the same products added in the same order."""
+
+    @given(lengths=st.lists(st.integers(0, 6), min_size=1, max_size=10),
+           size=st.integers(1, 8), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_bincount_bit_for_bit(self, lengths, size, seed):
+        rng = np.random.default_rng(seed)
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        indices = rng.integers(0, size, int(indptr[-1]))
+        data = rng.standard_normal(int(indptr[-1])) * 10.0 ** rng.integers(
+            -8, 8, int(indptr[-1]))
+        x = rng.standard_normal(size)
+        segment = np.repeat(np.arange(len(lengths)), lengths)
+        expected = np.bincount(segment, weights=data * x[indices],
+                               minlength=len(lengths))
+        got = segment_dots(indptr, indices, data, x)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        # An offset window reads only its own segments.
+        got = segment_dots(indptr[1:], indices, data, x)
+        assert np.array_equal(got.view(np.int64),
+                              expected[1:].view(np.int64))
+
+    def test_rejects_what_the_kernel_would_misread(self):
+        indptr = np.array([0, 2, 3], dtype=np.int64)
+        indices = np.array([0, 1, 2], dtype=np.int64)
+        data, x = np.ones(3), np.ones(3)
+        assert segment_dots(indptr, indices, data, x).tolist() == [2.0, 1.0]
+        with pytest.raises(IndexError):  # a read past x
+            segment_dots(indptr, indices, data, x[:2])
+        with pytest.raises(IndexError):
+            segment_dots(indptr, indices - 1, data, x)
+        with pytest.raises(ValueError):  # offsets past the entries
+            segment_dots(np.array([0, 4]), indices, data, x)
+        with pytest.raises(ValueError):  # decreasing offsets
+            segment_dots(np.array([0, 2, 1]), indices, data, x)
+        with pytest.raises(TypeError):
+            segment_dots(indptr, indices.astype(np.int32), data, x)
+        with pytest.raises(TypeError):
+            segment_dots(indptr, indices, data.astype(np.float32), x)

@@ -9,6 +9,12 @@ import statement carries ``# noqa: F401`` (an import kept for its side
 effect, such as registering the sparsifier methods).  ``from __future__``
 and star imports are skipped.
 
+It also fails when a module imports a private module of a third-party
+package (``scipy.sparse._sparsetools``, ``from numpy import _core``),
+anywhere in the module: only ``src/repro/utils/arrays.py``, which wraps
+scipy's compiled sparse kernels, may, so that dependency on a private
+interface stays in one module.
+
 Uses the standard library's ``ast`` only, so it needs no linter
 installed.  It checks ``src/`` by default; pass files or directories
 to check others (``make docs-check`` passes ``src tests benchmarks
@@ -25,6 +31,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 NOQA = "noqa: F401"
+#: The one module allowed to import private modules of other packages.
+PRIVATE_IMPORTER = REPO_ROOT / "src" / "repro" / "utils" / "arrays.py"
 
 
 def _module_imports(tree):
@@ -112,20 +120,64 @@ def unused_imports(path: Path):
     return sorted(found)
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _third_party(top: str, path: Path) -> bool:
+    """Whether the top-level module *top* comes from an installed package."""
+    if top in sys.stdlib_module_names:
+        return False
+    local = (REPO_ROOT / "src" / top, REPO_ROOT / top, path.parent / top)
+    return not any(base.is_dir() or base.with_suffix(".py").is_file()
+                   for base in local)
+
+
+def private_imports(path: Path):
+    """``(line, module)`` of each private third-party module *path* imports."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module] + [f"{node.module}.{alias.name}"
+                                       for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            parts = module.split(".")
+            if (any(map(_is_private, parts))
+                    and _third_party(parts[0], path)):
+                found.append((node.lineno, module))
+                break
+    return found
+
+
 def main(argv) -> int:
     roots = [Path(arg) for arg in argv] or [REPO_ROOT / "src"]
     files = sorted(
         file for root in roots
         for file in ([root] if root.is_file() else root.rglob("*.py"))
     )
-    failures = 0
+    unused = private = 0
     for file in files:
         for line, name in unused_imports(file):
             print(f"{file}:{line}: {name!r} imported but never read")
-            failures += 1
-    if failures:
-        print(f"{failures} unused import(s); remove them, list the name "
+            unused += 1
+        if file.resolve() == PRIVATE_IMPORTER:
+            continue
+        for line, module in private_imports(file):
+            print(f"{file}:{line}: imports the private module {module!r}")
+            private += 1
+    if unused:
+        print(f"{unused} unused import(s); remove them, list the name "
               f"in __all__, or mark the line '# {NOQA}'")
+    if private:
+        print(f"{private} private import(s); only "
+              f"{PRIVATE_IMPORTER.relative_to(REPO_ROOT)} may import a "
+              f"private module of another package")
+    if unused or private:
         return 1
     print(f"imports ok: {len(files)} modules")
     return 0
