@@ -21,16 +21,21 @@ test:
 # scored, rounds 2-5 >= 1.25x faster), SPAI on the four factors of a
 # full thupg1t run (bit-identical to the column-loop oracle, >= 7.5x
 # faster; prints the columns under the log n floor and their ties),
+# SPAI's levels as sparse products on the four factors of full NLR
+# (bit-identical to the level merge they replaced, >= 1.1x faster),
 # similarity marking in batches over feGRASS's walk on full NLR (the
-# same picks and marks as marking per pick, >= 2.5x faster), plus a
-# sharded-pipeline smoke run, all statistics-free.  First, every
+# same picks and marks as marking per pick, >= 2.5x faster), the
+# tracemalloc peak of one proposed run on full NLR and on ba_social
+# 0.25, phase by phase (each at most 1.05x the peak recorded before the
+# ball tables), plus a sharded-pipeline smoke run, all statistics-free.
+# First, every
 # benchmark module must import and collect, so one that names a
 # removed function fails here rather than only when someone runs it.
 bench-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_*.py \
 		--collect-only -q
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_kernels.py \
-		-q -s -k "ranking or setup or reuse or prune or spai or marking" \
+		-q -s -k "ranking or setup or reuse or prune or spai or marking or memory" \
 		--benchmark-disable
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_sharding.py \
 		-q -s --benchmark-disable

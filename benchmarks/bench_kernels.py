@@ -3,18 +3,21 @@
 Unlike the table benchmarks (one-shot pipeline timings), these use
 pytest-benchmark's statistical repetition to characterize the building
 blocks: Cholesky factorization, SPAI construction, the two criticality
-kernels, batch LCA, and a preconditioned PCG solve.  Six
+kernels, batch LCA, and a preconditioned PCG solve.  Eight
 statistics-free gates: batched ranking, the shared tree set-up, SPAI
 and similarity marking in batches against their loop oracles
-(``tests/oracles.py``), the join store's reuse across densification
-rounds against dropping it every round, and the exact pruning of
-rounds 2+ against scoring every candidate.
+(``tests/oracles.py``), SPAI's levels as sparse products against the
+level merge they replaced, the join store's reuse across densification
+rounds against dropping it every round, the exact pruning of rounds 2+
+against scoring every candidate, and the tracemalloc peak of one
+``proposed`` run against the peak recorded before the ball tables.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -497,19 +500,20 @@ def _floor_counts(L, delta, monkeypatch):
     counts = [0, 0]
     prune = spai_module._prune
 
-    def spy(sums, owner, count, delta, keep_threshold):
-        sizes = np.bincount(owner, minlength=count)
-        starts = np.cumsum(sizes) - sizes
+    def spy(sums, ptr, delta, keep_threshold):
+        sizes = np.diff(ptr)
+        starts = ptr[:-1]
+        owner = np.repeat(np.arange(len(sizes)), sizes)
         top = np.maximum.reduceat(sums, starts)
         over = np.bincount(owner[sums >= delta * top[owner]],
-                           minlength=count)
+                           minlength=len(sizes))
         short = np.flatnonzero((sizes > keep_threshold)
                                & (over < keep_threshold))
         ranked = sums[np.lexsort((-sums, owner))]
         kth = starts[short] + keep_threshold - 1
         counts[0] += len(short)
         counts[1] += np.count_nonzero(ranked[kth] == ranked[kth + 1])
-        return prune(sums, owner, count, delta, keep_threshold)
+        return prune(sums, ptr, delta, keep_threshold)
 
     with monkeypatch.context() as patch:
         patch.setattr(spai_module, "_prune", spy)
@@ -547,6 +551,59 @@ def test_spai_report(scale, monkeypatch):
     assert speedup >= _SPAI_SPEEDUP_GATE, (
         f"level-scheduled SPAI only {speedup:.1f}x faster than the column "
         f"loop (gate {_SPAI_SPEEDUP_GATE:.1f}x)"
+    )
+
+
+# ----------------------------------------------------------------------
+# SPAI's levels as sparse products against the level merge they replaced
+# (tests/oracles.py level_merge_spai), on the four factors a `proposed`
+# run on full NLR builds.
+# ----------------------------------------------------------------------
+
+#: Gate on product SPAI's speedup over the level merge: about two thirds
+#: of the median 1.67x (four runs: 1.62x-1.80x) measured on full NLR's
+#: four factors on a 2-core x86 host.
+_SPAI_PRODUCT_SPEEDUP_GATE = 1.1
+
+#: Timed runs of each side of the gate, alternating.
+_SPAI_PRODUCT_REPEATS = 7
+
+
+def test_spai_product_report(scale, monkeypatch):
+    """Product and level-merge SPAI on full NLR's factors: same bits,
+    gate the speedup."""
+    graph, _ = make_case("NLR", scale=max(scale, 1.0), seed=0)
+    factors = _proposed_factors(graph, monkeypatch)
+    assert len(factors) == 4
+    delta = repro.SparsifierConfig().delta
+    (products, merges), (product_seconds, merge_seconds) = (
+        _best_interleaved([
+            lambda: [sparse_approximate_inverse(L, delta) for L in factors],
+            lambda: [oracles.level_merge_spai(L, delta) for L in factors],
+        ], _SPAI_PRODUCT_REPEATS))
+    table = Table(["factor", "columns", "levels", "nnz(Z~)"])
+    for k, (ours, theirs, L) in enumerate(zip(products, merges, factors)):
+        for name in ("indptr", "indices"):
+            assert getattr(ours, name).dtype == getattr(theirs, name).dtype
+            np.testing.assert_array_equal(getattr(ours, name),
+                                          getattr(theirs, name))
+        np.testing.assert_array_equal(ours.data.view(np.int64),
+                                      theirs.data.view(np.int64))
+        column = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
+        below = L.indices != column
+        levels = spai_module.dependency_levels(
+            L.shape[0], column[below], L.indices[below].astype(np.int64))
+        table.add_row([k + 1, L.shape[0], int(levels.max()) + 1, ours.nnz])
+    speedup = merge_seconds / product_seconds
+    emit(
+        "kernels_spai_products_vs_merge",
+        table.render() + f"\nlevel merge {merge_seconds:.3f} s, products "
+        f"{product_seconds:.3f} s (best of {_SPAI_PRODUCT_REPEATS}); "
+        f"{speedup:.2f}x faster, bit-identical",
+    )
+    assert speedup >= _SPAI_PRODUCT_SPEEDUP_GATE, (
+        f"product SPAI only {speedup:.2f}x faster than the level merge "
+        f"(gate {_SPAI_PRODUCT_SPEEDUP_GATE:.1f}x)"
     )
 
 
@@ -614,6 +671,88 @@ def test_marking_report(scale):
         f"batched marking only {speedup:.1f}x faster than marking per pick "
         f"(gate {_MARKING_SPEEDUP_GATE:.1f}x)"
     )
+
+
+# ----------------------------------------------------------------------
+# Memory: the tracemalloc peak of one `proposed` run, phase by phase, on
+# full NLR and on ba_social at 0.25 — a deterministic stand-in for the
+# process's peak RSS, which spreads by about 14% from run to run.
+# ----------------------------------------------------------------------
+
+#: Peak MB of one ``proposed`` run at the commit before the ball tables
+#: and product SPAI (6983c76), as this test measures it on a 2-core x86
+#: host: NLR's was set by SPAI in round 5, ba_social's by the walk.
+_MEMORY_BASELINES = {("NLR", 1.0): 35.85, ("ba_social", 0.25): 12.17}
+
+#: Most a run's peak may exceed its baseline by.
+_MEMORY_SLACK = 1.05
+
+
+def _phase_peaks(graph, monkeypatch):
+    """The tracemalloc peak of each phase of one ``proposed`` run, MB.
+
+    Round 1, and in every general round the factorization, SPAI and the
+    join regrowth, are the calls they name; everything between them
+    (subgraphs, scoring and the walk) is ``other``.
+    """
+    peaks = {}
+    open_phase = ["other"]
+
+    def close(name):
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+        peaks[name] = max(peaks.get(name, 0.0), peak)
+        tracemalloc.reset_peak()
+
+    def phase(name, fn):
+        def timed(*args, **kwargs):
+            close(open_phase[0])
+            open_phase[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                close(name)
+                open_phase[0] = "other"
+        return timed
+
+    with monkeypatch.context() as patch:
+        for module, name, label in (
+                (sparsifier_module, "tree_truncated_trace_reduction",
+                 "round 1"),
+                (sparsifier_module, "cholesky", "factorization"),
+                (sparsifier_module, "sparse_approximate_inverse", "SPAI"),
+                (ApproxRanker, "reuse_joins", "regrowth")):
+            patch.setattr(module, name, phase(label, getattr(module, name)))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            repro.sparsify(graph, "proposed")
+            close("other")
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_memory_peaks_report(monkeypatch):
+    """Phase peaks of one run per case; gate each run's peak."""
+    runs = {}
+    for case, scale in _MEMORY_BASELINES:
+        graph, _ = make_case(case, scale=scale, seed=0)
+        runs[case, scale] = _phase_peaks(graph, monkeypatch)
+    names = list(next(iter(runs.values())))
+    table = Table(["case", *names, "peak", "baseline"])
+    for key, peaks in runs.items():
+        table.add_row([f"{key[0]} {key[1]}", *(f"{peaks[name]:.2f}"
+                                                for name in names),
+                       f"{max(peaks.values()):.2f}",
+                       f"{_MEMORY_BASELINES[key]:.2f}"])
+    emit("kernels_memory_peaks",
+         table.render() + "\ntracemalloc peak MB of one proposed run, by "
+         f"phase; gate {_MEMORY_SLACK:.2f}x the baseline")
+    for key, peaks in runs.items():
+        assert max(peaks.values()) <= _MEMORY_BASELINES[key] * _MEMORY_SLACK, (
+            f"{key[0]} {key[1]}: peak {max(peaks.values()):.2f} MB over "
+            f"{_MEMORY_SLACK:.2f}x the {_MEMORY_BASELINES[key]:.2f} MB "
+            "baseline")
 
 
 def test_pcg_tree_preconditioned(benchmark, setting):

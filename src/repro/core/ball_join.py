@@ -12,20 +12,24 @@ arrays of *(candidate, node)* entries grouped by candidate:
   (:class:`LookupTable`), then drops the second orientation of edges
   that qualify both ways, leaving each candidate's edges in ascending
   edge-id order;
-* :func:`grown_joins` grows a block of candidates' balls in ``S`` at
-  any radius and joins them span by span: at ``beta`` for the Eq. 20
-  scorer, at ``gamma`` for similarity marking
-  (:mod:`repro.core.similarity`);
+* :func:`ball_joins` joins candidates span by span from a table of
+  grown balls; :func:`grown_joins` grows a block of candidates' balls
+  in ``S`` at any radius for it: at ``beta`` for the Eq. 20 scorer, at
+  ``gamma`` for similarity marking (:mod:`repro.core.similarity`);
+* :func:`ball_tables` cuts candidates into chunks whose distinct
+  endpoints' balls, each grown once, fit one table of at most
+  :data:`BALL_TABLE_ENTRIES` entries: the tree balls of round 1 and the
+  S-balls a general round regrows;
 * :class:`JoinStore` keeps those joins from one densification round to
   the next as ``int32`` edge ids, at most :data:`JOIN_IDS_PER_EDGE` per
   edge of ``G``, and drops only the joins whose balls may have grown;
 * :func:`block_spans` cuts candidates into spans of about
   :data:`BLOCK_ENTRIES` materialized entries from per-candidate costs,
   such as the lengths of stored joins;
-* :func:`run_in_blocks` and :func:`score_in_blocks` size blocks whose
-  costs are unknown from the previous block's rate; a block that grows
-  balls then joins them in spans that fit (:func:`block_spans`), once
-  the balls show how large each join will be.
+* :func:`run_in_blocks` sizes blocks whose costs are unknown from the
+  previous block's rate; a block that grows balls then joins them in
+  spans that fit (:func:`block_spans`), once the balls show how large
+  each join will be.
 
 Every reduction a candidate takes part in reads only that candidate's
 entries, in an order fixed by the candidate alone, so scores depend
@@ -40,11 +44,18 @@ import numpy as np
 from repro.graph.bfs import ball_sets, ball_union
 from repro.utils.arrays import gather_ranges, segment_dots, unique_slots
 
-__all__ = ["ball_pair_edges", "score_in_blocks"]
+__all__ = ["ball_pair_edges", "ball_tables"]
 
 #: Target number of entries (ball members, incidences, SPAI gathers) one
 #: scoring block materializes.
 BLOCK_ENTRIES = 1 << 17
+
+#: Most entries one ball table (:func:`ball_tables`) holds (about 24 MB
+#: of tree-ball entries): the tree balls of all 15,794 round-1 endpoints
+#: of full ``NLR`` take 237,658 entries, and of its 63,160 endpoints at
+#: scale 4 952,352, so each is one table; at 2**19, scale 4 took four
+#: tables that grew 117,494 balls.
+BALL_TABLE_ENTRIES = 1 << 20
 
 #: Most edge ids a :class:`JoinStore` holds per edge of ``G`` (6.1 MB of
 #: ``int32`` on full ``NLR``, whose joins take 0.7-0.9 M ids a round).
@@ -227,9 +238,9 @@ def ball_pair_edges(adjacency, positions, p_owner, p_nodes, q_owner,
                                                edge_ids)
     src_entry = np.repeat(np.arange(len(p_nodes)), lengths)
     owner = p_owner[src_entry]
-    nbr_entry, src_in_q = positions.lookup(
+    nbr_entry, p_in_q = positions.lookup(
         q_owner, q_nodes, np.arange(len(q_nodes), dtype=np.int32),
-        [(owner, reached), (owner, p_nodes[src_entry])],
+        [(owner, reached), (p_owner, p_nodes)],
     )
     hit = np.flatnonzero(nbr_entry >= 0)
     eids = incident[hit]
@@ -237,19 +248,17 @@ def ball_pair_edges(adjacency, positions, p_owner, p_nodes, q_owner,
     # survivors come out in ascending edge order within a candidate.
     _, _, first = unique_slots(owner[hit] * np.int64(len(edge_ids)) + eids)
     hit = hit[first]
-    return (src_entry[hit], nbr_entry[hit].astype(np.int64),
-            src_in_q[hit].astype(np.int64), eids[first])
+    src = src_entry[hit]
+    return (src, nbr_entry[hit].astype(np.int64),
+            p_in_q[src].astype(np.int64), eids[first])
 
 
 def grown_joins(graph, adjacency, p, q, radius: int):
     """Grow the balls of a block's endpoints in ``S``, to join later.
 
-    Grows the *radius*-balls around every endpoint of the candidates
-    ``(p[k], q[k])`` at once (:func:`~repro.graph.bfs.ball_sets`) and
-    counts the entries each candidate's join materializes (its ball
-    members and its p-ball's incidences in ``G``), so the joins can be
-    made in spans that each fit :data:`BLOCK_ENTRIES`
-    (:func:`block_spans`) however many candidates the block holds.
+    Grows the *radius*-balls around every distinct endpoint of the
+    candidates ``(p[k], q[k])`` at once (:func:`~repro.graph.bfs.ball_sets`)
+    and hands them to :func:`ball_joins`.
 
     Parameters
     ----------
@@ -265,6 +274,35 @@ def grown_joins(graph, adjacency, p, q, radius: int):
 
     Returns
     -------
+    work, join
+        As :func:`ball_joins` returns them.
+    """
+    count = len(p)
+    ends, which, _ = unique_slots(np.concatenate([p, q]))
+    ptr, members = ball_sets(*adjacency, ends, radius)
+    return ball_joins(graph, ptr, members, which[:count], which[count:])
+
+
+def ball_joins(graph, ptr, members, p_ball, q_ball):
+    """Join candidates' balls, given as a table of grown balls.
+
+    Counts the entries each candidate's join materializes (its ball
+    members and its p-ball's incidences in ``G``), so the joins can be
+    made in spans that each fit :data:`BLOCK_ENTRIES`
+    (:func:`block_spans`) however many candidates there are.
+
+    Parameters
+    ----------
+    graph : Graph
+        The original graph ``G``.
+    ptr, members : numpy.ndarray
+        The balls, as offsets and members of one index dtype: ball ``b``
+        is ``members[ptr[b]:ptr[b + 1]]``, sorted.
+    p_ball, q_ball : numpy.ndarray
+        The ball of each candidate's two endpoints.
+
+    Returns
+    -------
     work : numpy.ndarray
         Entries per candidate.
     join : callable
@@ -274,26 +312,93 @@ def grown_joins(graph, adjacency, p, q, radius: int):
         :class:`LookupTable` with fill ``-1`` as *positions*.
     """
     g_adjacency = graph.adjacency()
-    indptr = g_adjacency[0]
-    count = len(p)
-    ends, which, _ = unique_slots(np.concatenate([p, q]))
-    ptr, members = ball_sets(*adjacency, ends, radius)
+    degree = np.diff(g_adjacency[0])
+    members = members.astype(ptr.dtype, copy=False)
     sizes = np.diff(ptr)
-    incidences = np.add.reduceat(indptr[members + 1] - indptr[members],
-                                 ptr[:-1])
-    work = (sizes[which[:count]] + sizes[which[count:]]
-            + incidences[which[:count]])
+    incidences = np.add.reduceat(degree[members], ptr[:-1])
+    work = sizes[p_ball] + sizes[q_ball] + incidences[p_ball]
 
     def join(lo, hi, positions):
-        p_owner, p_nodes = _ball_entries(ptr, members, which[lo:hi])
-        q_owner, q_nodes = _ball_entries(
-            ptr, members, which[count + lo:count + hi])
+        p_owner, p_nodes = _ball_entries(ptr, members, p_ball[lo:hi])
+        q_owner, q_nodes = _ball_entries(ptr, members, q_ball[lo:hi])
         src, _, _, eids = ball_pair_edges(
             g_adjacency, positions, p_owner, p_nodes, q_owner, q_nodes
         )
         return p_owner[src], eids
 
     return work, join
+
+
+def ball_tables(p, q, n: int, grow):
+    """Chunks of candidates, with the ball of each distinct endpoint.
+
+    Walks the candidates ``(p[k], q[k])`` in order and grows the balls
+    of the endpoints not yet in the chunk's table, in batches of about
+    :data:`BLOCK_ENTRIES` of growth work (sized from the previous
+    batch's work per ball, growing at most eightfold per batch).  A
+    chunk closes once its table holds :data:`BALL_TABLE_ENTRIES`
+    entries, so each distinct endpoint's ball is grown once per chunk,
+    and once in all when one table holds them.
+
+    Parameters
+    ----------
+    p, q : numpy.ndarray
+        The candidates' endpoints.
+    n : int
+        Node count.
+    grow : callable
+        ``grow(nodes) -> (ptr, columns, work)``: the balls of the
+        distinct *nodes* as ``int64`` offsets ``ptr`` into per-entry
+        arrays ``columns`` (a tuple), and the entries their growth
+        materialized.
+
+    Yields
+    ------
+    start, stop : int
+        The chunk's candidates.
+    p_ball, q_ball : numpy.ndarray
+        Their endpoints' balls in the table.
+    ptr : numpy.ndarray
+        The table's offsets, ``int32`` while they fit.
+    columns : tuple of numpy.ndarray
+        The table's per-entry arrays.
+    """
+    count = len(p)
+    slot = np.full(n, -1, dtype=np.int64)
+    start, size, rate = 0, 1, float(n)
+    while start < count:
+        parts, grown, entries, stop = [], [], 0, start
+        while stop < count and entries < BALL_TABLE_ENTRIES:
+            # A candidate brings at most two new balls.
+            size = int(min(max(1.0, BLOCK_ENTRIES / (2.0 * rate)), 8 * size))
+            end = min(count, stop + size)
+            ends = np.concatenate([p[stop:end], q[stop:end]])
+            fresh = np.unique(ends[slot[ends] < 0])
+            if len(fresh):
+                ptr, columns, work = grow(fresh)
+                slot[fresh] = sum(map(len, grown)) + np.arange(len(fresh))
+                parts.append([ptr, *columns])
+                grown.append(fresh)
+                entries += int(ptr[-1])
+                rate = max(work / len(fresh), 1.0)
+            stop = end
+        offsets = np.cumsum([0] + [int(part[0][-1]) for part in parts])
+        index = np.int32 if offsets[-1] <= np.iinfo(np.int32).max \
+            else np.int64
+        ptr = np.concatenate([[0]] + [part[0][1:] + base for part, base
+                                      in zip(parts, offsets)]).astype(index)
+        # Merged column by column, each part's copy released as it goes,
+        # so the table is never held twice.
+        columns = []
+        for k in range(1, len(parts[0])):
+            columns.append(np.concatenate([part[k] for part in parts]))
+            for part in parts:
+                part[k] = None
+        del parts
+        yield start, stop, slot[p[start:stop]], slot[q[start:stop]], ptr, \
+            tuple(columns)
+        slot[np.concatenate(grown)] = -1
+        start = stop
 
 
 def _ball_entries(ptr, members, which):
@@ -528,32 +633,3 @@ def run_in_blocks(count: int, run_block, graph) -> None:
         rate = max(entries / (stop - start), 1.0)
         size = int(min(max(1.0, BLOCK_ENTRIES / rate), 8 * (stop - start)))
         start = stop
-
-
-def score_in_blocks(count: int, score_block, graph) -> np.ndarray:
-    """Score ``count`` candidates in blocks sized by their entry counts.
-
-    Parameters
-    ----------
-    count : int
-        Number of candidates.
-    score_block : callable
-        ``score_block(start, stop) -> (scores, entries)``: scores for
-        candidates ``start..stop-1`` and the number of entries the block
-        materialized.
-    graph : Graph
-        The graph ``G`` the balls live in.
-
-    Returns
-    -------
-    numpy.ndarray
-        The concatenated scores.
-    """
-    out = np.empty(count)
-
-    def run_block(start, stop):
-        out[start:stop], entries = score_block(start, stop)
-        return entries
-
-    run_in_blocks(count, run_block, graph)
-    return out

@@ -37,10 +37,13 @@ from repro.utils.arrays import gather_ranges, unique_slots
 from repro.core.ball_join import (
     BLOCK_ENTRIES,
     LookupTable,
+    ball_joins,
+    ball_tables,
     block_spans,
     grown_joins,
     run_in_blocks,
 )
+from repro.graph.bfs import ball_sets
 from repro.graph.graph import Graph
 
 __all__ = ["ApproxRanker"]
@@ -118,8 +121,10 @@ class ApproxRanker:
         The store drops the joins of departed candidates and those whose
         balls may have grown since it was last used
         (:meth:`~repro.core.ball_join.JoinStore.retain`); the joins it
-        lacks are then grown here, in blocks in candidate order, until
-        it is full.  Call it before scoring the round.
+        lacks are then grown here in candidate order, until it is full,
+        from one ball per distinct endpoint
+        (:func:`~repro.core.ball_join.ball_tables`).  Call it before
+        scoring the round.
 
         Parameters
         ----------
@@ -134,21 +139,28 @@ class ApproxRanker:
         missing = joins.retain(self._sub_adjacency, edge_ids, self.beta)
         self._joins = joins
         positions = LookupTable(graph.n, len(missing), np.int32, -1)
-
-        def grow_block(start, stop):
-            block = missing[start:stop]
-            work, join = grown_joins(graph, self._sub_adjacency,
-                                     graph.u[block], graph.v[block],
-                                     self.beta)
+        chunks = ball_tables(graph.u[missing], graph.v[missing], graph.n,
+                             self._grow_balls)
+        for start, _, p_ball, q_ball, ptr, (members,) in chunks:
+            work, join = ball_joins(graph, ptr, members, p_ball, q_ball)
             for lo, hi in block_spans(work):
                 owner, eids = join(lo, hi, positions)
-                if joins.append(block[lo:hi], owner, eids) < hi - lo:
-                    return None  # the store is full
-            return work.sum()
-
-        run_in_blocks(len(missing), grow_block, graph)
-        del positions, grow_block  # free the table before the store merges
+                joins.append(missing[start + lo:start + hi], owner, eids)
+                if joins.full:
+                    break
+            if joins.full:
+                break
+        del positions, chunks  # free the table before the store merges
         joins.commit()
+
+    def _grow_balls(self, nodes):
+        """The beta-balls of *nodes* in ``S``, for :func:`ball_tables`."""
+        indptr, neighbors = self._sub_adjacency
+        ptr, members = ball_sets(indptr, neighbors, nodes, self.beta)
+        members = members.astype(np.int32)
+        work = len(members) + int(np.sum(indptr[members + 1]
+                                         - indptr[members]))
+        return ptr, (members,), work
 
     def score_batch(self, edge_ids) -> np.ndarray:
         """Approximate trace reduction (Eq. 20) per candidate edge.

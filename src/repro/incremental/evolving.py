@@ -297,14 +297,12 @@ class EvolvingSparsifier:
         which add up to ``seconds``.
         """
         eb = normalize_batch(inserts, deletes, batch=batch)
-        timer = Timer()
-        with timer:
-            entry = self._apply(eb)
-        entry["seconds"] = timer.elapsed
+        laps = _Laps()
+        entry = self._apply(eb, laps)
+        entry["seconds"] = laps.elapsed
         return self.record.append(entry)
 
-    def _apply(self, eb: EdgeBatch) -> dict:
-        laps = _Laps()
+    def _apply(self, eb: EdgeBatch, laps: "_Laps") -> dict:
         deleted = self._check_batch(eb)
         laps.split("check")
         deleted_kept = [
@@ -656,16 +654,25 @@ class EvolvingSparsifier:
 
 class _Laps:
     """Back-to-back phases of one batch: :meth:`split` closes the phase
-    running since the previous split (or since construction)."""
+    running since the previous split (or since construction).
+
+    :attr:`elapsed` runs from construction to the last split, so the
+    phases add up to it by construction.
+    """
 
     def __init__(self) -> None:
         self.seconds: dict = {}
-        self._mark = time.perf_counter()
+        self._start = self._mark = time.perf_counter()
 
     def split(self, phase: str) -> None:
         now = time.perf_counter()
         self.seconds[f"{phase}_seconds"] = now - self._mark
         self._mark = now
+
+    @property
+    def elapsed(self) -> float:
+        """Seconds from construction to the last split."""
+        return self._mark - self._start
 
 
 def _sorted_graph(graph: Graph) -> Graph:

@@ -25,7 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import FactorizationError
-from repro.utils.arrays import concat_ranges, forest_depths, unique_slots
+from repro.utils.arrays import (concat_ranges, forest_depths, gather_ranges,
+                                sparse_product)
 from repro.utils.validation import check_square_sparse
 
 __all__ = ["sparse_approximate_inverse"]
@@ -38,11 +39,15 @@ def sparse_approximate_inverse(L, delta=0.1, keep_threshold=None):
     ``L_ij != 0``; for a Cholesky factor those are ``j``'s ancestors in
     the elimination tree.  Columns are therefore built one dependency
     level at a time (:func:`dependency_levels`): the columns of a level
-    are independent, so a level is one gather of the scaled dependency
-    columns, one sort-based merge and one vectorized pruning pass.
-    Within a column the terms are summed in the recurrence's order —
-    the diagonal first, then ``z~_i`` by ascending ``i`` — and explicit
-    zeros of ``L`` contribute nothing.
+    are independent, so a level is one sparse product and one
+    vectorized pruning pass.  Row ``j`` of the product's left operand
+    holds ``1 / L_jj`` on the unit row ``e_j`` first, then
+    ``-L_ij / L_jj`` on each finished ``z~_i`` by ascending ``i``; the
+    right operand stacks the identity on the finished columns, in the
+    order they were built.  The product
+    (:func:`~repro.utils.arrays.sparse_product`) sums each entry's terms
+    in that order from ``0.0``, and explicit zeros of ``L`` contribute
+    nothing.
 
     Parameters
     ----------
@@ -78,22 +83,25 @@ def sparse_approximate_inverse(L, delta=0.1, keep_threshold=None):
     # Coefficients -L_ij / L_jj of the recurrence; zeros are skipped.
     off = np.flatnonzero(indices != column)
     coeff = -L.data[off] * inv_diag[column[off]]
-    live = off[coeff != 0.0]
-    deps = (column[live], indices[live], coeff[coeff != 0.0])
+    live = coeff != 0.0
+    dep_col, dep_row, coeff = column[off[live]], indices[off[live]], \
+        coeff[live]
 
-    levels = dependency_levels(n, deps[0], deps[1])
+    levels = dependency_levels(n, dep_col, dep_row)
     order = np.argsort(levels, kind="stable")
     bounds = np.searchsorted(levels[order],
                              np.arange(levels.max(initial=-1) + 2))
-    built = _Columns(n, capacity=n + len(L.data))
-    dep_ptr = np.searchsorted(deps[0], np.arange(n + 1))
+    built = _Operands(n, order, dep_col, dep_row, coeff, inv_diag,
+                      capacity=n + len(L.data))
     for level in range(len(bounds) - 1):
-        cols = order[bounds[level]:bounds[level + 1]]
-        keys, sums = _merge_terms(cols, inv_diag, dep_ptr, deps, built, n)
-        owner = keys // n
-        keep = _prune(sums, owner, len(cols), delta, keep_threshold)
-        built.append(cols, keys[keep] % n, sums[keep],
-                     np.bincount(owner[keep], minlength=len(cols)))
+        lo, hi = int(bounds[level]), int(bounds[level + 1])
+        ptr, rows, sums = built.product(lo, hi)
+        keep = _prune(sums, ptr, delta, keep_threshold)
+        if keep is not None:
+            kept = np.zeros(len(sums) + 1, dtype=ptr.dtype)
+            np.cumsum(keep, out=kept[1:])
+            ptr, rows, sums = kept[ptr], rows[keep], sums[keep]
+        built.append(lo, hi, ptr, rows, sums)
     return built.matrix()
 
 
@@ -155,90 +163,113 @@ def dependency_levels(n, dep_col, dep_row):
         np.maximum.at(level, dep_col[late], level[dep_row[late]] + 1)
 
 
-class _Columns:
-    """Finished SPAI columns in a growable buffer, in build order."""
+class _Operands:
+    """The two operands of a level's product; ``B`` holds the finished
+    columns.
 
-    def __init__(self, n, capacity):
+    The operand ``B`` stacks the identity (rows ``0 .. n-1``) on the
+    finished columns, column ``order[k]`` at row ``n + k``: columns are
+    built in *order*, so its rows fill in from the top and its offsets
+    stay one running sum.  The left operand ``A`` is known up front,
+    since each column's place in *order* is: its row ``k`` is column
+    ``order[k]``'s recurrence, ``1 / L_jj`` on unit row ``j`` first,
+    then each coefficient on row ``n + place[i]`` by ascending ``i``,
+    and a level is the slice of ``A``'s rows of its columns.  Index
+    arrays are ``int32`` unless ``B``'s offsets could pass it, which
+    takes more than 65,535 columns.
+    """
+
+    def __init__(self, n, order, dep_col, dep_row, coeff, inv_diag,
+                 capacity):
         self.n = n
-        self.start = np.zeros(n, dtype=np.int64)
-        self.length = np.zeros(n, dtype=np.int64)
-        self.rows = np.empty(capacity, dtype=np.int32)
-        self.vals = np.empty(capacity)
-        self.used = 0
+        self.place = np.empty(n, dtype=np.int64)
+        self.place[order] = np.arange(n)
+        # B holds the identity and at most n (n + 1) / 2 entries of Z.
+        index = np.int32 if n + n * (n + 1) // 2 <= np.iinfo(np.int32).max \
+            else np.int64
+        a_ptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(np.bincount(dep_col, minlength=n)[order] + 1,
+                  out=a_ptr[1:])
+        unit_at = a_ptr[:-1]
+        term = np.ones(a_ptr[-1], dtype=bool)
+        term[unit_at] = False
+        # dep_col ascends, so grouping by place keeps rows ascending.
+        by_place = np.argsort(self.place[dep_col], kind="stable")
+        a_cols = np.empty(a_ptr[-1], dtype=index)
+        a_vals = np.empty(a_ptr[-1])
+        a_cols[unit_at] = order
+        a_vals[unit_at] = inv_diag[order]
+        a_cols[term] = n + self.place[dep_row[by_place]]
+        a_vals[term] = coeff[by_place]
+        self.a = (a_ptr, a_cols, a_vals)
+        self.b_ptr = np.zeros(2 * n + 1, dtype=index)
+        self.b_ptr[:n + 1] = np.arange(n + 1)
+        self.rows = np.empty(n + capacity, dtype=index)
+        self.rows[:n] = np.arange(n)
+        self.vals = np.empty(n + capacity)
+        self.vals[:n] = 1.0
+        self.used = n
 
-    def append(self, cols, rows, vals, lengths):
+    def product(self, lo, hi):
+        """Columns ``order[lo:hi]`` before pruning: their rows of ``A``
+        times ``B``, as CSR arrays."""
+        a_ptr, a_cols, a_vals = self.a
+        return sparse_product(a_ptr[lo:hi + 1], a_cols, a_vals, self.b_ptr,
+                              self.rows, self.vals, self.n)
+
+    def append(self, lo, hi, ptr, rows, vals):
+        """Store the finished columns ``order[lo:hi]``, column ``c`` of
+        them at ``rows[ptr[c]:ptr[c + 1]]``."""
         end = self.used + len(rows)
         if end > len(self.rows):
-            size = max(end, 2 * len(self.rows))
-            self.rows = np.concatenate(
-                [self.rows[:self.used], np.empty(size - self.used, np.int32)])
-            self.vals = np.concatenate(
-                [self.vals[:self.used], np.empty(size - self.used)])
+            size = max(end, len(self.rows) * 3 // 2)
+            self.rows = _grown(self.rows, self.used, size)
+            self.vals = _grown(self.vals, self.used, size)
         self.rows[self.used:end] = rows
         self.vals[self.used:end] = vals
-        self.start[cols] = self.used + np.cumsum(lengths) - lengths
-        self.length[cols] = lengths
+        self.b_ptr[self.n + lo + 1:self.n + hi + 1] = self.used + ptr[1:]
         self.used = end
 
-    def gather(self, cols):
-        """Rows, values and lengths of finished columns *cols*."""
-        lengths = self.length[cols]
-        flat = concat_ranges(self.start[cols], lengths)
-        return self.rows[flat], self.vals[flat], lengths
-
     def matrix(self):
-        rows, vals, lengths = self.gather(np.arange(self.n))
+        lengths, rows, vals = gather_ranges(
+            self.b_ptr, self.n + self.place, self.rows, self.vals)
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        Z = sp.csc_matrix((vals, rows, indptr), shape=(self.n, self.n))
+        Z = sp.csc_matrix((vals, rows.astype(np.int32, copy=False), indptr),
+                          shape=(self.n, self.n))
         Z.has_sorted_indices = True  # each column's rows come out sorted
         return Z
 
 
-def _merge_terms(cols, inv_diag, dep_ptr, deps, built, n):
-    """Sum the recurrence's terms of columns *cols* per row.
+def _grown(array, used, size):
+    """*array* moved to a buffer of *size*, its first *used* entries kept."""
+    out = np.empty(size, dtype=array.dtype)
+    out[:used] = array[:used]
+    return out
 
-    Returns sorted ``local column * n + row`` keys and their sums, each
-    accumulated in the recurrence's order: ``1 / L_jj`` at row ``j``
-    first, then ``coeff * z~_i`` for the needed columns by ascending
-    ``i``, each in its row order.
+
+def _prune(sums, ptr, delta, keep_threshold):
+    """Algorithm 1's pruning mask over the columns of a level.
+
+    *sums* holds the level's columns one after another, rows ascending,
+    column ``c`` at ``ptr[c]:ptr[c + 1]``.  Columns with more than
+    *keep_threshold* entries drop entries below ``delta * max``, but
+    keep at least their *keep_threshold* largest: the entries above the
+    ``k``-th largest value, then the lowest rows among the entries equal
+    to it, until ``k = keep_threshold`` are kept.  Returns ``None`` when
+    no column has more than *keep_threshold* entries.
     """
-    dep_col, dep_row, coeff = deps
-    counts = dep_ptr[cols + 1] - dep_ptr[cols]
-    dep = concat_ranges(dep_ptr[cols], counts)
-    rows, vals, lengths = built.gather(dep_row[dep])
-    local = np.repeat(np.repeat(np.arange(len(cols)), counts), lengths)
-    vals = vals * np.repeat(coeff[dep], lengths)
-    per_col = np.bincount(local, minlength=len(cols))
-    # Each column's diagonal term goes in front of its gathered terms.
-    diag_at = np.arange(len(cols)) + np.cumsum(per_col) - per_col
-    term_at = np.arange(len(rows)) + local + 1
-    keys = np.empty(len(cols) + len(rows), dtype=np.int64)
-    terms = np.empty(len(keys))
-    keys[diag_at] = np.arange(len(cols)) * n + cols
-    terms[diag_at] = inv_diag[cols]
-    keys[term_at] = local * n + rows
-    terms[term_at] = vals
-    keys, slot, _ = unique_slots(keys)
-    return keys, np.bincount(slot, weights=terms)
-
-
-def _prune(sums, owner, count, delta, keep_threshold):
-    """Algorithm 1's pruning mask over the merged entries of a level.
-
-    Columns with more than *keep_threshold* entries drop entries below
-    ``delta * max``, but keep at least their *keep_threshold* largest:
-    the entries above the ``k``-th largest value, then the lowest rows
-    among the entries equal to it, until ``k = keep_threshold`` are
-    kept.
-    """
-    sizes = np.bincount(owner, minlength=count)
-    starts = np.cumsum(sizes) - sizes
+    sizes = np.diff(ptr)
     big = sizes > keep_threshold
+    if not big.any():
+        return None
+    starts = ptr[:-1]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
     column_max = np.maximum.reduceat(sums, starts)
     keep = ~big[owner] | (sums >= delta * column_max[owner])
     short = np.flatnonzero(
-        big & (np.bincount(owner[keep], minlength=count) < keep_threshold))
+        big & (np.add.reduceat(keep, starts, dtype=np.int64)
+               < keep_threshold))
     if len(short) == 0:
         return keep
     # Proposition 1 makes every entry a sum of nonnegative terms; the

@@ -1,21 +1,29 @@
 """Array helpers shared across layers.
 
-:func:`gather_ranges` and :func:`segment_dots` run scipy's compiled
-sparse kernels ``csr_row_index`` and ``csr_matvec`` on plain arrays.
-They live in scipy's private ``scipy.sparse._sparsetools``, which this
-is the one module to import (``tools/check_imports.py`` fails on any
-other): the kernels check nothing, so both helpers check every index
-they will read before the call.  A scipy without these kernels fails
-at import; there is no fallback path.
+:func:`gather_ranges`, :func:`segment_dots` and :func:`sparse_product`
+run scipy's compiled sparse kernels (``csr_row_index``; ``csr_matvec``;
+``csr_matmat_maxnnz``, ``csr_matmat`` and ``csr_sort_indices``) on
+plain arrays.  They live in scipy's private
+``scipy.sparse._sparsetools``, which this is the one module to import
+(``tools/check_imports.py`` fails on any other): the kernels check
+nothing, so the helpers check every index they will read before the
+call.  A scipy without these kernels fails at import; there is no
+fallback path.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec, csr_row_index
+from scipy.sparse._sparsetools import (
+    csr_matmat,
+    csr_matmat_maxnnz,
+    csr_matvec,
+    csr_row_index,
+    csr_sort_indices,
+)
 
-__all__ = ["concat_ranges", "gather_ranges", "segment_dots", "unique_slots",
-           "forest_depths"]
+__all__ = ["concat_ranges", "gather_ranges", "segment_dots",
+           "sparse_product", "unique_slots", "forest_depths"]
 
 #: Index dtypes the compiled kernels take without copying their inputs.
 _INDEX_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
@@ -204,6 +212,116 @@ def segment_dots(indptr, indices, data, x):
         raise IndexError(f"indices must lie in [0, {len(x)})")
     csr_matvec(len(out), len(x), indptr, indices, data, x, out)
     return out
+
+
+def sparse_product(a_indptr, a_indices, a_data, b_indptr, b_indices,
+                   b_data, n_col):
+    """Rows of ``A @ B`` for two CSR operands, columns ascending per row.
+
+    Entry ``(i, k)`` of the product adds ``A[i, j] * B[j, k]`` from
+    ``0.0``, over ``A``'s row ``i`` in storage order and, for each of
+    its entries, over ``B``'s row ``j`` in storage order: scipy's SMMP
+    kernels ``csr_matmat_maxnnz`` (the exact structural count) and
+    ``csr_matmat`` (the sums), then ``csr_sort_indices``.  Every
+    ``(i, k)`` some product reaches is an entry of the result, also
+    where its sum is exactly ``0.0``: ``csr_matmat`` drops such sums,
+    so when it returns fewer entries than the structural count, the
+    pattern is formed again from all-ones operands (whose sums are
+    counts, never zero) and the sums are placed into it, the dropped
+    ones as stored ``0.0``.
+
+    Parameters
+    ----------
+    a_indptr : numpy.ndarray
+        ``int32`` or ``int64`` offsets of ``A``'s rows, non-decreasing;
+        need not start at 0.
+    a_indices : numpy.ndarray
+        ``A``'s columns, the rows of ``B`` they read; same dtype as
+        *a_indptr*.
+    a_data : numpy.ndarray
+        ``float64`` values aligned with *a_indices*.
+    b_indptr, b_indices : numpy.ndarray
+        ``B``'s row offsets and columns; same dtype as *a_indptr*.  Only
+        the rows ``A`` reads need be valid ranges.
+    b_data : numpy.ndarray
+        ``float64`` values, as long as *b_indices*.
+    n_col : int
+        Column count of ``B``: every column ``A`` reaches lies below it.
+
+    Returns
+    -------
+    indptr, indices, data : numpy.ndarray
+        The product in CSR form, *indptr* from 0, in the operands' index
+        dtype.
+
+    Raises
+    ------
+    TypeError
+        When the index arrays do not share one ``int32``/``int64`` dtype
+        or the values are not ``float64``: the kernels would convert
+        them, copying each whole array.
+    IndexError
+        When a column of ``A`` lies outside ``B``'s rows, or a column
+        of a row of ``B`` that ``A`` reads lies outside ``[0, n_col)``.
+    ValueError
+        When an ``A`` range or a read ``B`` range is reversed or reaches
+        outside its arrays, or a value array differs in length from its
+        indices.
+    """
+    a_indptr = np.asarray(a_indptr)
+    index = a_indptr.dtype
+    if index not in _INDEX_DTYPES or any(
+            arr.dtype != index for arr in (a_indices, b_indptr, b_indices)):
+        raise TypeError(
+            f"the index arrays must share an int32 or int64 dtype, got "
+            f"{a_indptr.dtype}, {a_indices.dtype}, {b_indptr.dtype} and "
+            f"{b_indices.dtype}"
+        )
+    if a_data.dtype != np.float64 or b_data.dtype != np.float64:
+        raise TypeError(f"the values must be float64, got {a_data.dtype} "
+                        f"and {b_data.dtype}")
+    if len(a_data) != len(a_indices) or len(b_data) != len(b_indices):
+        raise ValueError("each value array must be as long as its indices")
+    n_row = len(a_indptr) - 1
+    if n_row < 0:
+        raise ValueError("a_indptr must hold at least one offset")
+    lo, hi = int(a_indptr[0]), int(a_indptr[-1])
+    if lo < 0 or hi > len(a_indices) or (
+            n_row and np.diff(a_indptr).min() < 0):
+        raise ValueError(
+            f"a_indptr must be non-decreasing within the {len(a_indices)} "
+            f"entries"
+        )
+    # The structural terms, column by column: gather_ranges raises on a
+    # row of B outside its indptr and on a range outside b_indices.
+    _, reached = gather_ranges(b_indptr, a_indices[lo:hi], b_indices)
+    if len(reached) and (reached.min() < 0 or reached.max() >= n_col):
+        raise IndexError(f"columns of B must lie in [0, {n_col})")
+    size = csr_matmat_maxnnz(n_row, n_col, a_indptr, a_indices, b_indptr,
+                             b_indices)
+    indptr = np.empty(n_row + 1, dtype=index)
+    indices = np.empty(size, dtype=index)
+    data = np.empty(size)
+    csr_matmat(n_row, n_col, a_indptr, a_indices, a_data, b_indptr,
+               b_indices, b_data, indptr, indices, data)
+    csr_sort_indices(n_row, indptr, indices, data)
+    kept = int(indptr[-1])
+    if kept == size:
+        return indptr, indices, data
+    # Some sums were exactly 0.0: place the kept ones into the pattern.
+    pattern_ptr = np.empty(n_row + 1, dtype=index)
+    pattern = np.empty(size, dtype=index)
+    counts = np.empty(size)
+    csr_matmat(n_row, n_col, a_indptr, a_indices, np.ones(len(a_data)),
+               b_indptr, b_indices, np.ones(len(b_data)), pattern_ptr,
+               pattern, counts)
+    csr_sort_indices(n_row, pattern_ptr, pattern, counts)
+    rows = np.arange(n_row, dtype=np.int64) * n_col
+    keys = np.repeat(rows, np.diff(pattern_ptr)) + pattern
+    sums = np.zeros(size)
+    sums[np.searchsorted(keys, np.repeat(rows, np.diff(indptr))
+                         + indices[:kept])] = data[:kept]
+    return pattern_ptr, pattern, sums
 
 
 def unique_slots(keys):

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import repro.linalg.spai as spai_module
 from repro.exceptions import FactorizationError
-from repro.graph import grid2d, regularization_shift, regularized_laplacian
+from repro.graph import (Graph, grid2d, regularization_shift,
+                         regularized_laplacian)
 from repro.linalg import cholesky, sparse_approximate_inverse
 
 
@@ -189,3 +191,71 @@ def test_random_grids_nonneg_lower(seed, delta):
     coo = Z.tocoo()
     assert (coo.data >= -1e-12).all()
     assert (coo.row >= coo.col).all()
+
+
+def _assert_same_bits(got, expected):
+    """Equal CSC arrays: offsets, rows, and every value's bits (stored
+    zeros included)."""
+    for name in ("indptr", "indices"):
+        ours, theirs = getattr(got, name), getattr(expected, name)
+        assert ours.dtype == theirs.dtype, name
+        np.testing.assert_array_equal(ours, theirs, err_msg=name)
+    np.testing.assert_array_equal(got.data.view(np.int64),
+                                  expected.data.view(np.int64))
+
+
+@given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 16),
+       extra=st.floats(0.0, 2.0),
+       delta=st.sampled_from([0.0, 0.05, 0.1, 0.5]),
+       keep_threshold=st.sampled_from([None, 1, 3]))
+@settings(max_examples=60, deadline=None)
+def test_levels_as_products_equal_both_oracles(n, seed, extra, delta,
+                                               keep_threshold):
+    """Each level as one sparse product equals the level merge it
+    replaced and the column loop, bit for bit, on factors of random
+    SDD matrices whose weights span 1e-12 to 1e12."""
+    rng = np.random.default_rng(seed)
+    tree = [(int(rng.integers(0, k)), k) for k in range(1, n)]
+    more = rng.integers(0, n, size=(int(extra * n), 2))
+    pairs = {(min(a, b), max(a, b)) for a, b in tree + more.tolist()
+             if a != b}
+    u, v = np.array(sorted(pairs)).T
+    w = 10.0 ** rng.uniform(-12, 12, len(u))
+    graph = Graph(n, u, v, w)
+    L = cholesky(regularized_laplacian(
+        graph, regularization_shift(graph, 1e-6))).L
+    got = sparse_approximate_inverse(L, delta, keep_threshold)
+    _assert_same_bits(got, oracles.level_merge_spai(L, delta,
+                                                    keep_threshold))
+    _assert_same_bits(got, oracles.sparse_approximate_inverse(
+        L, delta, keep_threshold))
+
+
+def test_sums_that_underflow_to_zero_stay_stored(monkeypatch):
+    """A factor whose products underflow: column 1 of ``Z`` is
+    ``e_1 + (1e-300 * 1e-300) e_2`` and column 0 adds that stored zero
+    again, so two sums are exactly 0.0 and the product kernel drops
+    them.  ``Z`` still equals both oracles, stored zeros included, and
+    comes from the product alone: the level merge is gone."""
+    L = sp.csc_matrix(np.array([[1.0, 0.0, 0.0, 0.0],
+                                [-1.0, 1.0, 0.0, 0.0],
+                                [0.0, -1e-300, 1e300, 0.0],
+                                [-0.5, 0.0, 0.0, 1.0]]))
+    products = []
+    product = spai_module.sparse_product
+
+    def spy(*args):
+        products.append(product(*args))
+        return products[-1]
+
+    monkeypatch.setattr(spai_module, "sparse_product", spy)
+    for delta, keep_threshold in ((0.0, None), (0.1, 2), (0.1, None)):
+        got = sparse_approximate_inverse(L, delta, keep_threshold)
+        for oracle in (oracles.level_merge_spai,
+                       oracles.sparse_approximate_inverse):
+            _assert_same_bits(got, oracle(L, delta, keep_threshold))
+    assert not hasattr(spai_module, "_merge_terms")
+    zeros = sum(int(np.count_nonzero(data == 0.0)) for _, _, data in products)
+    assert zeros >= 2
+    stored = sparse_approximate_inverse(L, 0.0)
+    assert np.count_nonzero(stored.data == 0.0) == 2

@@ -16,7 +16,12 @@ with exact solves, checks the ball truncation on its own).
 driver through the ranker's ``score_batch``.  :class:`NumpyApproxRanker`
 and :func:`level_rdist` keep the numpy forms that scipy's compiled
 kernels replaced in the Eq. 20 s-values and in ``RootedForest.rdist``,
-which production must match bit for bit, and
+and :func:`level_merge_spai` the sort-based merge that Algorithm 1's
+levels ran before each became one sparse product; production must
+match all three bit for bit.  :func:`per_candidate_tree_phase` grows
+a tree ball per candidate endpoint and :func:`regrow_joins_per_block`
+grows S-balls block by block, the forms that the once-per-endpoint
+ball tables replaced, and
 :func:`backward_euler_matrix` assembles Eq. 21's system matrix from its
 definition for the transient solvers' check.
 
@@ -49,6 +54,8 @@ from repro.api.records import RunRecord
 from repro.api.session import SparsifierSession
 from repro.exceptions import (FactorizationError, IncrementalError,
                               NotATreeError)
+from repro.core.ball_join import (LookupTable, ball_pair_edges,
+                                  block_spans, grown_joins, run_in_blocks)
 from repro.core.ranking import ApproxRanker
 from repro.graph.bfs import ball_union, bfs_forest
 from repro.graph.graph import Graph
@@ -57,7 +64,8 @@ from repro.powergrid.mna import conductance_matrix
 from repro.tree import rooted, spanning
 from repro.tree.lca import batch_tree_resistances
 from repro.tree.spanning import effective_weights
-from repro.utils.arrays import concat_ranges, unique_slots
+from repro.linalg import spai
+from repro.utils.arrays import concat_ranges, gather_ranges, unique_slots
 from repro.utils.timers import Timer
 from repro.utils.validation import check_square_sparse
 
@@ -316,6 +324,116 @@ def _propagate(nodes, preds, eids, v_dense, weights, depth, tin, tout, p, q,
         v_dense[node] = value
 
 
+def per_candidate_tree_phase(graph, forest, edge_ids, beta=5, joins=None):
+    """Eq. 15 in blocks, growing a tree ball per candidate endpoint.
+
+    The array form before the once-per-endpoint ball table: blocks
+    sized by :func:`~repro.core.ball_join.run_in_blocks`, and in each,
+    every candidate grows its own two balls one level at a time with
+    their potentials.  Appends each join to *joins* as production does.
+    """
+    edge_ids = np.asarray(edge_ids, dtype=np.int64)
+    heads = graph.u[edge_ids]
+    tails = graph.v[edge_ids]
+    resistances, _ = batch_tree_resistances(forest, heads, tails)
+    tin, tout = forest.euler_intervals()
+    tree_indptr, tree_nbr, tree_local_eid = forest.tree.adjacency()
+    tree = (tree_indptr, tree_nbr, forest.edge_ids[tree_local_eid],
+            forest.depth, tin, tout)
+    adjacency = graph.adjacency()
+    weights = graph.w
+    positions = LookupTable(graph.n, len(edge_ids), np.int32, -1)
+    crit = np.empty(len(edge_ids))
+
+    def score_block(start, stop):
+        p, q = heads[start:stop], tails[start:stop]
+        r_pq = resistances[start:stop]
+        ends = (tin[p], tin[q])
+        p_owner, p_nodes, p_values = _per_candidate_tree_balls(
+            tree, weights, p, r_pq, ends, -1.0, beta)
+        q_owner, q_nodes, q_values = _per_candidate_tree_balls(
+            tree, weights, q, np.zeros(len(q)), ends, +1.0, beta)
+        src, nbr, src_in_q, eids = ball_pair_edges(
+            adjacency, positions, p_owner, p_nodes, q_owner, q_nodes)
+        if joins is not None and not joins.full:
+            joins.append(edge_ids[start:stop], p_owner[src], eids)
+        src_values = np.where(src_in_q >= 0, q_values[src_in_q],
+                              p_values[src])
+        diffs = src_values - q_values[nbr]
+        numerator = np.bincount(p_owner[src],
+                                weights=weights[eids] * diffs * diffs,
+                                minlength=len(p))
+        w_pq = weights[edge_ids[start:stop]]
+        crit[start:stop] = w_pq * numerator / (1.0 + w_pq * r_pq)
+        incidences = adjacency[0][p_nodes + 1] - adjacency[0][p_nodes]
+        return len(p_nodes) + len(q_nodes) + int(incidences.sum())
+
+    run_in_blocks(len(edge_ids), score_block, graph)
+    return crit
+
+
+def _per_candidate_tree_balls(tree, weights, sources, start_values, ends,
+                              sign, beta):
+    """One tree ball per source, grown level by level with potentials."""
+    indptr, neighbors, edge_ids, depth, tin, tout = tree
+    tin_p, tin_q = ends
+    owner = np.arange(len(sources))
+    node = np.asarray(sources, dtype=np.int64)
+    came_from = np.full(len(sources), -1, dtype=np.int64)
+    value = np.asarray(start_values, dtype=np.float64)
+    levels = [(owner, node, value)]
+    for _ in range(beta):
+        lengths, reached, via = gather_ranges(indptr, node, neighbors,
+                                              edge_ids)
+        pred = np.repeat(node, lengths)
+        fresh = reached != np.repeat(came_from, lengths)
+        if not fresh.any():
+            break
+        pred = pred[fresh]
+        owner = np.repeat(owner, lengths)[fresh]
+        value = np.repeat(value, lengths)[fresh]
+        node = reached[fresh]
+        child = np.where(depth[node] > depth[pred], node, pred)
+        lo, hi = tin[child], tout[child]
+        in_p = (lo <= tin_p[owner]) & (tin_p[owner] < hi)
+        in_q = (lo <= tin_q[owner]) & (tin_q[owner] < hi)
+        value = np.where(in_p != in_q, value + sign / weights[via[fresh]],
+                         value)
+        came_from = pred
+        levels.append((owner, node, value))
+    owner, node, value = (np.concatenate(parts) for parts in zip(*levels))
+    order = np.argsort(owner, kind="stable")
+    return owner[order], node[order], value[order]
+
+
+def regrow_joins_per_block(ranker, joins, edge_ids):
+    """``ApproxRanker.reuse_joins`` growing S-balls block by block.
+
+    The form before the per-round ball table: blocks sized by
+    :func:`~repro.core.ball_join.run_in_blocks`, each growing the balls
+    of its own distinct endpoints (:func:`grown_joins`), so an endpoint
+    shared by candidates of two blocks is grown twice.
+    """
+    graph = ranker.graph
+    missing = joins.retain(ranker._sub_adjacency, edge_ids, ranker.beta)
+    ranker._joins = joins
+    positions = LookupTable(graph.n, len(missing), np.int32, -1)
+
+    def grow_block(start, stop):
+        block = missing[start:stop]
+        work, join = grown_joins(graph, ranker._sub_adjacency,
+                                 graph.u[block], graph.v[block],
+                                 ranker.beta)
+        for lo, hi in block_spans(work):
+            owner, eids = join(lo, hi, positions)
+            if joins.append(block[lo:hi], owner, eids) < hi - lo:
+                return None  # the store is full
+        return work.sum()
+
+    run_in_blocks(len(missing), grow_block, graph)
+    joins.commit()
+
+
 def approximate_trace_reduction(graph, subgraph, factor, Z, edge_ids,
                                 beta=5):
     """Eq. 20, one candidate at a time (dense scatter of ``u``)."""
@@ -488,6 +606,119 @@ def sparse_approximate_inverse(L, delta=0.1, keep_threshold=None):
                       shape=(n, n))
     Z.has_sorted_indices = True
     return Z
+
+
+def level_merge_spai(L, delta=0.1, keep_threshold=None):
+    """Algorithm 1 by dependency level, each level merged by sorting.
+
+    The form before each level became one sparse product: the scaled
+    dependency columns of a level are gathered behind each column's
+    ``1 / L_jj`` (:func:`_merge_terms`), sorted by ``(column, row)``
+    with a stable sort and summed per key by ``bincount``, which adds
+    each key's terms in the recurrence's order from ``0.0``.
+    """
+    check_square_sparse("L", L)
+    if not (0.0 <= delta < 1.0):
+        raise ValueError(f"delta must be in [0, 1), got {delta}")
+    L = sp.csc_matrix(L)
+    if not L.has_sorted_indices:
+        L.sort_indices()
+    n = L.shape[0]
+    if keep_threshold is None:
+        keep_threshold = max(1, int(np.ceil(np.log(max(n, 2)))))
+    indices = L.indices.astype(np.int64)
+    column = np.repeat(np.arange(n), np.diff(L.indptr))
+    inv_diag = 1.0 / spai._diagonal(L.indptr, indices, L.data, n)
+    off = np.flatnonzero(indices != column)
+    coeff = -L.data[off] * inv_diag[column[off]]
+    live = off[coeff != 0.0]
+    deps = (column[live], indices[live], coeff[coeff != 0.0])
+    levels = spai.dependency_levels(n, deps[0], deps[1])
+    order = np.argsort(levels, kind="stable")
+    bounds = np.searchsorted(levels[order],
+                             np.arange(levels.max(initial=-1) + 2))
+    built = _LevelColumns(n, capacity=n + len(L.data))
+    dep_ptr = np.searchsorted(deps[0], np.arange(n + 1))
+    for level in range(len(bounds) - 1):
+        cols = order[bounds[level]:bounds[level + 1]]
+        keys, sums = _merge_terms(cols, inv_diag, dep_ptr, deps, built, n)
+        owner = keys // n
+        lengths = np.bincount(owner, minlength=len(cols))
+        ptr = np.concatenate([[0], np.cumsum(lengths)])
+        keep = spai._prune(sums, ptr, delta, keep_threshold)
+        if keep is None:
+            keep = np.ones(len(sums), dtype=bool)
+        built.append(cols, keys[keep] % n, sums[keep],
+                     np.bincount(owner[keep], minlength=len(cols)))
+    return built.matrix()
+
+
+class _LevelColumns:
+    """Finished SPAI columns in a growable buffer, in build order."""
+
+    def __init__(self, n, capacity):
+        self.n = n
+        self.start = np.zeros(n, dtype=np.int64)
+        self.length = np.zeros(n, dtype=np.int64)
+        self.rows = np.empty(capacity, dtype=np.int32)
+        self.vals = np.empty(capacity)
+        self.used = 0
+
+    def append(self, cols, rows, vals, lengths):
+        end = self.used + len(rows)
+        if end > len(self.rows):
+            size = max(end, 2 * len(self.rows))
+            self.rows = np.concatenate(
+                [self.rows[:self.used], np.empty(size - self.used, np.int32)])
+            self.vals = np.concatenate(
+                [self.vals[:self.used], np.empty(size - self.used)])
+        self.rows[self.used:end] = rows
+        self.vals[self.used:end] = vals
+        self.start[cols] = self.used + np.cumsum(lengths) - lengths
+        self.length[cols] = lengths
+        self.used = end
+
+    def gather(self, cols):
+        """Rows, values and lengths of finished columns *cols*."""
+        lengths = self.length[cols]
+        flat = concat_ranges(self.start[cols], lengths)
+        return self.rows[flat], self.vals[flat], lengths
+
+    def matrix(self):
+        rows, vals, lengths = self.gather(np.arange(self.n))
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        Z = sp.csc_matrix((vals, rows, indptr), shape=(self.n, self.n))
+        Z.has_sorted_indices = True  # each column's rows come out sorted
+        return Z
+
+
+def _merge_terms(cols, inv_diag, dep_ptr, deps, built, n):
+    """Sum the recurrence's terms of columns *cols* per row.
+
+    Returns sorted ``local column * n + row`` keys and their sums, each
+    accumulated in the recurrence's order: ``1 / L_jj`` at row ``j``
+    first, then ``coeff * z~_i`` for the needed columns by ascending
+    ``i``, each in its row order.
+    """
+    dep_col, dep_row, coeff = deps
+    counts = dep_ptr[cols + 1] - dep_ptr[cols]
+    dep = concat_ranges(dep_ptr[cols], counts)
+    rows, vals, lengths = built.gather(dep_row[dep])
+    local = np.repeat(np.repeat(np.arange(len(cols)), counts), lengths)
+    vals = vals * np.repeat(coeff[dep], lengths)
+    per_col = np.bincount(local, minlength=len(cols))
+    # Each column's diagonal term goes in front of its gathered terms.
+    diag_at = np.arange(len(cols)) + np.cumsum(per_col) - per_col
+    term_at = np.arange(len(rows)) + local + 1
+    keys = np.empty(len(cols) + len(rows), dtype=np.int64)
+    terms = np.empty(len(keys))
+    keys[diag_at] = np.arange(len(cols)) * n + cols
+    terms[diag_at] = inv_diag[cols]
+    keys[term_at] = local * n + rows
+    terms[term_at] = vals
+    keys, slot, _ = unique_slots(keys)
+    return keys, np.bincount(slot, weights=terms)
 
 
 class NumpyApproxRanker(ApproxRanker):
@@ -999,7 +1230,7 @@ class DictEvolvingSparsifier(EvolvingSparsifier):
         })
         return record
 
-    def _apply(self, eb):
+    def _apply(self, eb, laps):
         self._check_batch(eb)
         deleted_kept = [
             (pair, self._edges[pair])
@@ -1028,6 +1259,7 @@ class DictEvolvingSparsifier(EvolvingSparsifier):
         if drift_at_batch > self.drift_budget:
             self.base_record = self._full_build()
             rebuilt = True
+        laps.split("batch")
         return {
             "inserted": len(eb.inserts),
             "deleted": len(eb.deletes),

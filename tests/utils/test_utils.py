@@ -16,7 +16,9 @@ from repro.utils import (
     format_bytes,
     format_seconds,
 )
-from repro.utils.arrays import concat_ranges, gather_ranges, segment_dots
+from repro.utils import arrays
+from repro.utils.arrays import (concat_ranges, gather_ranges, segment_dots,
+                                sparse_product)
 from repro.utils.reporting import format_count
 
 
@@ -248,3 +250,119 @@ class TestSegmentDots:
             segment_dots(indptr, indices.astype(np.int32), data, x)
         with pytest.raises(TypeError):
             segment_dots(indptr, indices, data.astype(np.float32), x)
+
+
+def _ordered_product(a, b):
+    """``a @ b`` as per-row dicts, each sum added in SMMP's order."""
+    rows = []
+    for i in range(a.shape[0]):
+        sums = {}
+        for jj in range(a.indptr[i], a.indptr[i + 1]):
+            j, v = a.indices[jj], a.data[jj]
+            for kk in range(b.indptr[j], b.indptr[j + 1]):
+                k = int(b.indices[kk])
+                sums[k] = sums.get(k, 0.0) + v * b.data[kk]
+        rows.append(sums)
+    return rows
+
+
+@st.composite
+def _operands(draw):
+    """Two random CSR operands, ``A``'s rows in arbitrary column order."""
+    n_row, n_mid, n_col = (draw(st.integers(1, 6)) for _ in range(3))
+    index = draw(st.sampled_from([np.int32, np.int64]))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+
+    def operand(rows, cols, shuffle):
+        mask = rng.random((rows, cols)) < 0.5
+        values = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(
+            -150, 150, (rows, cols))
+        matrix = sp.csr_matrix(np.where(mask, values, 0.0))
+        if shuffle:
+            for r in range(rows):
+                part = slice(matrix.indptr[r], matrix.indptr[r + 1])
+                order = rng.permutation(part.stop - part.start)
+                matrix.indices[part] = matrix.indices[part][order]
+                matrix.data[part] = matrix.data[part][order]
+        matrix.indptr = matrix.indptr.astype(index)
+        matrix.indices = matrix.indices.astype(index)
+        return matrix
+
+    return operand(n_row, n_mid, True), operand(n_mid, n_col, False), n_col
+
+
+class TestSparseProduct:
+    """scipy's SMMP product against the sums it must keep: each entry
+    adds its products in the operands' storage order from ``0.0``, and
+    a sum of exactly ``0.0`` stays a stored zero."""
+
+    @given(case=_operands())
+    @settings(max_examples=100, deadline=None)
+    def test_sums_in_storage_order_bit_for_bit(self, case):
+        a, b, n_col = case
+        indptr, indices, data = sparse_product(
+            a.indptr, a.indices, a.data, b.indptr, b.indices, b.data, n_col)
+        assert indptr.dtype == indices.dtype == a.indptr.dtype
+        expected = _ordered_product(a, b)
+        assert np.diff(indptr).tolist() == [len(row) for row in expected]
+        for i, row in enumerate(expected):
+            part = slice(indptr[i], indptr[i + 1])
+            assert indices[part].tolist() == sorted(row)
+            want = np.array([row[k] for k in sorted(row)])
+            assert np.array_equal(data[part].view(np.int64),
+                                  want.view(np.int64))
+
+    def test_an_offset_window_reads_only_its_rows(self):
+        a = sp.csr_matrix(np.array([[1.0, 2.0], [3.0, 0.0], [0.0, 4.0]]))
+        b = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        indptr, indices, data = sparse_product(
+            a.indptr[1:], a.indices, a.data, b.indptr, b.indices, b.data, 2)
+        assert indptr.tolist() == [0, 2, 3]
+        assert indices.tolist() == [0, 1, 1]
+        assert data.tolist() == [3.0, 3.0, 4.0]
+
+    def test_exact_zero_sums_stay_stored(self):
+        """``csr_matmat`` drops a sum of exactly 0.0: both an underflowed
+        product and a cancellation come back as stored zeros."""
+        a = sp.csr_matrix(np.array([[1e-300, 1.0, 1.0]]))
+        b = sp.csr_matrix(np.array([[1e-300, 0.0, 2.0],
+                                    [0.0, 5.0, 0.0],
+                                    [0.0, -5.0, 0.0]]))
+        indptr, indices, data = sparse_product(
+            a.indptr, a.indices, a.data, b.indptr, b.indices, b.data, 3)
+        assert indptr.tolist() == [0, 3]
+        assert indices.tolist() == [0, 1, 2]
+        assert data.tolist() == [0.0, 0.0, 2e-300]
+        assert not np.signbit(data).any()
+
+    def test_rejects_what_the_kernel_would_misread(self, monkeypatch):
+        for name in ("csr_matmat_maxnnz", "csr_matmat", "csr_sort_indices"):
+            monkeypatch.setattr(arrays, name, _kernel_must_not_run)
+        a_ptr = np.array([0, 2], dtype=np.int64)
+        a_idx = np.array([0, 1], dtype=np.int64)
+        b_ptr = np.array([0, 1, 2], dtype=np.int64)
+        b_idx = np.array([0, 1], dtype=np.int64)
+        ones = np.ones(2)
+        with pytest.raises(TypeError):  # mixed index dtypes
+            sparse_product(a_ptr, a_idx.astype(np.int32), ones, b_ptr,
+                           b_idx, ones, 2)
+        with pytest.raises(TypeError):
+            sparse_product(a_ptr, a_idx, ones, b_ptr, b_idx,
+                           ones.astype(np.float32), 2)
+        with pytest.raises(IndexError):  # an A column past B's rows
+            sparse_product(a_ptr, a_idx + 1, ones, b_ptr, b_idx, ones, 2)
+        with pytest.raises(ValueError):  # a B range past its arrays
+            sparse_product(a_ptr, a_idx, ones, np.array([0, 1, 3]), b_idx,
+                           ones, 2)
+        with pytest.raises(IndexError):  # a B column past n_col
+            sparse_product(a_ptr, a_idx, ones, b_ptr, b_idx, ones, 1)
+        with pytest.raises(ValueError):  # an A range past its arrays
+            sparse_product(np.array([0, 3]), a_idx, ones, b_ptr, b_idx,
+                           ones, 2)
+        with pytest.raises(ValueError):  # values shorter than indices
+            sparse_product(a_ptr, a_idx, ones[:1], b_ptr, b_idx, ones, 2)
+
+
+def _kernel_must_not_run(*args):
+    raise AssertionError("the kernel ran on inputs it would misread")
